@@ -40,6 +40,11 @@ from .spectral import eigendecompose_symmetric, matrix_function, pseudoinverse
 KERNEL_KINDS = ("laplacian_spatial", "matern_spatial", "separable_product", "shek", "swek")
 TEMPORAL_KINDS = ("rbf", "exponential", "brownian", "cosine")
 
+# Kinds built from fractional powers or the eigenbasis of the Laplacian,
+# which exist only for a symmetric one (not the random-walk variant).  The
+# spatial-only Laplacian kernel (L^T L)^+ is defined for any variant.
+_SYMMETRIC_KINDS = ("matern_spatial", "shek", "swek")
+
 # Largest (n_times^2 * n_vertices^2) block tensor assembled in one shot;
 # beyond this the Gram falls back to a per-eigenvalue accumulation loop.
 _BLOCK_TENSOR_LIMIT = 60_000_000
@@ -92,6 +97,9 @@ class KernelSpec:
     - ``shek`` / ``swek``: ``c``, ``sigma``, ``nu``, ``kappa``
 
     ``laplacian_variant`` picks which Laplacian backs the spatial operator.
+    Every kind except ``laplacian_spatial`` needs a symmetric variant (for a
+    separable product, on its spatial sub-spec, whose variant is the one
+    used); ``random_walk`` is rejected for them here.
     """
 
     kind: str
@@ -111,6 +119,12 @@ class KernelSpec:
                 raise DataError(f"hyperparameter {name!r} must be strictly positive, got {value}")
         object.__setattr__(self, "hyper", MappingProxyType(hyper))
 
+        if self.laplacian_variant == "random_walk" and self.kind in _SYMMETRIC_KINDS:
+            raise DataError(
+                f"kernel kind {self.kind!r} needs a symmetric Laplacian; "
+                f"variant {self.laplacian_variant!r} is not symmetric"
+            )
+
         required: tuple[str, ...] = ()
         if self.kind == "matern_spatial":
             required = ("nu", "kappa")
@@ -119,6 +133,11 @@ class KernelSpec:
         elif self.kind == "separable_product":
             if self.spatial is None or self.spatial.kind not in ("laplacian_spatial", "matern_spatial"):
                 raise DataError("separable_product needs a spatial sub-spec (laplacian or matern)")
+            if self.spatial.laplacian_variant == "random_walk":
+                raise DataError(
+                    "separable_product's spatial sub-spec needs a symmetric Laplacian; "
+                    "variant 'random_walk' is not symmetric"
+                )
             if self.temporal_kind not in TEMPORAL_KINDS:
                 raise DataError(
                     f"separable_product needs temporal_kind in {TEMPORAL_KINDS}, got {self.temporal_kind!r}"
@@ -219,6 +238,19 @@ def _shek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     gap = np.abs(t - s)
     m = np.minimum(t, s)
     return sigma**2 / (2.0 * c) * np.exp(-c * mu * gap) * (-np.expm1(-2.0 * c * mu * m)) / mu
+
+
+def _shek_eig_dlog_rate(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
+    """Derivative of :func:`_shek_eig` (value ``k``) in log c.
+
+    The covariance depends on (c, mu) only through the rate ``c mu``, so this
+    is also its derivative in log mu:
+    ``-k (1 + c mu |t-s|) + sigma^2 min(t, s) exp(-c mu (|t-s| + 2 min(t, s)))``.
+    """
+    gap = np.abs(t - s)
+    m = np.minimum(t, s)
+    rate = c * mu
+    return -k * (1.0 + rate * gap) + sigma**2 * m * np.exp(-rate * (gap + 2.0 * m))
 
 
 def shek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: float) -> np.ndarray:
@@ -412,6 +444,33 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     return np.where(small, series, direct)
 
 
+def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
+    """Derivative of :func:`_swek_eig` (value ``k``) in log theta, theta = c sqrt(mu).
+
+    This is the derivative in log c, and twice the derivative in log mu.  The
+    small-theta branch differentiates the same series the value uses.
+    """
+    theta = c * np.sqrt(mu)
+    m = np.minimum(t, s)
+    big = np.maximum(t, s)
+    gap = np.abs(t - s)
+    small = theta * big < 1e-3
+    th = np.where(small, 1.0, theta)
+    with np.errstate(invalid="ignore"):
+        # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta
+        theta_dh = (
+            -m * gap * th * np.sin(th * gap)
+            + big * np.sin(th * big) * np.sin(th * m)
+            - m * np.cos(th * big) * np.cos(th * m)
+            + np.cos(th * big) * np.sin(th * m) / th
+        )
+        direct = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
+    correction = (
+        m * gap**4 / 24.0 - m**5 / 120.0 - big**2 * m**3 / 12.0 - big**4 * m / 24.0
+    )
+    return np.where(small, sigma**2 * theta**2 * correction, direct)
+
+
 def swek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: float) -> np.ndarray:
     """SWEK cross-covariance ``Cov[u(t), u(s)]``; zero matrix when min(t,s) = 0.
 
@@ -472,6 +531,24 @@ def temporal_kernel(kind: str, params: Mapping[str, float], t, s):
         omega = float(params["omega"]) if "omega" in params else 1.0 / _param(params, "time_lengthscale")
         out = variance * np.cos(omega * (t - s))
     return out if out.ndim else float(out)
+
+
+def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, s):
+    """Derivative of :func:`temporal_kernel` in log ``time_lengthscale``.
+
+    Zero for the brownian kernel, and for the cosine kernel when ``omega``
+    fixes its frequency.
+    """
+    k = temporal_kernel(kind, params, t, s)
+    gap = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+    if kind == "rbf":
+        return k * (gap / _param(params, "time_lengthscale")) ** 2
+    if kind == "exponential":
+        return k * np.abs(gap) / _param(params, "time_lengthscale")
+    if kind == "cosine" and "omega" not in params:
+        phase = gap / _param(params, "time_lengthscale")
+        return float(params.get("variance", 1.0)) * np.sin(phase) * phase
+    return np.zeros_like(k)
 
 
 def _spatial_gram(spec: KernelSpec, graph: Graph) -> np.ndarray:

@@ -146,6 +146,44 @@ class TestFit:
         assert np.all(np.abs(coarse - fine) <= 0.10 * scale + 1e-12)
 
 
+class TestMaximizeStopRule:
+    def test_stops_at_the_optimum_of_a_concave_quadratic(self):
+        from graphspde.gp import _maximize, _Objective
+
+        peak = np.array([0.3, -1.2, 2.0])
+        curvature = np.array([[3.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        # the gradient carries a 1e-9 error, as a computed one does, so it
+        # never vanishes exactly at the optimum; grad_tol = 0 then leaves the
+        # stop rule as the only way to end before max_iters
+        objective = _Objective(
+            value=lambda th: 1000.0 - 0.5 * (th - peak) @ curvature @ (th - peak),
+            gradient=lambda th, f: -curvature @ (th - peak) + 1e-9 * np.sin(1e4 * th),
+        )
+        theta, trace = _maximize(objective, np.zeros(3), max_iters=200, grad_tol=0.0)
+        assert len(trace) <= 20
+        np.testing.assert_allclose(theta, peak, atol=1e-4)
+        assert np.all(np.diff(trace) >= 0.0)
+
+    def test_stops_within_two_iterations_of_a_flat_maximum(self):
+        from graphspde.gp import _maximize, _Objective
+
+        # constant 5 on the unit disc; there the gradient is small round-off
+        # that still points somewhere, as a computed gradient on a plateau does
+        def value(th):
+            return 5.0 - max(float(np.linalg.norm(th)) - 1.0, 0.0) ** 2
+
+        def gradient(th, f):
+            radius = float(np.linalg.norm(th))
+            if radius <= 1.0:
+                return -1e-3 * th
+            return -2.0 * (radius - 1.0) * th / radius
+
+        objective = _Objective(value=value, gradient=gradient)
+        _, trace = _maximize(objective, np.array([3.0, -2.0]), max_iters=200, grad_tol=0.0)
+        flat = trace.index(5.0)
+        assert len(trace) - 1 <= flat + 2
+
+
 class TestPredict:
     def test_noiseless_interpolation_reproduces_targets(self):
         graph = line_graph(3)

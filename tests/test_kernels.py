@@ -493,3 +493,43 @@ def test_random_walk_semigroup_reaches_degree_weighted_stationary():
     stationary = degrees / degrees.sum()
     for row in limit:
         np.testing.assert_allclose(row, stationary, atol=1e-10)
+
+
+class TestSymmetricVariantRequired:
+    @pytest.mark.parametrize("kind", ["shek", "swek", "matern_spatial"])
+    def test_random_walk_rejected_when_built(self, kind):
+        hyper = {"nu": 1.0, "kappa": 1.0}
+        if kind != "matern_spatial":
+            hyper.update(c=1.0, sigma=1.0)
+        with pytest.raises(DataError, match="random_walk"):
+            KernelSpec(kind=kind, hyper=hyper, laplacian_variant="random_walk")
+
+    def test_random_walk_spatial_sub_spec_rejected(self):
+        spatial = KernelSpec(kind="laplacian_spatial", hyper={}, laplacian_variant="random_walk")
+        with pytest.raises(DataError, match="random_walk"):
+            KernelSpec(kind="separable_product", hyper={"time_lengthscale": 1.0},
+                       temporal_kind="rbf", spatial=spatial)
+
+    def test_spatial_laplacian_kernel_keeps_random_walk(self):
+        g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)])
+        spec = KernelSpec(kind="laplacian_spatial", hyper={}, laplacian_variant="random_walk")
+        gram = assemble_gram(spec, g, [STPoint(v, 1.0) for v in range(3)]).matrix
+        assert np.all(np.isfinite(gram))
+
+
+def test_swek_series_derivative_is_twice_its_theta_part():
+    # below theta * max(t, s) = 1e-3 the value is the series
+    # sigma^2 / 2 (lead + theta^2 correction), whose log-theta derivative is
+    # twice its theta-dependent part, k(theta) - k(0)
+    from graphspde.kernels import _swek_eig, _swek_eig_dlog_theta
+
+    mu = np.array([0.5, 2.0, 7.0])[:, None, None]
+    t = np.array([0.5, 1.0, 2.5, 4.0])[None, :, None]
+    s = np.swapaxes(t, 1, 2)
+    c, sigma = 2e-5, 3.0
+    assert np.all(c * np.sqrt(mu) * np.maximum(t, s) < 1e-3)
+    k = _swek_eig(mu, c, sigma, t, s)
+    limit = _swek_eig(mu, 1e-300, sigma, t, s)
+    np.testing.assert_allclose(
+        _swek_eig_dlog_theta(k, mu, c, sigma, t, s), 2.0 * (k - limit), rtol=1e-5
+    )
