@@ -33,10 +33,12 @@ from .exceptions import DataError, NumericError
 from .experiments import run_backtest
 from .gp import FitOptions, GPModel, SpatioTemporalDataset, fit as fit_gp, sample, sampling_moments
 from .graphs import Graph, fractional_from_graph, line_graph
-from .kernels import KernelSpec, STPoint, shek_cov, swek_cov
+from .kernels import TEMPORAL_KINDS, KernelSpec, STPoint, shek_cov, swek_cov
 from .sde import empirical_cross_cov, simulate_heat, simulate_wave
 
-KERNEL_NAMES = ("laplacian", "matern", "sep-matern-rbf", "sep-laplacian-rbf", "shek", "swek")
+KERNEL_NAMES = ("laplacian", "matern", "shek", "swek") + tuple(
+    f"sep-{spatial}-{temporal}" for spatial in ("laplacian", "matern") for temporal in TEMPORAL_KINDS
+)
 
 
 class _UsageError(Exception):
@@ -128,7 +130,7 @@ def _kernel_spec(name: str, hyper: dict) -> KernelSpec:
                           laplacian_variant=hyper["variant"])
     if name.startswith("sep-"):
         parts = name.split("-")
-        if len(parts) == 3 and parts[1] in ("matern", "laplacian"):
+        if len(parts) == 3 and parts[1] in ("matern", "laplacian") and parts[2] in TEMPORAL_KINDS:
             spatial = _kernel_spec(parts[1], {**hyper, "variance": 1.0})
             sep_hyper = {"variance": hyper["variance"]}
             if parts[2] != "brownian":
@@ -140,7 +142,7 @@ def _kernel_spec(name: str, hyper: dict) -> KernelSpec:
                 laplacian_variant=hyper["variant"],
                 spatial=spatial,
             )
-    raise DataError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES} or sep-<spatial>-<temporal>")
+    raise DataError(f"unknown kernel {name!r}; expected one of {', '.join(KERNEL_NAMES)}")
 
 
 def _hyper_defaults(args, config: dict, section: str, skip: tuple[str, ...] = ()) -> dict:

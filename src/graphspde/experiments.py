@@ -26,7 +26,7 @@ from .backtest import (
 from .exceptions import DataError, NumericError
 from .gp import FitOptions, GPModel, SpatioTemporalDataset, fit, predict
 from .gp import _prepare, _scale_name
-from .kernels import KernelSpec, assemble_gram
+from .kernels import KernelSpec, mode_covariances
 
 TASKS = ("interpolation", "extrapolation")
 
@@ -75,13 +75,18 @@ def _data_scaled_spec(
     The optimizer works in log-space, so a starting point many orders of
     magnitude off (e.g. the Laplacian kernel's raw scale vs. small targets)
     wastes the iteration budget or strands the fit in a degenerate basin.
+    A point's prior variance is ``sum_i Q[v, i]^2 k_i(t, t)``, read from the
+    per-mode covariances without assembling the Gram.
     """
     probe = GPModel(kernel=spec, mean_policy=mean_policy)
     prep = _prepare(probe, train)
     target_var = max(float(np.var(prep.y)), 1e-12)
     scale_name, power = _scale_name(spec)
     unit = spec.with_hyper(**{scale_name: 1.0})
-    diag_mean = float(np.mean(np.diag(assemble_gram(unit, train.graph, prep.points).matrix)))
+    times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
+    basis, covs, _ = mode_covariances(unit, train.graph, times)
+    prior_var = basis**2 @ np.diagonal(covs, axis1=1, axis2=2)  # (n, T)
+    diag_mean = float(np.mean(prior_var[[p.vertex for p in prep.points], t_idx]))
     if diag_mean <= 0 or not np.isfinite(diag_mean):
         return spec, target_var
     scale = (target_var / diag_mean) ** (1.0 / power)

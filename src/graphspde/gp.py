@@ -5,9 +5,10 @@ Cholesky, hyperparameter fitting by a quasi-Newton (BFGS) ascent in
 log-space, standard posterior prediction, and seeded prior/posterior
 sampling.
 
-On a complete vertex x time grid the likelihood splits into one T x T
-problem per Laplacian eigenmode, factorized as one batched Cholesky over
-the (n, T, T) stack, and its gradient is exact: per mode
+On a complete vertex x time grid the likelihood of every kernel kind
+splits into one T x T problem per eigenmode of the kernel's operator
+(:func:`kernels.mode_covariances`), factorized as one batched Cholesky
+over the (n, T, T) stack, and its gradient is exact: per mode
 ``1/2 tr((a a^T - K^-1) dK)`` (Rasmussen & Williams 2006, eq. 5.9).  Other
 point sets take the dense N x N path with central finite-difference
 gradients.  A start stops once an accepted step no longer raises the LML
@@ -40,21 +41,9 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import DataError, FactorizationError, NumericError
-from .graphs import Graph, fractional_from_graph, laplacian
-from .kernels import (
-    KernelSpec,
-    STPoint,
-    _shek_eig,
-    _shek_eig_dlog_rate,
-    _swek_eig,
-    _swek_eig_dlog_theta,
-    assemble_gram,
-    shek_mean,
-    swek_mean,
-    temporal_kernel,
-    temporal_kernel_dlog_lengthscale,
-)
-from .spectral import NULL_SPACE_RTOL, cholesky_jittered, eigendecompose_symmetric
+from .graphs import Graph, fractional_from_graph
+from .kernels import KernelSpec, STPoint, assemble_gram, mode_covariances, shek_mean, swek_mean
+from .spectral import cholesky_jittered
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NOISE_FLOOR = 1e-10
@@ -215,7 +204,7 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     """
     prep = _prepare(model, data)
     grid = _detect_grid(prep.points, data.graph.n_vertices)
-    if grid is not None and model.kernel.kind in ("shek", "swek", "separable_product"):
+    if grid is not None:
         return _grid_lml(model.kernel, data.graph, grid, prep.y, model.noise_variance)
     gram = assemble_gram(model.kernel, data.graph, prep.points).matrix
     return _lml_from_gram(gram, model.noise_variance, prep.y)
@@ -249,75 +238,6 @@ def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure |
     return _GridStructure(times=times, index=index)
 
 
-def _mode_temporal_covs(
-    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str] = ()
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Spatial eigenbasis Q, per-mode temporal covariances (n, T, T), and
-    their derivatives in the log of each kernel hyperparameter in ``wrt``.
-
-    Every kernel kind here is a function of one symmetric Laplacian, so the
-    Gram over a full grid equals ``sum_i covs[i] (x) q_i q_i^T``.
-    """
-    t = times[None, :, None]
-    s = times[None, None, :]
-    if spec.kind in ("shek", "swek"):
-        c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
-        frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
-        mu = frac.shifted_eigs[:, None, None]
-        # SHEK depends on (c, mu) through c mu and SWEK through c sqrt(mu),
-        # so the log-mu derivative is the log-c one times 1 or 1/2.
-        if spec.kind == "shek":
-            scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
-        else:
-            scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
-        covs = scalar(mu, c, sigma, t, s)
-        if not wrt:
-            return frac.basis, covs, []
-        d_log_c = d_scalar(covs, mu, c, sigma, t, s)
-        d_log_mu = mu_power * d_log_c
-        # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
-        shift = 2.0 * nu / kappa**2
-        shifted = mu ** (2.0 / nu)
-        log_mu_by = {
-            "nu": 0.5 * nu * (np.log(shifted) + shift / shifted),
-            "kappa": -nu * shift / shifted,
-        }
-        derivs = []
-        for name in wrt:
-            if name == "c":
-                derivs.append(d_log_c)
-            elif name == "sigma":
-                derivs.append(2.0 * covs)
-            else:
-                derivs.append(d_log_mu * log_mu_by[name])
-        return frac.basis, covs, derivs
-    if spec.kind != "separable_product":
-        raise DataError(f"no factorized path for kernel kind {spec.kind!r}")
-    sub = spec.spatial
-    dec = eigendecompose_symmetric(laplacian(graph, sub.laplacian_variant).matrix)
-    lam = dec.eigenvalues
-    if sub.kind == "matern_spatial":
-        rho = sub.variance * (2.0 * sub.hyper["nu"] / sub.hyper["kappa"] ** 2 + lam) ** (-sub.hyper["nu"])
-    else:
-        squared = lam**2
-        cutoff = NULL_SPACE_RTOL * np.max(squared, initial=0.0)
-        rho = np.zeros_like(squared)
-        keep = squared > cutoff
-        rho[keep] = sub.variance / squared[keep]
-    rho = rho[:, None, None]
-    params = dict(spec.hyper)
-    params.setdefault("variance", 1.0)
-    t, s = times[:, None], times[None, :]
-    covs = rho * temporal_kernel(spec.temporal_kind, params, t, s)
-    derivs = []
-    for name in wrt:
-        if name == "variance":
-            derivs.append(covs)
-        else:
-            derivs.append(rho * temporal_kernel_dlog_lengthscale(spec.temporal_kind, params, t, s))
-    return dec.basis, covs, derivs
-
-
 def _grid_modes(
     spec: KernelSpec,
     graph: Graph,
@@ -328,7 +248,7 @@ def _grid_modes(
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Cholesky factors L_i of every mode's K_i + s2 I, in one batched call,
     the whitened mode targets L_i^-1 y_i, and the derivatives of K_i."""
-    basis, covs, derivs = _mode_temporal_covs(spec, graph, grid.times, wrt)
+    basis, covs, derivs = mode_covariances(spec, graph, grid.times, wrt)
     factor, _ = cholesky_jittered(covs + noise_variance * np.eye(grid.times.shape[0]))
     y_modes = (y[grid.index] @ basis).T  # (n, T): row i is eigenmode i's series
     white = np.linalg.solve(factor, y_modes[:, :, None])[:, :, 0]
@@ -424,9 +344,7 @@ def _make_objective(
     """
     prep = _prepare(model, data)
     scale_name, power = _scale_name(model.kernel)
-    grid = None
-    if model.kernel.kind in ("shek", "swek", "separable_product"):
-        grid = _detect_grid(prep.points, data.graph.n_vertices)
+    grid = _detect_grid(prep.points, data.graph.n_vertices)
     cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
     noise_at = names.index("noise")
 

@@ -216,9 +216,12 @@ def fractional_laplacian(lap: LaplacianMatrix | np.ndarray, nu: float, kappa: fl
     matrix = lap.matrix if isinstance(lap, LaplacianMatrix) else np.asarray(lap, dtype=float)
     if isinstance(lap, LaplacianMatrix) and not lap.symmetric:
         raise DataError("fractional powers require a symmetric Laplacian")
+    return _fractional_on(eigendecompose_symmetric(matrix), nu, kappa)
+
+
+def _fractional_on(dec: SpectralDecomposition, nu: float, kappa: float) -> FractionalLaplacian:
     if not (nu > 0 and kappa > 0):
         raise DataError(f"nu and kappa must be positive, got nu={nu}, kappa={kappa}")
-    dec = eigendecompose_symmetric(matrix)
     lam = dec.eigenvalues.copy()
     # Round-off can leave a PSD Laplacian's zero mode slightly negative; clamp
     # it so tiny shifts (large kappa) cannot produce a complex power.
@@ -241,17 +244,27 @@ def fractional_laplacian(lap: LaplacianMatrix | np.ndarray, nu: float, kappa: fl
 
 
 @lru_cache(maxsize=128)
-def _fractional_from_graph(g: Graph, variant: str, nu: float, kappa: float) -> FractionalLaplacian:
-    return fractional_laplacian(laplacian(g, variant), nu, kappa)
+def laplacian_spectrum(g: Graph, variant: str, squared: bool = False) -> SpectralDecomposition:
+    """Memoized eigendecomposition of ``L`` or, when ``squared``, of ``L^T L``.
+
+    These are the two operators every kernel's eigenmodes live on: ``L`` for
+    the graph Matern, SHEK and SWEK kernels, ``L^T L`` for the Laplacian
+    kernel (it equals ``L^2`` for the symmetric variants, and is the only
+    symmetric choice for ``random_walk``).  One ``eigh`` per (graph,
+    variant, operator) serves every Gram, likelihood and gradient.
+    """
+    lap = laplacian(g, variant)
+    if squared:
+        return eigendecompose_symmetric(lap.matrix.T @ lap.matrix)
+    if not lap.symmetric:
+        raise DataError("fractional powers require a symmetric Laplacian")
+    return eigendecompose_symmetric(lap.matrix)
 
 
 def fractional_from_graph(g: Graph, variant: str, nu: float, kappa: float) -> FractionalLaplacian:
-    """Memoized fractional Laplacian per (graph, variant, nu, kappa).
-
-    Every kernel formula shares one spectrum per operator, so Gram assembly
-    and repeated likelihood evaluations reuse the same decomposition.
-    """
-    return _fractional_from_graph(g, variant, float(nu), float(kappa))
+    """Fractional Laplacian per (graph, variant, nu, kappa), as an O(n) view
+    over the memoized spectrum of the graph's Laplacian."""
+    return _fractional_on(laplacian_spectrum(g, variant), float(nu), float(kappa))
 
 
 def line_graph(n_nodes: int, weight: float = 1.0) -> Graph:

@@ -6,9 +6,15 @@ products, and the non-separable spatio-temporal kernels are the exact
 cross-covariances of the stochastic heat equation (SHEK) and stochastic
 wave equation (SWEK) driven by the shifted fractional Laplacian.
 
-All SHEK/SWEK matrix expressions are evaluated per-eigenvalue on the shared
-spectral decomposition of the operator, so assembling an N x N Gram over T
-distinct times costs one eigendecomposition plus O(T^2 n^2) scalar work.
+Every kernel has one representation (Nikitin et al., arXiv:2111.08524):
+per eigenmode i of one symmetric operator, a temporal covariance
+``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
+:func:`mode_covariances` is the one place that maps a :class:`KernelSpec`
+to that eigenbasis and those covariances, on a spectrum computed once per
+(graph, variant, operator).  :func:`assemble_gram` gathers from it, which
+costs O((T n)^2) memory for T distinct times and n vertices (N^2 on a
+complete grid).  The matrix-level functions (``laplacian_kernel``,
+``shek_cov``, ...) stay as the references the tests hold the gather to.
 
 Cross-covariance convention: ``Cov[u(t), u(s)]_ij = E[(u_i(t) - mu_i(t)) *
 (u_j(s) - mu_j(s))]`` with the deterministic initial state at t = 0, so both
@@ -33,9 +39,9 @@ from .graphs import (
     LaplacianMatrix,
     fractional_from_graph,
     fractional_laplacian,
-    laplacian,
+    laplacian_spectrum,
 )
-from .spectral import eigendecompose_symmetric, matrix_function, pseudoinverse
+from .spectral import NULL_SPACE_RTOL, eigendecompose_symmetric, matrix_function, pseudoinverse
 
 KERNEL_KINDS = ("laplacian_spatial", "matern_spatial", "separable_product", "shek", "swek")
 TEMPORAL_KINDS = ("rbf", "exponential", "brownian", "cosine")
@@ -44,10 +50,6 @@ TEMPORAL_KINDS = ("rbf", "exponential", "brownian", "cosine")
 # which exist only for a symmetric one (not the random-walk variant).  The
 # spatial-only Laplacian kernel (L^T L)^+ is defined for any variant.
 _SYMMETRIC_KINDS = ("matern_spatial", "shek", "swek")
-
-# Largest (n_times^2 * n_vertices^2) block tensor assembled in one shot;
-# beyond this the Gram falls back to a per-eigenvalue accumulation loop.
-_BLOCK_TENSOR_LIMIT = 60_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -551,40 +553,89 @@ def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, 
     return np.zeros_like(k)
 
 
-def _spatial_gram(spec: KernelSpec, graph: Graph) -> np.ndarray:
-    lap = laplacian(graph, spec.laplacian_variant)
-    if spec.kind == "laplacian_spatial":
-        return spec.variance * laplacian_kernel(lap)
-    if spec.kind == "matern_spatial":
-        return spec.variance * matern_graph_kernel(lap, spec.hyper["nu"], spec.hyper["kappa"])
-    raise DataError(f"{spec.kind!r} is not a spatial kernel kind")
+def mode_covariances(
+    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str] = ()
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Eigenbasis Q, per-mode temporal covariances (n, T, T), and their
+    derivatives in the log of each kernel hyperparameter in ``wrt``.
 
+    Every kernel kind is a function of one symmetric operator, so
+    ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``.  The
+    modes are those of ``L`` (graph Matern, SHEK, SWEK) or of ``L^T L``
+    (Laplacian kernel), from the memoized per-graph spectrum.  Spatial-only
+    kinds have ``covs[i] = rho_i`` at every time pair.  Derivatives cover
+    the hyperparameters a fit varies: c, sigma, nu and kappa for SHEK/SWEK,
+    time_lengthscale and variance for separable products, variance for
+    spatial kinds.
+    """
+    times = np.asarray(times, dtype=float)
+    t = times[None, :, None]
+    s = times[None, None, :]
+    if spec.kind in ("shek", "swek"):
+        c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
+        frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
+        mu = frac.shifted_eigs[:, None, None]
+        # SHEK depends on (c, mu) through c mu and SWEK through c sqrt(mu),
+        # so the log-mu derivative is the log-c one times 1 or 1/2.
+        if spec.kind == "shek":
+            scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
+        else:
+            scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
+        covs = scalar(mu, c, sigma, t, s)
+        if not wrt:
+            return frac.basis, covs, []
+        d_log_c = d_scalar(covs, mu, c, sigma, t, s)
+        d_log_mu = mu_power * d_log_c
+        # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
+        shift = 2.0 * nu / kappa**2
+        shifted = mu ** (2.0 / nu)
+        log_mu_by = {
+            "nu": 0.5 * nu * (np.log(shifted) + shift / shifted),
+            "kappa": -nu * shift / shifted,
+        }
+        derivs = []
+        for name in wrt:
+            if name == "c":
+                derivs.append(d_log_c)
+            elif name == "sigma":
+                derivs.append(2.0 * covs)
+            else:
+                derivs.append(d_log_mu * log_mu_by[name])
+        return frac.basis, covs, derivs
 
-def _process_blocks(spec: KernelSpec, graph: Graph, times: np.ndarray) -> np.ndarray:
-    """Cross-covariance blocks C[a, b] = Cov[u(times[a]), u(times[b])] for SHEK/SWEK."""
-    frac = fractional_from_graph(graph, spec.laplacian_variant, spec.hyper["nu"], spec.hyper["kappa"])
-    scalar = _shek_eig if spec.kind == "shek" else _swek_eig
-    grid_t = times[:, None, None]
-    grid_s = times[None, :, None]
-    kappa_eig = scalar(frac.shifted_eigs[None, None, :], spec.hyper["c"], spec.hyper["sigma"], grid_t, grid_s)
-    q = frac.basis
-    n = graph.n_vertices
-    n_times = times.shape[0]
-    if n_times**2 * n**2 <= _BLOCK_TENSOR_LIMIT:
-        return np.einsum("xi,abi,yi->abxy", q, kappa_eig, q, optimize=True)
-    blocks = np.empty((n_times, n_times, n, n))
-    for a in range(n_times):
-        for b in range(n_times):
-            blocks[a, b] = (q * kappa_eig[a, b]) @ q.T
-    return blocks
+    spatial = spec.spatial if spec.kind == "separable_product" else spec
+    if spatial.kind == "matern_spatial":
+        frac = fractional_from_graph(
+            graph, spatial.laplacian_variant, spatial.hyper["nu"], spatial.hyper["kappa"]
+        )
+        basis, rho = frac.basis, spatial.variance * frac.shifted_eigs**-2.0
+    else:
+        dec = laplacian_spectrum(graph, spatial.laplacian_variant, squared=True)
+        cutoff = NULL_SPACE_RTOL * np.max(np.abs(dec.eigenvalues), initial=0.0)
+        keep = np.abs(dec.eigenvalues) > cutoff
+        rho = np.zeros_like(dec.eigenvalues)
+        rho[keep] = spatial.variance / dec.eigenvalues[keep]
+        basis = dec.basis
+    rho = rho[:, None, None]
+    if spec.kind != "separable_product":
+        covs = rho * np.ones((times.shape[0], times.shape[0]))
+        return basis, covs, [covs for _ in wrt]
+    covs = rho * temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
+    derivs = [
+        covs if name == "variance"
+        else rho * temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s)
+        for name in wrt
+    ]
+    return basis, covs, derivs
 
 
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
     """N x N Gram matrix of the kernel over the given (vertex, time) points.
 
-    Separable entries factor as spatial * temporal; SHEK/SWEK entries index
-    the per-time-pair cross-covariance blocks at the two vertices, computed
-    once per unique time pair.
+    A gather from the full cross-covariance ``Q covs Q^T`` over every
+    vertex at the points' T distinct times (:func:`mode_covariances`).
+    Memory is O((T n)^2): N^2 on a complete vertex x time grid, and about
+    that on the near-grids the CLI and CSV inputs produce.
     """
     points = tuple(points)
     if not points:
@@ -595,21 +646,20 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
         bad = v_idx[v_idx >= graph.n_vertices][0]
         raise DataError(f"point references vertex {bad} outside the graph")
 
-    if spec.kind in ("laplacian_spatial", "matern_spatial"):
-        spatial = _spatial_gram(spec, graph)
-        gram = spatial[np.ix_(v_idx, v_idx)]
-    elif spec.kind == "separable_product":
-        spatial = _spatial_gram(spec.spatial, graph)
-        params = dict(spec.hyper)
-        params.setdefault("variance", 1.0)
-        temporal = temporal_kernel(spec.temporal_kind, params, t_val[:, None], t_val[None, :])
-        gram = spatial[np.ix_(v_idx, v_idx)] * temporal
-    else:
-        times, t_inverse = np.unique(t_val, return_inverse=True)
-        blocks = _process_blocks(spec, graph, times)
-        gram = blocks[t_inverse[:, None], t_inverse[None, :], v_idx[:, None], v_idx[None, :]]
-
-    gram = (gram + gram.T) / 2.0
+    times, t_idx = np.unique(t_val, return_inverse=True)
+    basis, covs, _ = mode_covariances(spec, graph, times)
+    n, n_times = graph.n_vertices, times.shape[0]
+    flat = t_idx * n + v_idx
+    # one chained expression, so each (T n)^2 intermediate is freed as soon
+    # as the next exists
+    gram = (
+        np.einsum("xi,iab,yi->axby", basis, covs, basis, optimize=True)
+        .reshape(n_times * n, n_times * n)
+        .take(flat, axis=0)
+        .take(flat, axis=1)
+    )
+    gram += gram.T
+    gram *= 0.5
     return GramMatrix(matrix=gram, points=points)
 
 

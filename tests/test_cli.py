@@ -134,6 +134,15 @@ class TestSample:
         assert code == 2
         err = capsys.readouterr().err
         assert "shek" in err and "swek" in err
+        assert "sep-laplacian-brownian" in err and "sep-matern-cosine" in err
+
+    @pytest.mark.parametrize("kernel", ["sep-matern-cosine", "sep-laplacian-brownian"])
+    def test_every_separable_name_builds(self, kernel, tmp_path):
+        out = tmp_path / "s"
+        code = main(["sample", "--kernel", kernel, "--nodes", "3", "--times", "1:2:0.5",
+                     "--n-samples", "1", "--out", str(out)])
+        assert code == 0
+        assert (out / "samples_c1.csv").exists()
 
     def test_condition_length_checked(self, tmp_path, capsys):
         code = main(["sample", "--kernel", "shek", "--nodes", "3", "--condition", "1,2",

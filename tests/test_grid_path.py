@@ -6,19 +6,25 @@ that path to the dense N x N likelihood and to finite differences.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphspde
 from graphspde import (
+    FitOptions,
     GPModel,
     KernelSpec,
     STPoint,
     SpatioTemporalDataset,
     assemble_gram,
+    fit,
     line_graph,
     log_marginal_likelihood,
 )
+from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
     _detect_grid,
     _lml_from_gram,
@@ -45,7 +51,8 @@ def grid_dataset(rng: np.random.Generator, graph, n_times: int) -> SpatioTempora
 
 
 def random_spec(rng: np.random.Generator, kind: str, large_kappa: bool = False) -> KernelSpec:
-    """A kernel of ``kind`` with random hyperparameters; ``large_kappa`` gives
+    """A kernel of ``kind`` with random hyperparameters (``laplacian`` and
+    ``matern`` are the spatial-only kinds); ``large_kappa`` gives
     SHEK/SWEK near-zero modes (a graph Matern with such a kappa has spatial
     variances near kappa^(2 nu), too ill-conditioned to difference)."""
     variant = str(rng.choice(VARIANTS))
@@ -60,6 +67,13 @@ def random_spec(rng: np.random.Generator, kind: str, large_kappa: bool = False) 
             "kappa": kappa,
         }
         return KernelSpec(kind=kind, hyper=hyper, laplacian_variant=variant)
+    if kind == "laplacian":
+        variant = str(rng.choice(VARIANTS + ("random_walk",)))
+        hyper = {"variance": float(rng.uniform(0.5, 2.0))}
+        return KernelSpec(kind="laplacian_spatial", hyper=hyper, laplacian_variant=variant)
+    if kind == "matern":
+        hyper = {"nu": float(rng.uniform(0.5, 2.5)), "kappa": kappa, "variance": float(rng.uniform(0.5, 2.0))}
+        return KernelSpec(kind="matern_spatial", hyper=hyper, laplacian_variant=variant)
     spatial_kind, temporal_kind = kind.split("-")
     if spatial_kind == "matern":
         spatial = KernelSpec(
@@ -83,7 +97,9 @@ def random_spec(rng: np.random.Generator, kind: str, large_kappa: bool = False) 
     )
 
 
-GRID_KINDS = ["shek", "swek"] + [f"{s}-{t}" for s in ("laplacian", "matern") for t in TEMPORAL]
+GRID_KINDS = ["shek", "swek", "laplacian", "matern"] + [
+    f"{s}-{t}" for s in ("laplacian", "matern") for t in TEMPORAL
+]
 
 
 def dense_lml(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -199,3 +215,40 @@ def test_noise_gradient_is_zero_below_the_noise_floor():
     grad = objective.gradient(theta, objective.value(theta))
     assert grad[2] == 0.0
     assert np.all(grad[:2] != 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(GRID_KINDS), complete=st.booleans())
+def test_scale_probe_reads_the_gram_diagonal(seed, kind, complete):
+    # the data-scaled start makes the mean prior variance over the training
+    # points, read from the per-mode covariances, equal the data variance
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    data = grid_dataset(rng, graph, int(rng.integers(2, 7)))
+    if not complete:
+        data = replace(data, observations=data.observations[: max(1, len(data.observations) * 2 // 3)])
+    scaled, target_var = _data_scaled_spec(random_spec(rng, kind), data, "zero")
+    points = _prepare(GPModel(kernel=scaled, mean_policy="zero"), data).points
+    diag_mean = np.mean(np.diag(assemble_gram(scaled, graph, points).matrix))
+    np.testing.assert_allclose(diag_mean, target_var, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind, optimize_nu_kappa", [("matern-rbf", False), ("shek", True)])
+def test_fit_decomposes_each_operator_once(monkeypatch, kind, optimize_nu_kappa):
+    original = graphspde.spectral.eigendecompose_symmetric
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    for module in (graphspde.graphs, graphspde.kernels, graphspde.spectral, graphspde.gp):
+        if getattr(module, "eigendecompose_symmetric", None) is original:
+            monkeypatch.setattr(module, "eigendecompose_symmetric", counting)
+    graphspde.graphs.laplacian_spectrum.cache_clear()
+    rng = np.random.default_rng(3)
+    graph = line_graph(5)
+    data = grid_dataset(rng, graph, 6)
+    model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
+    fit(model, data, FitOptions(max_iters=20, restarts=1, optimize_nu_kappa=optimize_nu_kappa))
+    assert len(calls) <= 1

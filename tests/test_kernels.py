@@ -437,15 +437,25 @@ class TestAssembleGram:
             assemble_gram(spec, path3, [STPoint(vertex=7, time=0.0)])
 
     def test_shek_gram_blocks_match_entrywise_covariance(self, path3):
-        spec = KernelSpec(kind="shek", hyper={"c": 0.8, "sigma": 1.2, "nu": 1.0, "kappa": 1.0})
-        times = [0.5, 1.0, 2.0]
-        points = [STPoint(vertex=v, time=t) for t in times for v in range(3)]
-        gram = assemble_gram(spec, path3, points).matrix
-        frac = fractional_laplacian(laplacian(path3), 1.0, 1.0)
-        for p, (tp, vp) in enumerate([(t, v) for t in times for v in range(3)]):
-            for q, (tq, vq) in enumerate([(t, v) for t in times for v in range(3)]):
-                expected = shek_cov(frac, 0.8, 1.2, tp, tq)[vp, vq]
-                np.testing.assert_allclose(gram[p, q], expected, atol=1e-10)
+        # every kind and variant against its matrix-level reference, on the
+        # 3-path and on random graphs with an isolated vertex; the points are
+        # unsorted and include t = 0 and repeated times and rows
+        rng = np.random.default_rng(11)
+        for g in [path3] + [_with_isolated_vertex(random_graph(rng, 6)) for _ in range(2)]:
+            pairs = [(v, t) for t in (0.5, 1.0, 2.0) for v in range(g.n_vertices)]
+            pairs += [(0, 0.0), (g.n_vertices - 1, 0.0), (1, 1.0), pairs[3]]
+            points = [STPoint(*pairs[k]) for k in rng.permutation(len(pairs))]
+            for spec, cov in _gram_references(g):
+                gram = assemble_gram(spec, g, points).matrix
+                blocks = {}
+                expected = np.empty_like(gram)
+                for a, p in enumerate(points):
+                    for b, q in enumerate(points):
+                        if (p.time, q.time) not in blocks:
+                            blocks[p.time, q.time] = cov(p.time, q.time)
+                        expected[a, b] = blocks[p.time, q.time][p.vertex, q.vertex]
+                scale = max(np.max(np.abs(expected)), 1.0)
+                np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-10 * scale, err_msg=repr(spec))
 
     def test_gram_symmetric_psd_randomized_all_kinds(self):
         rng = np.random.default_rng(40)
@@ -483,6 +493,40 @@ def _spec_for(kind: str, hyper: dict, rng) -> KernelSpec:
         spatial = KernelSpec(kind="matern_spatial", hyper={"nu": hyper["nu"], "kappa": hyper["kappa"]})
         return KernelSpec(kind="separable_product", hyper=sub_hyper, temporal_kind=temporal, spatial=spatial)
     return KernelSpec(kind=kind, hyper={k: hyper[k] for k in ("c", "sigma", "nu", "kappa")})
+
+
+def _with_isolated_vertex(g):
+    labels = list(g.labels) + ["zz"]
+    return build_graph(labels, [(g.labels[i], g.labels[j], w) for i, j, w in g.edges])
+
+
+def _gram_references(g):
+    """(spec, cov(t, s) -> n x n) for every kind and every variant ``g`` allows."""
+    isolated = bool(np.any(g.degrees == 0))
+    symmetric = ("unnormalized",) if isolated else ("unnormalized", "sym_normalized")
+    spatial = []
+    for variant in symmetric + (() if isolated else ("random_walk",)):
+        spec = KernelSpec(kind="laplacian_spatial", hyper={"variance": 0.6}, laplacian_variant=variant)
+        spatial.append((spec, 0.6 * laplacian_kernel(laplacian(g, variant))))
+    for variant in symmetric:
+        hyper = {"nu": 1.5, "kappa": 1.2, "variance": 1.7}
+        spec = KernelSpec(kind="matern_spatial", hyper=hyper, laplacian_variant=variant)
+        spatial.append((spec, 1.7 * matern_graph_kernel(laplacian(g, variant), 1.5, 1.2)))
+    cases = [(spec, lambda t, s, k=k: k) for spec, k in spatial]
+    for variant in symmetric:
+        frac = fractional_laplacian(laplacian(g, variant), 1.0, 1.0)
+        for kind, cov in (("shek", shek_cov), ("swek", swek_cov)):
+            spec = KernelSpec(kind=kind, hyper={"c": 0.8, "sigma": 1.2, "nu": 1.0, "kappa": 1.0},
+                              laplacian_variant=variant)
+            cases.append((spec, lambda t, s, cov=cov, frac=frac: cov(frac, 0.8, 1.2, t, s)))
+    hyper = {"variance": 1.3, "time_lengthscale": 0.9}
+    for sub_spec, k in spatial:
+        if sub_spec.laplacian_variant == "random_walk":
+            continue
+        for temporal in ("rbf", "exponential", "brownian", "cosine"):
+            spec = KernelSpec(kind="separable_product", hyper=hyper, temporal_kind=temporal, spatial=sub_spec)
+            cases.append((spec, lambda t, s, k=k, temporal=temporal: k * temporal_kernel(temporal, hyper, t, s)))
+    return cases
 
 
 def test_random_walk_semigroup_reaches_degree_weighted_stationary():
