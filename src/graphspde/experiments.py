@@ -76,7 +76,7 @@ def _data_scaled_spec(
     magnitude off (e.g. the Laplacian kernel's raw scale vs. small targets)
     wastes the iteration budget or strands the fit in a degenerate basin.
     A point's prior variance is ``sum_i Q[v, i]^2 k_i(t, t)``, read from the
-    per-mode covariances without assembling the Gram.
+    per-mode variances without assembling the Gram.
     """
     probe = GPModel(kernel=spec, mean_policy=mean_policy)
     prep = _prepare(probe, train)
@@ -84,8 +84,8 @@ def _data_scaled_spec(
     scale_name, power = _scale_name(spec)
     unit = spec.with_hyper(**{scale_name: 1.0})
     times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
-    basis, covs, _ = mode_covariances(unit, train.graph, times)
-    prior_var = basis**2 @ np.diagonal(covs, axis1=1, axis2=2)  # (n, T)
+    basis, variances, _ = mode_covariances(unit, train.graph, times, diagonal=True)
+    prior_var = basis**2 @ variances  # (n, T)
     diag_mean = float(np.mean(prior_var[[p.vertex for p in prep.points], t_idx]))
     if diag_mean <= 0 or not np.isfinite(diag_mean):
         return spec, target_var

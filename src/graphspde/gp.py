@@ -558,20 +558,24 @@ def predict(
     """Standard GP posterior at the query points given the training data."""
     prep = _prepare(model, train_data)
     query = _shift_points(query_points, prep.shift)
-    n_train = len(prep.points)
-    gram = assemble_gram(model.kernel, train_data.graph, prep.points + query).matrix
-    k_train = gram[:n_train, :n_train] + model.noise_variance * np.eye(n_train)
-    k_cross = gram[:n_train, n_train:]
-    k_query = gram[n_train:, n_train:]
-
-    factor, _ = cholesky_jittered(k_train)
-    alpha = scipy.linalg.cho_solve((factor, True), prep.y, check_finite=False)
-    offsets = prep.node_offsets[[p.vertex for p in query_points]]
-    mean = offsets + k_cross.T @ alpha
-    half = scipy.linalg.solve_triangular(factor, k_cross, lower=True, check_finite=False)
-    cov = k_query - half.T @ half
+    correction, cov = _condition(model, train_data.graph, prep.points, prep.y, query)
+    mean = prep.node_offsets[[p.vertex for p in query_points]] + correction
     variance = np.clip(np.diag(cov).copy(), 0.0, None)
     return PosteriorPrediction(mean=mean, variance=variance, covariance=cov if full_cov else None)
+
+
+def _condition(
+    model: GPModel, graph: Graph, obs: Sequence[STPoint], residual: np.ndarray, query: Sequence[STPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean correction ``K_qo (K_oo + noise I)^-1 r`` and covariance
+    at ``query``, given residuals ``r`` at the points ``obs`` around the prior mean."""
+    n_obs = len(obs)
+    gram = assemble_gram(model.kernel, graph, tuple(obs) + tuple(query)).matrix
+    k_cross = gram[:n_obs, n_obs:]
+    factor, _ = cholesky_jittered(gram[:n_obs, :n_obs] + model.noise_variance * np.eye(n_obs))
+    alpha = scipy.linalg.cho_solve((factor, True), residual, check_finite=False)
+    half = scipy.linalg.solve_triangular(factor, k_cross, lower=True, check_finite=False)
+    return k_cross.T @ alpha, gram[n_obs:, n_obs:] - half.T @ half
 
 
 def sampling_moments(
@@ -621,19 +625,9 @@ def sampling_moments(
                 out[k] = by_time[p.time][p.vertex]
             return out
 
-        obs_points = condition_on.points
-        n_obs = len(obs_points)
-        gram = assemble_gram(model.kernel, graph, obs_points + points).matrix
-        k_obs = gram[:n_obs, :n_obs] + model.noise_variance * np.eye(n_obs)
-        k_cross = gram[:n_obs, n_obs:]
-        k_query = gram[n_obs:, n_obs:]
-        residual = condition_on.values - process_mean(obs_points)
-        factor, _ = cholesky_jittered(k_obs)
-        alpha = scipy.linalg.cho_solve((factor, True), residual, check_finite=False)
-        mean = process_mean(points) + k_cross.T @ alpha
-        half = scipy.linalg.solve_triangular(factor, k_cross, lower=True, check_finite=False)
-        cov = k_query - half.T @ half
-        return mean, cov
+        residual = condition_on.values - process_mean(condition_on.points)
+        correction, cov = _condition(model, graph, condition_on.points, residual, points)
+        return process_mean(points) + correction, cov
 
     pred = predict(model, condition_on, points, full_cov=True)
     return pred.mean, pred.covariance

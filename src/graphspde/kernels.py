@@ -11,10 +11,12 @@ per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
 :func:`mode_covariances` is the one place that maps a :class:`KernelSpec`
 to that eigenbasis and those covariances, on a spectrum computed once per
-(graph, variant, operator).  :func:`assemble_gram` gathers from it, which
-costs O((T n)^2) memory for T distinct times and n vertices (N^2 on a
-complete grid).  The matrix-level functions (``laplacian_kernel``,
-``shek_cov``, ...) stay as the references the tests hold the gather to.
+(graph, variant, operator).  :func:`assemble_gram` gathers from it.  For
+SHEK/SWEK that costs O((T n)^2) memory for T distinct times and n
+vertices (N^2 on a complete grid); spatial-only and separable kernels
+gather their spatial and temporal factors apart in O(n^2 + T^2 + N^2).
+The matrix-level functions (``laplacian_kernel``, ``shek_cov``, ...) stay
+as the references the tests hold the gather to.
 
 Cross-covariance convention: ``Cov[u(t), u(s)]_ij = E[(u_i(t) - mu_i(t)) *
 (u_j(s) - mu_j(s))]`` with the deterministic initial state at t = 0, so both
@@ -554,7 +556,7 @@ def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, 
 
 
 def mode_covariances(
-    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str] = ()
+    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str] = (), diagonal: bool = False
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Eigenbasis Q, per-mode temporal covariances (n, T, T), and their
     derivatives in the log of each kernel hyperparameter in ``wrt``.
@@ -566,15 +568,16 @@ def mode_covariances(
     kinds have ``covs[i] = rho_i`` at every time pair.  Derivatives cover
     the hyperparameters a fit varies: c, sigma, nu and kappa for SHEK/SWEK,
     time_lengthscale and variance for separable products, variance for
-    spatial kinds.
+    spatial kinds.  With ``diagonal``, only the per-mode variances
+    ``k_i(t_a, t_a)`` are computed, shape (n, T), in O(n T) memory.
     """
     times = np.asarray(times, dtype=float)
-    t = times[None, :, None]
-    s = times[None, None, :]
+    t, s = (times[None], times[None]) if diagonal else (times[None, :, None], times[None, None, :])
+    column = (-1,) + (1,) * (t.ndim - 1)  # one mode per leading index
     if spec.kind in ("shek", "swek"):
         c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
         frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
-        mu = frac.shifted_eigs[:, None, None]
+        mu = frac.shifted_eigs.reshape(column)
         # SHEK depends on (c, mu) through c mu and SWEK through c sqrt(mu),
         # so the log-mu derivative is the log-c one times 1 or 1/2.
         if spec.kind == "shek":
@@ -616,9 +619,9 @@ def mode_covariances(
         rho = np.zeros_like(dec.eigenvalues)
         rho[keep] = spatial.variance / dec.eigenvalues[keep]
         basis = dec.basis
-    rho = rho[:, None, None]
+    rho = rho.reshape(column)
     if spec.kind != "separable_product":
-        covs = rho * np.ones((times.shape[0], times.shape[0]))
+        covs = rho * np.ones(np.broadcast(t, s).shape)
         return basis, covs, [covs for _ in wrt]
     covs = rho * temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
     derivs = [
@@ -632,10 +635,13 @@ def mode_covariances(
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
     """N x N Gram matrix of the kernel over the given (vertex, time) points.
 
-    A gather from the full cross-covariance ``Q covs Q^T`` over every
-    vertex at the points' T distinct times (:func:`mode_covariances`).
-    Memory is O((T n)^2): N^2 on a complete vertex x time grid, and about
-    that on the near-grids the CLI and CSV inputs produce.
+    A gather from the per-mode covariances (:func:`mode_covariances`) at the
+    points' T distinct times.  SHEK/SWEK gather from the full
+    ``Q covs Q^T`` over every vertex and time, which costs O((T n)^2)
+    memory: N^2 on a complete vertex x time grid.  Spatial-only kinds have
+    ``covs[i] = rho_i`` and separable products ``rho_i k(t, s)``, so their
+    spatial factor ``Q rho Q^T`` and temporal kernel gather apart in
+    O(n^2 + T^2 + N^2), whatever the times.
     """
     points = tuple(points)
     if not points:
@@ -647,17 +653,27 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
         raise DataError(f"point references vertex {bad} outside the graph")
 
     times, t_idx = np.unique(t_val, return_inverse=True)
-    basis, covs, _ = mode_covariances(spec, graph, times)
-    n, n_times = graph.n_vertices, times.shape[0]
-    flat = t_idx * n + v_idx
-    # one chained expression, so each (T n)^2 intermediate is freed as soon
-    # as the next exists
-    gram = (
-        np.einsum("xi,iab,yi->axby", basis, covs, basis, optimize=True)
-        .reshape(n_times * n, n_times * n)
-        .take(flat, axis=0)
-        .take(flat, axis=1)
-    )
+    if spec.kind in ("shek", "swek"):
+        basis, covs, _ = mode_covariances(spec, graph, times)
+        n, n_times = graph.n_vertices, times.shape[0]
+        flat = t_idx * n + v_idx
+        # one chained expression, so each (T n)^2 intermediate is freed as
+        # soon as the next exists
+        gram = (
+            np.einsum("xi,iab,yi->axby", basis, covs, basis, optimize=True)
+            .reshape(n_times * n, n_times * n)
+            .take(flat, axis=0)
+            .take(flat, axis=1)
+        )
+    else:
+        spatial, temporal = spec, 1.0
+        if spec.kind == "separable_product":
+            spatial = spec.spatial
+            temporal = temporal_kernel(spec.temporal_kind, spec.hyper, times[:, None], times[None, :])
+            temporal = temporal.take(t_idx, axis=0).take(t_idx, axis=1)
+        basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
+        gram = ((basis * rho[:, 0]) @ basis.T).take(v_idx, axis=0).take(v_idx, axis=1)
+        gram *= temporal
     gram += gram.T
     gram *= 0.5
     return GramMatrix(matrix=gram, points=points)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -439,23 +441,55 @@ class TestAssembleGram:
     def test_shek_gram_blocks_match_entrywise_covariance(self, path3):
         # every kind and variant against its matrix-level reference, on the
         # 3-path and on random graphs with an isolated vertex; the points are
-        # unsorted and include t = 0 and repeated times and rows
+        # unsorted and include t = 0 and repeated times and rows, or lie at
+        # as many distinct times as there are points
         rng = np.random.default_rng(11)
         for g in [path3] + [_with_isolated_vertex(random_graph(rng, 6)) for _ in range(2)]:
             pairs = [(v, t) for t in (0.5, 1.0, 2.0) for v in range(g.n_vertices)]
             pairs += [(0, 0.0), (g.n_vertices - 1, 0.0), (1, 1.0), pairs[3]]
-            points = [STPoint(*pairs[k]) for k in rng.permutation(len(pairs))]
+            near_grid = [STPoint(*pairs[k]) for k in rng.permutation(len(pairs))]
+            off_grid = [
+                STPoint(int(v), float(t))
+                for v, t in zip(rng.integers(0, g.n_vertices, 12), rng.uniform(0.0, 3.0, 12))
+            ]
             for spec, cov in _gram_references(g):
-                gram = assemble_gram(spec, g, points).matrix
-                blocks = {}
-                expected = np.empty_like(gram)
-                for a, p in enumerate(points):
-                    for b, q in enumerate(points):
-                        if (p.time, q.time) not in blocks:
-                            blocks[p.time, q.time] = cov(p.time, q.time)
-                        expected[a, b] = blocks[p.time, q.time][p.vertex, q.vertex]
-                scale = max(np.max(np.abs(expected)), 1.0)
-                np.testing.assert_allclose(gram, expected, rtol=0, atol=1e-10 * scale, err_msg=repr(spec))
+                for points in (near_grid, off_grid):
+                    gram = assemble_gram(spec, g, points).matrix
+                    blocks = {}
+                    expected = np.empty_like(gram)
+                    for a, p in enumerate(points):
+                        for b, q in enumerate(points):
+                            if (p.time, q.time) not in blocks:
+                                blocks[p.time, q.time] = cov(p.time, q.time)
+                            expected[a, b] = blocks[p.time, q.time][p.vertex, q.vertex]
+                    scale = max(np.max(np.abs(expected)), 1.0)
+                    np.testing.assert_allclose(
+                        gram, expected, rtol=0, atol=1e-10 * scale, err_msg=repr(spec)
+                    )
+
+    @pytest.mark.parametrize("kind", ["laplacian_spatial", "matern_spatial", "separable_product"])
+    def test_factored_gram_memory_is_quadratic_in_points(self, kind):
+        # 100 points at 100 distinct times on 20 vertices: the spatial factor
+        # and the temporal kernel gather apart in O(n^2 + N^2), where the full
+        # (T n)^2 cross-covariance would take 400 times the Gram
+        rng = np.random.default_rng(3)
+        g = build_graph([str(v) for v in range(20)], [(str(v), str(v + 1), 1.0) for v in range(19)])
+        n_points = 100
+        points = [
+            STPoint(int(v), float(t))
+            for v, t in zip(rng.integers(0, 20, n_points), rng.uniform(0.0, 5.0, n_points))
+        ]
+        hyper = {"nu": 1.5, "kappa": 1.0, "variance": 1.0, "time_lengthscale": 1.0}
+        spec = _spec_for(kind, hyper, rng)
+        expected = assemble_gram(spec, g, points).matrix  # warms the spectrum cache
+        tracemalloc.start()
+        try:
+            gram = assemble_gram(spec, g, points).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(gram, expected)
+        assert peak < 8 * expected.nbytes
 
     def test_gram_symmetric_psd_randomized_all_kinds(self):
         rng = np.random.default_rng(40)
