@@ -339,6 +339,8 @@ def cmd_validate_kernel(args) -> int:
     dt = float(_setting(args, config, section, "dt", 1e-3))
     t_end = float(_setting(args, config, section, "t_end", 1.0))
     n_paths = int(_setting(args, config, section, "n_paths", 50_000))
+    if n_paths < 2:
+        raise DataError(f"validate-kernel needs n_paths >= 2 for a covariance, got {n_paths}")
     seed = int(_setting(args, config, section, "seed", 0))
 
     frac = fractional_from_graph(graph, hyper["variant"], hyper["nu"], hyper["kappa"])

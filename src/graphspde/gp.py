@@ -185,9 +185,12 @@ def _shift_points(points: Sequence[STPoint], shift: float) -> tuple[STPoint, ...
 # ---------------------------------------------------------------------------
 
 
-def _lml_from_gram(gram: np.ndarray, noise_variance: float, y: np.ndarray) -> float:
+def _lml_from_gram(
+    gram: np.ndarray, noise_variance: float, y: np.ndarray, scale: float = 1.0
+) -> float:
+    """LML under ``scale * gram + noise_variance * I``; ``gram`` itself is left unchanged."""
     n = y.shape[0]
-    noisy = gram.copy()
+    noisy = scale * gram
     noisy[np.diag_indices(n)] += noise_variance
     factor, _ = cholesky_jittered(noisy)
     alpha = scipy.linalg.cho_solve((factor, True), y, check_finite=False)
@@ -391,7 +394,7 @@ def _make_objective(
             if len(cache) > 16:
                 cache.popitem(last=False)
         try:
-            lml = _lml_from_gram(scale**power * gram_unit, noise_variance, prep.y)
+            lml = _lml_from_gram(gram_unit, noise_variance, prep.y, scale**power)
         except (FactorizationError, OverflowError, ValueError, np.linalg.LinAlgError):
             return -np.inf
         return lml if np.isfinite(lml) else -np.inf

@@ -4,10 +4,19 @@ The path ensembles produced here are the independent Monte Carlo oracle for
 every analytic covariance in :mod:`graphspde.kernels`: the simulator never
 touches a kernel formula, only the SDE drift and diffusion.
 
+Both SDEs are linear, so one step of a row of path states is
+``x <- x S + xi K`` (heat: x = u; wave: x = (u, v) under the semi-implicit
+step).  A block of b steps is ``x <- x S^b + xi_block R_b``, where R_b stacks
+``K S^(b-1-j)`` over the block's steps j and ``xi_block`` is a free view of
+the noise: one GEMM per block, not b Python steps.  Blocks end on save
+points, and b <= _CHUNK / len(x) keeps R_b far below one noise buffer.
+
 Reproducibility: each path owns a counter-based RNG stream keyed by
-``(seed, path_index)``, so chunking or parallelizing over paths cannot
-change the numbers.  Stability guards are hard preconditions, not silent
-clamps.
+``(seed, path_index)``.  Paths run in chunks through one reused
+(_CHUNK, steps, n) noise buffer; a short last chunk zeroes its spare rows and
+every GEMM runs on all _CHUNK rows, since BLAS takes other kernels for other
+row counts.  So a path's numbers do not depend on the ensemble size.  Input
+checks and stability guards are hard preconditions, not silent clamps.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .exceptions import DataError, StabilityError
 
-_CHUNK = 1024
+_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +66,8 @@ class PathEnsemble:
 
 
 def _plan_steps(dt: float, t_end: float, save_stride: int) -> tuple[int, np.ndarray]:
-    if dt <= 0:
-        raise DataError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0 and np.isfinite(t_end)):
+        raise DataError(f"dt must be finite and positive and t_end finite, got {dt} and {t_end}")
     if save_stride < 1:
         raise DataError(f"save_stride must be >= 1, got {save_stride}")
     steps = int(round(t_end / dt))
@@ -66,21 +75,50 @@ def _plan_steps(dt: float, t_end: float, save_stride: int) -> tuple[int, np.ndar
         raise DataError(f"t_end={t_end} is not a positive multiple of dt={dt}")
     if steps % save_stride != 0:
         raise DataError(f"save_stride={save_stride} must divide the {steps} integration steps")
-    times = np.arange(0, steps + 1, save_stride) * dt
-    return steps, times
+    return steps, np.arange(0, steps + 1, save_stride) * dt
 
 
-def _spectral_radius(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+def _checked(lt_matrix, c: float, noise, n_paths: int, *starts) -> tuple[np.ndarray, ...]:
+    """``Lt``, the noise (a sigma >= 0 or an (n, n) matrix) and the start vectors."""
+    lt = np.asarray(lt_matrix, dtype=float)
+    n = lt.shape[0] if lt.ndim == 2 else -1
+    noise = np.asarray(noise, dtype=float)
+    starts = [np.asarray(x, dtype=float) for x in starts]
+    if lt.shape != (n, n) or not np.all(np.isfinite(lt)):
+        raise DataError(f"Lt must be a finite square matrix, got shape {lt.shape}")
+    if not (np.isfinite(c) and c > 0) or n_paths < 1:
+        raise DataError("need a finite c > 0 and n_paths >= 1")
+    if (noise.shape not in ((), (n, n)) or not np.all(np.isfinite(noise))
+            or (noise.ndim == 0 and noise < 0)):
+        raise DataError(f"noise must be a finite sigma >= 0 or an ({n}, {n}) matrix")
+    if any(x.shape not in ((), (n,)) or not np.all(np.isfinite(x)) for x in starts):
+        raise DataError(f"initial states must be finite scalars or length-{n} vectors")
+    return (lt, noise, *(np.broadcast_to(x, (n,)) for x in starts))
 
 
-def _path_noise(seed: int, first_path: int, n_chunk: int, steps: int, n: int) -> np.ndarray:
-    """Standard-normal increments for a chunk of paths, one stream per path."""
-    noise = np.empty((n_chunk, steps, n))
-    for offset in range(n_chunk):
-        rng = np.random.default_rng([seed, first_path + offset])
-        noise[offset] = rng.standard_normal((steps, n))
-    return noise
+def _propagate(step: np.ndarray, kick: np.ndarray, x0: np.ndarray, seed: int, n_paths: int,
+               steps: int, save_stride: int) -> np.ndarray:
+    """Saved (n_paths, saves, n) first n coordinates of ``x <- x @ step + xi @ kick``."""
+    n, m = kick.shape
+    block = min(save_stride, max(1, _CHUNK // m))
+    power = np.linalg.matrix_power
+    stack = np.concatenate([kick @ power(step, block - 1 - j) for j in range(block)])
+    powers = {b: power(step, b) for b in {block, save_stride % block} if b}
+    out = np.empty((n_paths, steps // save_stride + 1, n))
+    xi = np.empty((_CHUNK, steps, n))
+    for start in range(0, n_paths, _CHUNK):
+        rows = min(_CHUNK, n_paths - start)
+        for row in range(rows):
+            np.random.default_rng([seed, start + row]).standard_normal(out=xi[row])
+        xi[rows:] = 0.0
+        x = np.tile(x0, (_CHUNK, 1))
+        out[start:start + rows, 0] = x[:rows, :n]
+        for saved in range(1, out.shape[1]):
+            for k in range((saved - 1) * save_stride, saved * save_stride, block):
+                b = min(block, saved * save_stride - k)
+                x = x @ powers[b] + xi[:, k:k + b].reshape(_CHUNK, b * n) @ stack[(block - b) * n:]
+            out[start:start + rows, saved] = x[:rows, :n]
+    return out
 
 
 def simulate_heat(
@@ -101,40 +139,15 @@ def simulate_heat(
     ``dt * c * rho(Lt) < 0.5`` (spectral radius), otherwise
     :class:`StabilityError` is raised.
     """
-    lt_matrix = np.asarray(lt_matrix, dtype=float)
-    n = lt_matrix.shape[0]
-    u0 = np.broadcast_to(np.asarray(u0, dtype=float), (n,))
-    if c <= 0 or n_paths < 1:
-        raise DataError("need c > 0 and n_paths >= 1")
-    radius = _spectral_radius(lt_matrix)
-    if dt * c * radius >= 0.5:
-        raise StabilityError(
-            f"explicit heat step unstable: dt * c * rho(Lt) = {dt * c * radius:.3f} >= 0.5"
-        )
+    lt_matrix, noise, u0 = _checked(lt_matrix, c, noise, n_paths, u0)
     steps, times = _plan_steps(dt, t_end, save_stride)
-
-    noise = np.asarray(noise, dtype=float)
-    scalar_noise = noise.ndim == 0
-    sqrt_dt = np.sqrt(dt)
-    drift = c * dt * lt_matrix
-
-    out = np.empty((n_paths, times.shape[0], n))
-    for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        xi = _path_noise(seed, start, stop - start, steps, n)
-        u = np.tile(u0, (stop - start, 1))
-        out[start:stop, 0] = u
-        saved = 1
-        for k in range(steps):
-            if scalar_noise:
-                kick = float(noise) * sqrt_dt * xi[:, k]
-            else:
-                kick = sqrt_dt * xi[:, k] @ noise.T
-            u = u - u @ drift.T + kick
-            if (k + 1) % save_stride == 0:
-                out[start:stop, saved] = u
-                saved += 1
-    return PathEnsemble(times=times, paths=out, seed=int(seed), dt=float(dt))
+    radius = float(np.max(np.abs(np.linalg.eigvals(lt_matrix))))
+    if dt * c * radius >= 0.5:
+        raise StabilityError(f"heat step unstable: dt * c * rho(Lt) = {dt * c * radius:.3f} >= 0.5")
+    eye = np.eye(lt_matrix.shape[0])
+    kick = np.sqrt(dt) * (noise * eye if noise.ndim == 0 else noise.T)
+    paths = _propagate(eye - c * dt * lt_matrix.T, kick, u0, seed, n_paths, steps, save_stride)
+    return PathEnsemble(times=times, paths=paths, seed=int(seed), dt=float(dt))
 
 
 def simulate_wave(
@@ -155,36 +168,21 @@ def simulate_wave(
     velocity equation, and the position update uses the freshly updated
     velocity.  Requires ``c^2 * rho(Lt) * dt^2 < 0.1``.
     """
-    lt_matrix = np.asarray(lt_matrix, dtype=float)
-    n = lt_matrix.shape[0]
-    u0 = np.broadcast_to(np.asarray(u0, dtype=float), (n,))
-    v0 = np.broadcast_to(np.asarray(v0, dtype=float), (n,))
-    if c <= 0 or n_paths < 1:
-        raise DataError("need c > 0 and n_paths >= 1")
-    radius = _spectral_radius(lt_matrix)
+    if np.ndim(sigma):
+        raise DataError("the wave takes a scalar sigma")
+    lt_matrix, sigma, u0, v0 = _checked(lt_matrix, c, sigma, n_paths, u0, v0)
+    steps, times = _plan_steps(dt, t_end, save_stride)
+    radius = float(np.max(np.abs(np.linalg.eigvals(lt_matrix))))
     if c**2 * radius * dt**2 >= 0.1:
         raise StabilityError(
-            f"wave step unstable: c^2 * rho(Lt) * dt^2 = {c**2 * radius * dt**2:.3g} >= 0.1"
-        )
-    steps, times = _plan_steps(dt, t_end, save_stride)
-    sqrt_dt = np.sqrt(dt)
-    accel = c**2 * dt * lt_matrix
-
-    out = np.empty((n_paths, times.shape[0], n))
-    for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        xi = _path_noise(seed, start, stop - start, steps, n)
-        u = np.tile(u0, (stop - start, 1))
-        v = np.tile(v0, (stop - start, 1))
-        out[start:stop, 0] = u
-        saved = 1
-        for k in range(steps):
-            v = v - u @ accel.T + sigma * sqrt_dt * xi[:, k]
-            u = u + v * dt
-            if (k + 1) % save_stride == 0:
-                out[start:stop, saved] = u
-                saved += 1
-    return PathEnsemble(times=times, paths=out, seed=int(seed), dt=float(dt))
+            f"wave step unstable: c^2 * rho(Lt) * dt^2 = {c**2 * radius * dt**2:.3g} >= 0.1")
+    # row form of v += -c^2 dt Lt u + sigma sqrt(dt) xi, then u += dt v
+    eye = np.eye(lt_matrix.shape[0])
+    accel = c**2 * dt * lt_matrix.T
+    step = np.block([[eye - dt * accel, -accel], [dt * eye, eye]])
+    kick = sigma * np.sqrt(dt) * np.hstack([dt * eye, eye])
+    paths = _propagate(step, kick, np.concatenate([u0, v0]), seed, n_paths, steps, save_stride)
+    return PathEnsemble(times=times, paths=paths, seed=int(seed), dt=float(dt))
 
 
 def empirical_cross_cov(

@@ -137,8 +137,11 @@ def _cholesky_ladder(a: np.ndarray) -> tuple[np.ndarray, float]:
     jitters = [0.0] + [base * 10.0**k for k in range(9)]
     diag = np.diag_indices(n)
     for jitter in jitters:
-        shifted = a.copy()
-        shifted[diag] += jitter
+        # scipy copies its input; only a shifted matrix needs a copy of our own
+        shifted = a
+        if jitter > 0:
+            shifted = a.copy()
+            shifted[diag] += jitter
         try:
             factor = scipy.linalg.cholesky(shifted, lower=True, check_finite=False)
             return factor, jitter

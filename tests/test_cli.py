@@ -99,6 +99,18 @@ class TestValidateKernel:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n_paths", ["1", "0"])
+    def test_fewer_than_two_paths_rejected_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                             n_paths):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated although n_paths < 2")
+
+        monkeypatch.setattr("graphspde.cli.simulate_heat", unreachable)
+        code = main(["validate-kernel", "--kernel", "shek", "--nodes", "3",
+                     "--n-paths", n_paths, "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert "n_paths >= 2" in capsys.readouterr().err
+
     def test_unstable_dt_fails_with_numeric_exit(self, tmp_path, capsys):
         code = main(["validate-kernel", "--kernel", "shek", "--nodes", "3",
                      "--c", "100.0", "--dt", "0.01", "--t-end", "1.0",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from graphspde import (
     swek_cov,
     swek_mean,
 )
+from graphspde.sde import _CHUNK
 
 
 def path3_operator(nu=1.0, kappa=np.sqrt(2.0)):
@@ -199,3 +202,160 @@ def test_shek_gram_matches_stacked_empirical_covariance():
 
     tolerance = np.maximum(0.05 * np.abs(gram), 0.01 * np.max(np.abs(gram)))
     assert np.all(np.abs(empirical - gram) <= tolerance)
+
+
+# ---------------------------------------------------------------------------
+# block propagation against the stepwise Euler-Maruyama loop
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_noise(seed, n_paths, steps, n):
+    return np.stack([np.random.default_rng([seed, p]).standard_normal((steps, n))
+                     for p in range(n_paths)])
+
+
+def _stepwise_heat(lt, c, noise, u0, dt, t_end, n_paths, seed, save_stride=1):
+    """Reference: one Python iteration per Euler-Maruyama step."""
+    lt, noise = np.asarray(lt, dtype=float), np.asarray(noise, dtype=float)
+    n, steps = lt.shape[0], int(round(t_end / dt))
+    xi = _stepwise_noise(seed, n_paths, steps, n)
+    u = np.tile(np.broadcast_to(u0, (n,)), (n_paths, 1))
+    saved = [u]
+    for k in range(steps):
+        if noise.ndim == 0:
+            kick = noise * np.sqrt(dt) * xi[:, k]
+        else:
+            kick = np.sqrt(dt) * xi[:, k] @ noise.T
+        u = u - u @ (c * dt * lt).T + kick
+        if (k + 1) % save_stride == 0:
+            saved.append(u)
+    return np.stack(saved, axis=1)
+
+
+def _stepwise_wave(lt, c, sigma, u0, v0, dt, t_end, n_paths, seed, save_stride=1):
+    """Reference: semi-implicit Euler-Maruyama, one Python iteration per step."""
+    lt = np.asarray(lt, dtype=float)
+    n, steps = lt.shape[0], int(round(t_end / dt))
+    xi = _stepwise_noise(seed, n_paths, steps, n)
+    u = np.tile(np.broadcast_to(u0, (n,)), (n_paths, 1))
+    v = np.tile(np.broadcast_to(v0, (n,)), (n_paths, 1))
+    saved = [u]
+    for k in range(steps):
+        v = v - u @ (c**2 * dt * lt).T + sigma * np.sqrt(dt) * xi[:, k]
+        u = u + v * dt
+        if (k + 1) % save_stride == 0:
+            saved.append(u)
+    return np.stack(saved, axis=1)
+
+
+DIRECTED = np.array([[1.0, -1.0], [0.0, 0.0]])  # single directed edge, non-normal
+NOISE_MATRIX = np.array([[1.0, 0.3, 0.0], [-0.2, 2.0, 0.1], [0.4, 0.0, 3.0]])
+STEPWISE_CASES = {
+    "heat-scalar": ("heat", path3_operator().matrix, 1.3, [1.0, -0.5, 2.0], None),
+    "heat-matrix": ("heat", path3_operator().matrix, NOISE_MATRIX, [0.5, 0.0, -1.0], None),
+    "heat-directed": ("heat", DIRECTED, 1.0, [1.0, 2.0], None),
+    "heat-sigma0": ("heat", path3_operator().matrix, 0.0, [1.0, -0.5, 2.0], None),
+    "wave": ("wave", path3_operator().matrix, 0.7, [0.0, 0.0, 2.0], [0.5, 0.0, -0.3]),
+    "wave-directed": ("wave", DIRECTED, 1.0, [1.0, 0.0], [0.0, -1.0]),
+    "wave-sigma0": ("wave", path3_operator().matrix, 0.0, [0.0, 0.0, 2.0], [0.5, 0.0, -0.3]),
+}
+
+
+# 200 steps: stride 1, 100 (a partial block after 85 heat or 2 x 42 wave steps)
+# and all steps in one save interval
+@pytest.mark.parametrize("save_stride", [1, 100, 200])
+@pytest.mark.parametrize("case", sorted(STEPWISE_CASES))
+def test_block_propagation_matches_stepwise_loop(case, save_stride):
+    kind, lt, noise, u0, v0 = STEPWISE_CASES[case]
+    kwargs = dict(dt=5e-3, t_end=1.0, n_paths=_CHUNK + 3, seed=41, save_stride=save_stride)
+    if kind == "heat":
+        ens = simulate_heat(lt, 1.0, noise, np.array(u0), **kwargs)
+        expected = _stepwise_heat(lt, 1.0, noise, np.array(u0), **kwargs)
+    else:
+        ens = simulate_wave(lt, 1.0, noise, np.array(u0), np.array(v0), **kwargs)
+        expected = _stepwise_wave(lt, 1.0, noise, np.array(u0), np.array(v0), **kwargs)
+    assert ens.paths.shape == expected.shape
+    assert np.max(np.abs(ens.paths - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+SIMULATORS = {
+    "heat-scalar": lambda n_paths: simulate_heat(
+        path3_operator().matrix, 1.0, 1.0, np.zeros(3), dt=1e-2, t_end=0.5,
+        n_paths=n_paths, seed=43, save_stride=10),
+    "heat-matrix": lambda n_paths: simulate_heat(
+        path3_operator().matrix, 1.0, NOISE_MATRIX, np.zeros(3), dt=1e-2, t_end=0.5,
+        n_paths=n_paths, seed=43, save_stride=10),
+    "wave": lambda n_paths: simulate_wave(
+        path3_operator().matrix, 1.0, 1.0, np.zeros(3), np.zeros(3), dt=1e-2, t_end=0.5,
+        n_paths=n_paths, seed=43, save_stride=10),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, _CHUNK + 1])
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+def test_each_path_is_bit_identical_whatever_the_ensemble_size(name, k):
+    simulate = SIMULATORS[name]
+    np.testing.assert_array_equal(simulate(k).paths, simulate(2 * _CHUNK + 5).paths[:k])
+
+
+def test_wave_memory_stays_within_a_few_noise_buffers():
+    # all steps in one save interval: an uncapped block would stack steps * n x 2n
+    # response rows, more than twice the (_CHUNK, steps, n) noise buffer at n = 300
+    n, steps = 300, 32
+    lt = laplacian(line_graph(n)).matrix
+    buffer_bytes = _CHUNK * steps * n * 8
+    tracemalloc.start()
+    try:
+        simulate_wave(lt, 1.0, 1.0, np.zeros(n), np.zeros(n), dt=0.1, t_end=0.1 * steps,
+                      n_paths=2, seed=0, save_stride=steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * buffer_bytes
+
+
+class TestInvalidInputs:
+    LT = path3_operator().matrix
+    HEAT = dict(lt_matrix=LT, c=1.0, noise=1.0, u0=np.zeros(3), dt=1e-2, t_end=0.1,
+                n_paths=2, seed=0)
+    WAVE = dict(lt_matrix=LT, c=1.0, sigma=1.0, u0=np.zeros(3), v0=np.zeros(3), dt=1e-2,
+                t_end=0.1, n_paths=2, seed=0)
+
+    @pytest.mark.parametrize("change", [
+        {"lt_matrix": np.ones((3, 2))},
+        {"lt_matrix": np.ones(3)},
+        {"lt_matrix": np.where(np.eye(3) > 0, np.nan, 0.0)},
+        {"noise": np.eye(2)},
+        {"noise": np.ones(3)},
+        {"noise": np.full((3, 3), np.inf)},
+        {"noise": -1.0},
+        {"noise": np.nan},
+        {"u0": np.zeros(2)},
+        {"u0": np.array([0.0, np.inf, 0.0])},
+        {"c": np.nan},
+        {"dt": np.nan},
+        {"t_end": np.inf},
+    ], ids=lambda change: f"{next(iter(change))}-{np.shape(next(iter(change.values())))}")
+    def test_heat_rejects(self, change):
+        with pytest.raises(DataError):
+            simulate_heat(**{**self.HEAT, **change})
+
+    @pytest.mark.parametrize("change", [
+        {"lt_matrix": np.ones((2, 3))},
+        {"lt_matrix": np.full((3, 3), np.inf)},
+        {"sigma": -0.5},
+        {"sigma": np.inf},
+        {"sigma": np.eye(3)},
+        {"u0": np.zeros(4)},
+        {"v0": np.zeros(2)},
+        {"v0": np.full(3, np.nan)},
+        {"dt": np.inf},
+        {"t_end": np.nan},
+    ], ids=lambda change: f"{next(iter(change))}-{np.shape(next(iter(change.values())))}")
+    def test_wave_rejects(self, change):
+        with pytest.raises(DataError):
+            simulate_wave(**{**self.WAVE, **change})
+
+    def test_scalar_starts_still_broadcast(self):
+        ens = simulate_wave(**{**self.WAVE, "u0": 1.0, "v0": 0.0, "sigma": 0.0})
+        assert ens.paths.shape == (2, 11, 3)

@@ -142,6 +142,17 @@ class TestCholeskyJittered:
         with pytest.raises(FactorizationError):
             cholesky_jittered(np.array([[1.0, 0.0], [0.0, -5.0]]))
 
+    @pytest.mark.parametrize("a", [
+        np.array([[4.0, 2.0], [2.0, 2.0]]),  # jitter 0
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # climbs the ladder
+        np.asfortranarray([[4.0, 2.0], [2.0, 2.0]]),
+        np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]),  # stack, then per-matrix ladder
+    ])
+    def test_input_is_not_mutated(self, a):
+        before = a.copy()
+        cholesky_jittered(a)
+        np.testing.assert_array_equal(a, before)
+
 
 class TestStackedCholeskyJittered:
     def _spd_stack(self, rng, shape, n):
