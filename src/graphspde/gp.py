@@ -5,15 +5,21 @@ Cholesky, hyperparameter fitting by a quasi-Newton (BFGS) ascent in
 log-space, standard posterior prediction, and seeded prior/posterior
 sampling.
 
-On a complete vertex x time grid the likelihood of every kernel kind
-splits into one T x T problem per eigenmode of the kernel's operator
-(:func:`kernels.mode_covariances`), factorized as one batched Cholesky
-over the (n, T, T) stack, and its gradient is exact: per mode
-``1/2 tr((a a^T - K^-1) dK)`` (Rasmussen & Williams 2006, eq. 5.9).  Other
-point sets take the dense N x N path with central finite-difference
-gradients.  A start stops once an accepted step no longer raises the LML
-by more than round-off.  The ascent is in-house rather than
-``scipy.optimize``: importing that module alone adds about 0.09 s and
+Points with no repeated (vertex, time) pair form a vertex x time lattice
+over their T distinct times, with M cells missing.  Up to M = N readings,
+the likelihood of every kernel kind splits into one T x T problem per
+eigenmode of the kernel's operator (:func:`kernels.mode_covariances`),
+factorized as one batched Cholesky over the (n, T, T) stack, and its
+gradient is exact: per mode ``1/2 tr((a a^T - W) dK)`` (Rasmussen &
+Williams 2006, eq. 5.9).  Missing cells get the same noise, and a Schur
+complement on the inverse over the missing cells corrects both
+(incomplete grids in structured GP inference: Wilson, Gilboa, Nehorai &
+Cunningham 2014).  Other point sets, and any evaluation where that
+correction fails, take the dense N x N path with central
+finite-difference gradients.  ``fit`` logs the path at DEBUG on the
+``graphspde`` logger.  A start stops once an accepted step no longer
+raises the LML by more than round-off.  The ascent is in-house rather
+than ``scipy.optimize``: importing that module alone adds about 0.09 s and
 18 MB of resident memory to every process that fits a model.
 
 Two conventions applied uniformly before any Gram assembly:
@@ -32,6 +38,7 @@ kernels are defined.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -45,12 +52,15 @@ from .graphs import Graph, fractional_from_graph
 from .kernels import KernelSpec, STPoint, assemble_gram, mode_covariances, shek_mean, swek_mean
 from .spectral import cholesky_jittered
 
+_LOG = logging.getLogger("graphspde")
 _LOG_2PI = math.log(2.0 * math.pi)
 _NOISE_FLOOR = 1e-10
 # An accepted step that raises the LML by no more than this, relative to the
 # LML, ends a start.  The grid and dense likelihoods agree to about 2e-13
 # relative, so smaller gains are round-off.
 _STALL_RTOL = 1e-10
+# What a failed lattice evaluation or gradient raises.
+_LATTICE_FAILURES = (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -200,45 +210,52 @@ def _lml_from_gram(
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
     """Exact Gaussian LML ``-1/2 y^T (K + s2 I)^-1 y - 1/2 log|K + s2 I| - N/2 log 2pi``.
 
-    When the observations form a complete vertex x time grid, the Gram is
-    block-diagonal in the spatial eigenbasis and the likelihood factorizes
-    into one small temporal problem per eigenmode; otherwise the dense
-    N x N path is used.  Both go through the jittered Cholesky.
+    When no (vertex, time) pair repeats and at most half of the vertex x
+    time lattice is missing, the Gram is block-diagonal in the spatial
+    eigenbasis on the full lattice, the likelihood factorizes into one
+    small temporal problem per eigenmode, and a Schur complement corrects
+    for the missing cells; otherwise, or where that correction fails, the
+    dense N x N path is used.  Both go through the jittered Cholesky.
     """
     prep = _prepare(model, data)
     grid = _detect_grid(prep.points, data.graph.n_vertices)
     if grid is not None:
-        return _grid_lml(model.kernel, data.graph, grid, prep.y, model.noise_variance)
+        lml = _grid_lml(model.kernel, data.graph, grid, prep.y, model.noise_variance)
+        if not (math.isnan(lml) and grid.n_missing):
+            return lml
     gram = assemble_gram(model.kernel, data.graph, prep.points).matrix
     return _lml_from_gram(gram, model.noise_variance, prep.y)
 
 
 @dataclass(frozen=True, eq=False)
 class _GridStructure:
-    """Complete vertex x time grid: position of (time a, vertex v) in the point list."""
+    """Vertex x time lattice over the points' T distinct times.
+
+    ``index[a, v]`` is the position of (time a, vertex v) in the point list,
+    or the number of points for a cell with no reading.  ``missing`` holds
+    the time indices and the vertices of those M cells.
+    """
 
     times: np.ndarray  # (T,) ascending
-    index: np.ndarray  # (T, n_vertices) -> index into the point list
+    index: np.ndarray  # (T, n_vertices)
+    missing: tuple[np.ndarray, np.ndarray]  # (M,) time indices, (M,) vertices
+
+    @property
+    def n_missing(self) -> int:
+        return self.missing[0].shape[0]
 
 
 def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure | None:
-    by_time: dict[float, dict[int, int]] = {}
-    for pos, point in enumerate(points):
-        slot = by_time.setdefault(point.time, {})
-        if point.vertex in slot:
-            return None
-        slot[point.vertex] = pos
-    if len(points) != len(by_time) * n_vertices:
+    """The lattice of ``points``; None if a (vertex, time) pair repeats or
+    more cells are missing than read, where the dense path is cheaper."""
+    n_points = len(points)
+    times, t_idx = np.unique([p.time for p in points], return_inverse=True)
+    index = np.full((times.shape[0], n_vertices), n_points)
+    index[t_idx, [p.vertex for p in points]] = np.arange(n_points)
+    empty = index == n_points
+    if index.size - np.count_nonzero(empty) < n_points or 2 * n_points < index.size:
         return None
-    times = np.array(sorted(by_time))
-    index = np.empty((times.shape[0], n_vertices), dtype=int)
-    for a, t in enumerate(times):
-        slot = by_time[t]
-        if len(slot) != n_vertices:
-            return None
-        for v in range(n_vertices):
-            index[a, v] = slot[v]
-    return _GridStructure(times=times, index=index)
+    return _GridStructure(times=times, index=index, missing=np.nonzero(empty))
 
 
 def _grid_modes(
@@ -248,22 +265,66 @@ def _grid_modes(
     y: np.ndarray,
     noise_variance: float,
     wrt: Sequence[str] = (),
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Cholesky factors L_i of every mode's K_i + s2 I, in one batched call,
-    the whitened mode targets L_i^-1 y_i, and the derivatives of K_i."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Eigenbasis Q, Cholesky factors L_i of every mode's A_i = K_i + s2 I
+    over all T times, in one batched call, the whitened mode targets
+    L_i^-1 y_i (missing cells read 0), and the derivatives of K_i."""
     basis, covs, derivs = mode_covariances(spec, graph, grid.times, wrt)
     factor, _ = cholesky_jittered(covs + noise_variance * np.eye(grid.times.shape[0]))
-    y_modes = (y[grid.index] @ basis).T  # (n, T): row i is eigenmode i's series
+    y_modes = (np.append(y, 0.0)[grid.index] @ basis).T  # (n, T): row i is eigenmode i's series
     white = np.linalg.solve(factor, y_modes[:, :, None])[:, :, 0]
-    return factor, white, derivs
+    return basis, factor, white, derivs
+
+
+def _mode_inverses(factor: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per mode, z_i = A_i^-1 y_i and A_i^-1, from the Cholesky factors."""
+    factor_inv = np.linalg.inv(factor)
+    return np.einsum("iab,ia->ib", factor_inv, white), np.swapaxes(factor_inv, 1, 2) @ factor_inv
+
+
+def _missing_block(
+    basis: np.ndarray, z: np.ndarray, inv: np.ndarray, grid: _GridStructure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factor of B_mm and (B y)_m, where B = A^-1 over the lattice,
+    read at the missing cells m, and the per-mode ``G_i = A_i^-1 E_i``.
+
+    ``E_i[:, c] = e_{t_c} Q[v_c, i]`` moves cell c into mode i, so
+    ``B[(a, v), c] = sum_i Q[v, i] G_i[a, c]`` and
+    ``(B y)[c] = sum_i Q[v_c, i] z_i[t_c]``.
+    """
+    t_m, v_m = grid.missing
+    q_m = basis[v_m]  # (M, n)
+    gain = inv[:, :, t_m] * q_m.T[:, None, :]  # (n, T, M)
+    b_mm = (basis @ gain.swapaxes(0, 1))[t_m, v_m]
+    by_m = np.einsum("ci,ic->c", q_m, z[:, t_m])
+    return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), by_m, gain
 
 
 def _grid_lml(
     spec: KernelSpec, graph: Graph, grid: _GridStructure, y: np.ndarray, noise_variance: float
 ) -> float:
-    factor, white, _ = _grid_modes(spec, graph, grid, y, noise_variance)
+    """LML on a lattice.  Missing cells get the same noise, so the per-mode
+    factors of A apply; with B = A^-1 and y zero in the missing cells m,
+    ``log|A_oo| = log|A| + log|B_mm|`` and
+    ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``.  NaN where
+    that correction fails or is not finite: the dense path then decides.
+    """
+    basis, factor, white, _ = _grid_modes(spec, graph, grid, y, noise_variance)
+    quad = np.sum(white**2)
     log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
-    return float(-0.5 * np.sum(white**2) - log_det - 0.5 * y.shape[0] * _LOG_2PI)
+    if grid.n_missing:
+        z, inv = _mode_inverses(factor, white)
+        try:
+            chol_mm, by_m, _ = _missing_block(basis, z, inv, grid)
+        except np.linalg.LinAlgError:
+            return math.nan
+        r = scipy.linalg.solve_triangular(chol_mm, by_m, lower=True, check_finite=False)
+        drop, extra = r @ r, np.sum(np.log(np.diag(chol_mm)))
+        if not np.isfinite(drop + extra):
+            return math.nan
+        quad -= drop
+        log_det += extra
+    return float(-0.5 * quad - log_det - 0.5 * y.shape[0] * _LOG_2PI)
 
 
 def _grid_lml_gradient(
@@ -276,15 +337,34 @@ def _grid_lml_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`_grid_lml` in the log of each of ``names``.
 
-    Per mode, d LML / d theta = 1/2 tr((a a^T - K^-1) dK/d theta) with
-    a = K^-1 y (Rasmussen & Williams 2006, eq. 5.9), summed over the modes.
-    ``"noise"`` is the noise variance, whose dK is ``s2 I``.
+    Per mode, d LML / d theta = 1/2 tr((a a^T - W) dK/d theta), summed over
+    the modes.  On a complete grid a = A^-1 y and W = A^-1 (Rasmussen &
+    Williams 2006, eq. 5.9).  With missing cells m, both are those of
+    A_oo^-1 padded with zeros: with ``G_i[:, c] = A_i^-1[:, t_c] Q[v_c, i]``,
+    ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T`` and
+    ``a_i = z_i - G_i B_mm^-1 (B y)_m``.  ``"noise"`` is the noise variance,
+    whose dK is ``s2 I``; W and a vanish on the missing cells, so its term
+    is the same trace.
     """
     kernel_names = [name for name in names if name != "noise"]
-    factor, white, derivs = _grid_modes(spec, graph, grid, y, noise_variance, kernel_names)
-    factor_inv = np.linalg.inv(factor)
-    alpha = np.einsum("iab,ia->ib", factor_inv, white)
-    weight = alpha[:, :, None] * alpha[:, None, :] - np.swapaxes(factor_inv, 1, 2) @ factor_inv
+    basis, factor, white, derivs = _grid_modes(spec, graph, grid, y, noise_variance, kernel_names)
+    alpha, inv = _mode_inverses(factor, white)
+    if grid.n_missing:
+        t_m, v_m = grid.missing
+        chol_mm, by_m, gain = _missing_block(basis, alpha, inv, grid)
+        c_mm = scipy.linalg.cho_solve((chol_mm, True), np.eye(grid.n_missing), check_finite=False)
+        alpha = alpha - gain @ (c_mm @ by_m)
+        # G_i C G_i^T = A_i^-1 F_i A_i^-1 with F_i = E_i C E_i^T, C = B_mm^-1:
+        # scatter C's rows onto the lattice, move them into the modes, then
+        # sum its columns by time
+        rows = np.zeros(grid.index.shape + (grid.n_missing,))
+        rows[t_m, v_m] = c_mm
+        rows = (basis.T @ rows) * basis[v_m].T  # (T, n, M)
+        times_m, starts = np.unique(t_m, return_index=True)
+        f = np.zeros_like(inv)
+        f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
+        inv = inv - inv @ f @ inv
+    weight = alpha[:, :, None] * alpha[:, None, :] - inv
     by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
     by_name["noise"] = 0.5 * noise_variance * np.trace(weight, axis1=1, axis2=2).sum()
     return np.array([by_name[name] for name in names])
@@ -338,18 +418,29 @@ def _make_objective(
 ) -> _Objective:
     """LML and its gradient in log-hyperparameters ``names`` (``"noise"`` included).
 
-    Grid-structured observations go through the factorized per-mode path,
-    which is cheap enough to recompute every evaluation and has an exact
-    gradient.  The dense path caches the unit-scale Gram: the scale
-    hyperparameter (sigma or variance) multiplies the Gram by a known power,
-    so its central finite-difference steps (and those in the noise) reuse
-    the Gram assembled for the remaining hyperparameters.
+    Points that form a vertex x time lattice, complete or with at most as
+    many missing cells as readings (:func:`_detect_grid`), go through the
+    factorized per-mode path, which is cheap enough to recompute every
+    evaluation and has an exact gradient.  Where its missing-cell
+    correction fails or is not finite, that evaluation takes the dense path,
+    so the two never disagree on whether a likelihood exists.  The dense
+    path caches the unit-scale Gram: the scale hyperparameter (sigma or
+    variance) multiplies the Gram by a known power, so its central
+    finite-difference steps (and those in the noise) reuse the Gram
+    assembled for the remaining hyperparameters.
     """
     prep = _prepare(model, data)
     scale_name, power = _scale_name(model.kernel)
     grid = _detect_grid(prep.points, data.graph.n_vertices)
     cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
     noise_at = names.index("noise")
+    if grid is None:
+        _LOG.debug("fit: dense likelihood over %d points", len(prep.points))
+    else:
+        _LOG.debug(
+            "fit: lattice likelihood over %d times x %d vertices, %d missing cells",
+            grid.times.shape[0], data.graph.n_vertices, grid.n_missing,
+        )
 
     def decode(theta: np.ndarray) -> tuple[KernelSpec, float] | None:
         """Kernel and raw noise variance at ``theta``; None where undefined."""
@@ -375,9 +466,11 @@ def _make_objective(
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     lml = _grid_lml(spec, data.graph, grid, prep.y, noise_variance)
-            except (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError):
+            except _LATTICE_FAILURES:
                 return -np.inf
-            return lml if np.isfinite(lml) else -np.inf
+            if not (math.isnan(lml) and grid.n_missing):
+                return lml if np.isfinite(lml) else -np.inf
+            _LOG.debug("fit: missing-cell correction failed at theta %s; dense path", theta)
 
         scale = float(spec.hyper.get(scale_name, 1.0))
         key = tuple(spec.hyper[name] for name in names if name not in ("noise", scale_name))
@@ -408,7 +501,7 @@ def _make_objective(
                     grad = _grid_lml_gradient(
                         spec, data.graph, grid, prep.y, max(noise, _NOISE_FLOOR), names
                     )
-            except (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError):
+            except _LATTICE_FAILURES:
                 grad = None
             if grad is not None and np.all(np.isfinite(grad)):
                 if noise < _NOISE_FLOOR:
@@ -445,10 +538,10 @@ def _maximize(
     Iteration count is the number of accepted iterates including the start,
     so ``max_iters=1`` evaluates and returns the initial point.  The trace is
     non-decreasing by construction.  Line-search trials evaluate only
-    ``objective.value``; the gradient (exact per eigenmode on a complete
-    grid, central differences on the dense path) is taken once per accepted
-    iterate.  It is in-house because importing ``scipy.optimize`` would add
-    about 0.09 s and 18 MB to every process that fits a model.
+    ``objective.value``; the gradient (exact per eigenmode on a vertex x
+    time lattice, central differences on the dense path) is taken once per
+    accepted iterate.  It is in-house because importing ``scipy.optimize``
+    would add about 0.09 s and 18 MB to every process that fits a model.
 
     A start ends when the gradient is below ``grad_tol``, when the line
     search finds no ascent, or when an accepted step raises the LML by no

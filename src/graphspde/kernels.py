@@ -641,7 +641,8 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     memory: N^2 on a complete vertex x time grid.  Spatial-only kinds have
     ``covs[i] = rho_i`` and separable products ``rho_i k(t, s)``, so their
     spatial factor ``Q rho Q^T`` and temporal kernel gather apart in
-    O(n^2 + T^2 + N^2), whatever the times.
+    O(n^2 + T^2 + N^2), whatever the times: one N x N array, plus scratch
+    of an eighth of it.
     """
     points = tuple(points)
     if not points:
@@ -666,17 +667,37 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
             .take(flat, axis=1)
         )
     else:
-        spatial, temporal = spec, 1.0
+        spatial, temporal = spec, None
         if spec.kind == "separable_product":
+            # before the Gram exists, so that its T x T temporaries never
+            # coexist with it
             spatial = spec.spatial
             temporal = temporal_kernel(spec.temporal_kind, spec.hyper, times[:, None], times[None, :])
-            temporal = temporal.take(t_idx, axis=0).take(t_idx, axis=1)
         basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
         gram = ((basis * rho[:, 0]) @ basis.T).take(v_idx, axis=0).take(v_idx, axis=1)
-        gram *= temporal
-    gram += gram.T
-    gram *= 0.5
+        if temporal is not None:
+            for rows in _row_bands(gram.shape[0]):
+                gram[rows] *= temporal.take(t_idx[rows], axis=0).take(t_idx, axis=1)
+    _symmetrize(gram)
     return GramMatrix(matrix=gram, points=points)
+
+
+def _row_bands(n: int) -> list[slice]:
+    """Eight bands of rows: the scratch a band needs is an eighth of the Gram."""
+    step = max(1, -(-n // 8))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _symmetrize(gram: np.ndarray) -> None:
+    """``gram <- (gram + gram.T) / 2`` in place, one band of rows at a time,
+    so that no second N x N array is made (``gram += gram.T`` copies the
+    overlapping transpose whole)."""
+    for rows in _row_bands(gram.shape[0]):
+        start = rows.start
+        mean = gram[rows, start:] + gram[start:, rows].T
+        mean *= 0.5
+        gram[rows, start:] = mean
+        gram[start:, rows] = mean.T
 
 
 def _check_times(t: float, s: float) -> None:

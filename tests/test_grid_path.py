@@ -1,10 +1,13 @@
-"""Oracle tests of the complete-grid likelihood path against the dense path.
+"""Oracle tests of the vertex x time lattice likelihood path against the dense path.
 
-On a complete vertex x time grid the likelihood splits into one temporal
-problem per Laplacian eigenmode, with an exact gradient.  These tests hold
-that path to the dense N x N likelihood and to finite differences.
+On a vertex x time lattice the likelihood splits into one temporal problem
+per Laplacian eigenmode, with an exact gradient; missing cells are
+corrected for by a Schur complement.  These tests hold that path to the
+dense N x N likelihood and to finite differences, and check which points
+take which path.
 """
 
+import logging
 import math
 from dataclasses import replace
 
@@ -28,6 +31,7 @@ from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
     _detect_grid,
     _lml_from_gram,
+    _missing_block,
     _make_objective,
     _optimizable_names,
     _prepare,
@@ -252,3 +256,173 @@ def test_fit_decomposes_each_operator_once(monkeypatch, kind, optimize_nu_kappa)
     model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
     fit(model, data, FitOptions(max_iters=20, restarts=1, optimize_nu_kappa=optimize_nu_kappa))
     assert len(calls) <= 1
+
+
+def drop_cells(data: SpatioTemporalDataset, drop) -> SpatioTemporalDataset:
+    """``data`` without the readings at the (vertex, time index) pairs in ``drop``."""
+    times = list(data.times())
+    kept = tuple(
+        (p, y) for p, y in data.observations if (p.vertex, times.index(p.time)) not in drop
+    )
+    return replace(data, observations=kept)
+
+
+def gappy_dataset(rng: np.random.Generator, graph, n_times: int, mask: str) -> SpatioTemporalDataset:
+    """A lattice with missing cells: ``none`` (M = 0), ``half`` (M = N),
+    ``vertex`` (one vertex at no time), ``single`` (a time with one
+    reading) or ``random`` (0 < M <= N; a time may lose every reading)."""
+    n = graph.n_vertices
+    if mask == "half" and n * n_times % 2:
+        n_times += 1
+    data = grid_dataset(rng, graph, n_times)
+    if mask == "none":
+        drop = []
+    elif mask == "half":
+        order = rng.permutation(n)
+        drop = [(v, a) for v in range(n) for a in range(n_times) if (order[v] + a) % 2]
+    elif mask == "vertex":
+        vertex = int(rng.integers(n))
+        drop = [(vertex, a) for a in range(n_times)]
+    elif mask == "single":
+        a, keep = int(rng.integers(n_times)), int(rng.integers(n))
+        drop = [(v, a) for v in range(n) if v != keep]
+    else:
+        cells = [(v, a) for v in range(n) for a in range(n_times)]
+        count = int(rng.integers(1, len(cells) // 2 + 1))
+        drop = [cells[k] for k in rng.choice(len(cells), count, replace=False)]
+    return drop_cells(data, set(drop))
+
+
+def lattice_missing(data: SpatioTemporalDataset) -> int:
+    return len(data.times()) * data.graph.n_vertices - len(data.observations)
+
+
+MASKS = ("none", "half", "vertex", "single", "random")
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(GRID_KINDS), mask=st.sampled_from(MASKS))
+def test_lattice_lml_with_missing_cells_matches_dense_lml(seed, kind, mask):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 7)), mask)
+    model = GPModel(
+        kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
+    )
+    grid = _detect_grid(_prepare(model, data).points, graph.n_vertices)
+    assert grid is not None and grid.n_missing == lattice_missing(data)
+    if mask == "half":
+        assert grid.n_missing == len(data.observations)
+    np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(GRID_KINDS),
+    mask=st.sampled_from(MASKS[1:]),
+    optimize_nu_kappa=st.booleans(),
+    large_kappa=st.booleans(),
+)
+def test_exact_lattice_gradient_with_missing_cells_matches_central_differences(
+    seed, kind, mask, optimize_nu_kappa, large_kappa
+):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 5)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 6)), mask)
+    model = GPModel(
+        kernel=random_spec(rng, kind, large_kappa),
+        noise_variance=float(rng.uniform(0.05, 0.5)),
+        mean_policy="zero",
+    )
+    grid = _detect_grid(_prepare(model, data).points, graph.n_vertices)
+    assert grid.n_missing == lattice_missing(data)
+    check_gradient(model, data, optimize_nu_kappa)
+
+
+def count_grams(monkeypatch) -> list:
+    calls = []
+    original = graphspde.gp.assemble_gram
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return original(*args)
+
+    monkeypatch.setattr(graphspde.gp, "assemble_gram", counting)
+    return calls
+
+
+def test_repeated_pairs_and_sparse_lattices_take_the_dense_path(monkeypatch):
+    rng = np.random.default_rng(5)
+    graph = line_graph(4)
+    data = grid_dataset(rng, graph, 4)
+    repeated = replace(data, observations=data.observations + data.observations[:1])
+    # 7 of 16 cells read: M = 9 > N = 7
+    sparse = drop_cells(data, {(v, a) for v in range(4) for a in range(4) if (v + a) % 2 or v == a == 0})
+    model = GPModel(kernel=random_spec(rng, "shek"), noise_variance=0.1, mean_policy="zero")
+    calls = count_grams(monkeypatch)
+    for dense in (repeated, sparse):
+        assert _detect_grid(_prepare(model, dense).points, graph.n_vertices) is None
+        log_marginal_likelihood(model, dense)
+    assert calls == [17, 7]
+    # with M = N = 8 the lattice path is taken
+    half = drop_cells(data, {(v, a) for v in range(4) for a in range(4) if (v + a) % 2})
+    log_marginal_likelihood(model, half)
+    assert calls == [17, 7]
+
+
+def test_gappy_fit_assembles_no_gram(monkeypatch):
+    rng = np.random.default_rng(6)
+    graph = line_graph(5)
+    data = drop_cells(grid_dataset(rng, graph, 6), {(0, 0), (3, 2), (4, 2), (1, 5)})
+    model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
+    calls = count_grams(monkeypatch)
+    result = fit(model, data, FitOptions(max_iters=20, restarts=1))
+    assert calls == []
+    np.testing.assert_allclose(
+        result.lml, dense_lml(result.model, data), rtol=1e-10
+    )
+
+
+def failing_correction(how: str):
+    def patched(basis, z, inv, grid):
+        chol_mm, by_m, gain = _missing_block(basis, z, inv, grid)
+        if how == "raise":
+            raise np.linalg.LinAlgError("B_mm is not positive definite")
+        return chol_mm, np.full_like(by_m, np.nan), gain
+
+    return patched
+
+
+@pytest.mark.parametrize("how", ["raise", "nan"])
+def test_failed_missing_cell_correction_takes_the_dense_path(monkeypatch, how):
+    rng = np.random.default_rng(7)
+    graph = line_graph(4)
+    data = drop_cells(grid_dataset(rng, graph, 5), {(1, 1), (2, 3)})
+    model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
+    expected = dense_lml(model, data)
+    names = ["c", "sigma", "noise"]
+    theta = np.log([model.kernel.hyper["c"], model.kernel.hyper["sigma"], model.noise_variance])
+    monkeypatch.setattr(graphspde.gp, "_missing_block", failing_correction(how))
+    calls = count_grams(monkeypatch)
+    assert log_marginal_likelihood(model, data) == expected
+    objective = _make_objective(model, data, names)
+    np.testing.assert_allclose(objective.value(theta), expected, rtol=1e-12)
+    assert len(calls) == 2
+    # the gradient falls back to central differences over the dense values
+    grad = objective.gradient(theta, objective.value(theta))
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
+def test_fit_logs_the_likelihood_path(caplog):
+    rng = np.random.default_rng(8)
+    graph = line_graph(3)
+    data = drop_cells(grid_dataset(rng, graph, 4), {(0, 1), (2, 3)})
+    model = GPModel(kernel=random_spec(rng, "shek"), noise_variance=0.1, mean_policy="zero")
+    opts = FitOptions(max_iters=3, restarts=0)
+    with caplog.at_level(logging.DEBUG, logger="graphspde"):
+        fit(model, data, opts)
+        fit(model, replace(data, observations=data.observations + data.observations[:1]), opts)
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphspde"]
+    assert "fit: lattice likelihood over 4 times x 3 vertices, 2 missing cells" in messages
+    assert "fit: dense likelihood over 11 points" in messages

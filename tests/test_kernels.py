@@ -491,6 +491,23 @@ class TestAssembleGram:
         np.testing.assert_array_equal(gram, expected)
         assert peak < 8 * expected.nbytes
 
+        # 400 points at 6 distinct times: the Gram is the only N x N array,
+        # neither the temporal gather nor the symmetrization may copy it whole
+        points = [
+            STPoint(int(v), float(t))
+            for v, t in zip(rng.integers(0, 20, 400), rng.integers(0, 6, 400))
+        ]
+        expected = assemble_gram(spec, g, points).matrix
+        tracemalloc.start()
+        try:
+            gram = assemble_gram(spec, g, points).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(gram, expected)
+        np.testing.assert_array_equal(gram, gram.T)
+        assert peak < 1.5 * expected.nbytes
+
     def test_gram_symmetric_psd_randomized_all_kinds(self):
         rng = np.random.default_rng(40)
         for trial in range(24):
