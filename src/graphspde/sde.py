@@ -6,17 +6,23 @@ touches a kernel formula, only the SDE drift and diffusion.
 
 Both SDEs are linear, so one step of a row of path states is
 ``x <- x S + xi K`` (heat: x = u; wave: x = (u, v) under the semi-implicit
-step).  A block of b steps is ``x <- x S^b + xi_block R_b``, where R_b stacks
-``K S^(b-1-j)`` over the block's steps j and ``xi_block`` is a free view of
-the noise: one GEMM per block, not b Python steps.  Blocks end on save
-points, and b <= _CHUNK / len(x) keeps R_b far below one noise buffer.
+step).  Over one save interval of b steps the chain is again linear and
+Gaussian: ``x <- x S^b + eta`` with ``eta ~ N(0, C_b)`` and
+``C_b = sum_{j<b} (K S^j)^T (K S^j)``.  ``S^b`` and ``C_b`` come from the step
+matrices alone, by doubling, so each path advances once per saved time,
+``x <- x S^b + z L`` with ``L^T L = C_b``.  The saved states follow exactly
+the law of the Euler-Maruyama chain, its dt bias included: no ``expm`` and no
+kernel formula enters.
 
-Reproducibility: each path owns a counter-based RNG stream keyed by
-``(seed, path_index)``.  Paths run in chunks through one reused
-(_CHUNK, steps, n) noise buffer; a short last chunk zeroes its spare rows and
-every GEMM runs on all _CHUNK rows, since BLAS takes other kernels for other
-row counts.  So a path's numbers do not depend on the ensemble size.  Input
-checks and stability guards are hard preconditions, not silent clamps.
+Reproducibility: one generator, ``default_rng(seed)``, draws the z of every
+path in path-major order, so path k reads the same stretch of the stream for
+any ``n_paths > k``.  Paths run in chunks of _CHUNK rows, each drawing its
+(rows, intervals, m) normals into one reused buffer.  Each save copies them
+into a (_CHUNK, m) block whose spare rows stay zero, so every GEMM runs on all
+_CHUNK rows, since BLAS takes other kernels for other row counts.  So a path's
+numbers do not depend on the ensemble size, and memory is the saved paths
+plus at most _CHUNK paths' normals.  Input checks and stability guards are
+hard preconditions, not silent clamps.
 """
 
 from __future__ import annotations
@@ -96,27 +102,47 @@ def _checked(lt_matrix, c: float, noise, n_paths: int, *starts) -> tuple[np.ndar
     return (lt, noise, *(np.broadcast_to(x, (n,)) for x in starts))
 
 
+def _interval(step: np.ndarray, kick: np.ndarray,
+              stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(S^b, C_b, L)`` of the chain ``x <- x @ step + xi @ kick`` over b = stride steps.
+
+    ``(P, C)`` twice is ``(P P, P^T C P + C)``, and a set bit of b appends one
+    step, so this takes O(log b) products of m x m matrices.  ``C_b`` is
+    singular for sigma = 0 and for the wave at stride 1, so its root L, with
+    ``L^T L = C_b``, comes from ``eigh`` with the eigenvalues clipped at 0.
+    """
+    one = kick.T @ kick
+    power, cov = step, one
+    for bit in bin(stride)[3:]:
+        power, cov = power @ power, power.T @ cov @ power + cov
+        if bit == "1":
+            power, cov = power @ step, step.T @ cov @ step + one
+    w, v = np.linalg.eigh(cov)
+    return power, cov, np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
+
+
 def _propagate(step: np.ndarray, kick: np.ndarray, x0: np.ndarray, seed: int, n_paths: int,
                steps: int, save_stride: int) -> np.ndarray:
-    """Saved (n_paths, saves, n) first n coordinates of ``x <- x @ step + xi @ kick``."""
-    n, m = kick.shape
-    block = min(save_stride, max(1, _CHUNK // m))
-    power = np.linalg.matrix_power
-    stack = np.concatenate([kick @ power(step, block - 1 - j) for j in range(block)])
-    powers = {b: power(step, b) for b in {block, save_stride % block} if b}
+    """Saved (n_paths, saves, n) first n coordinates of ``x <- x @ step + xi @ kick``.
+
+    Each save interval is one ``x <- x S^b + z L`` (see :func:`_interval`),
+    with the z of all paths drawn in path-major order from one generator.
+    """
+    n = kick.shape[0]
+    power, _, root = _interval(step, kick, save_stride)
+    rng = np.random.default_rng(seed)
     out = np.empty((n_paths, steps // save_stride + 1, n))
-    xi = np.empty((_CHUNK, steps, n))
+    z = np.empty((min(_CHUNK, n_paths), out.shape[1] - 1, len(root)))
+    noise = np.empty((_CHUNK, len(root)))
     for start in range(0, n_paths, _CHUNK):
         rows = min(_CHUNK, n_paths - start)
-        for row in range(rows):
-            np.random.default_rng([seed, start + row]).standard_normal(out=xi[row])
-        xi[rows:] = 0.0
+        rng.standard_normal(out=z[:rows])
+        noise[rows:] = 0.0
         x = np.tile(x0, (_CHUNK, 1))
         out[start:start + rows, 0] = x[:rows, :n]
         for saved in range(1, out.shape[1]):
-            for k in range((saved - 1) * save_stride, saved * save_stride, block):
-                b = min(block, saved * save_stride - k)
-                x = x @ powers[b] + xi[:, k:k + b].reshape(_CHUNK, b * n) @ stack[(block - b) * n:]
+            noise[:rows] = z[:rows, saved - 1]
+            x = x @ power + noise @ root
             out[start:start + rows, saved] = x[:rows, :n]
     return out
 
@@ -198,11 +224,13 @@ def empirical_cross_cov(
     p = ens.n_paths
     if p < 2:
         raise DataError("need at least two paths for a covariance estimate")
-    x = ens.paths[:, t_index, :]
-    y = ens.paths[:, s_index, :]
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    cov = xc.T @ yc / (p - 1)
-    products = xc[:, :, None] * yc[:, None, :]
-    se = products.std(axis=0, ddof=1) / np.sqrt(p)
-    return cov, se
+    # (n, p) copies of the strided saved slices, so that the reductions run
+    # along contiguous rows
+    x, y = (ens.paths[:, index].T.copy() for index in (t_index, s_index))
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    cross = xc @ yc.T
+    # sample variance of the pathwise products xc_i yc_j, from two GEMMs in
+    # place of a (p, n, n) product tensor; rounding can leave it just below 0
+    var = (xc**2 @ (yc**2).T - cross**2 / p) / (p - 1)
+    return cross / (p - 1), np.sqrt(np.clip(var, 0.0, None) / p)

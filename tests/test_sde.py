@@ -20,6 +20,7 @@ from graphspde import (
     swek_cov,
     swek_mean,
 )
+from graphspde import sde
 from graphspde.sde import _CHUNK
 
 
@@ -160,6 +161,21 @@ class TestEmpiricalCrossCov:
         cov, se = empirical_cross_cov(ens, 0, 0)
         assert np.max(np.abs(cov - np.eye(4)) / se) <= 4.0
 
+    @pytest.mark.parametrize("p", [2, 1000])
+    def test_se_matches_the_product_tensor(self, p):
+        # at p = 2 the two centred products are equal and the SE is 0, so only
+        # rounding separates the two forms; readings on a 1/4 grid centre exactly
+        rng = np.random.default_rng(p)
+        paths = rng.standard_normal((p, 2, 3)) * [1.0, 10.0, 0.1] + 5.0
+        paths[:, 1] += 0.6 * paths[:, 0]
+        if p == 2:
+            paths = np.round(4 * paths) / 4
+        ens = PathEnsemble(times=np.array([0.0, 1.0]), paths=paths, seed=0, dt=1.0)
+        xc, yc = (paths[:, i] - paths[:, i].mean(axis=0) for i in (1, 0))
+        expected = (xc[:, :, None] * yc[:, None, :]).std(axis=0, ddof=1) / np.sqrt(p)
+        _, se = empirical_cross_cov(ens, 1, 0)
+        np.testing.assert_allclose(se, expected, rtol=1e-12, atol=0.0)
+
     def test_needs_two_paths(self):
         ens = PathEnsemble(times=np.array([0.0]), paths=np.zeros((1, 1, 2)), seed=0, dt=1.0)
         with pytest.raises(DataError):
@@ -261,21 +277,89 @@ STEPWISE_CASES = {
 }
 
 
-# 200 steps: stride 1, 100 (a partial block after 85 heat or 2 x 42 wave steps)
-# and all steps in one save interval
-@pytest.mark.parametrize("save_stride", [1, 100, 200])
-@pytest.mark.parametrize("case", sorted(STEPWISE_CASES))
-def test_block_propagation_matches_stepwise_loop(case, save_stride):
+SIGMA0_CASES = sorted(name for name, case in STEPWISE_CASES.items() if not np.any(case[2]))
+NOISY_CASES = sorted(set(STEPWISE_CASES) - set(SIGMA0_CASES))
+
+
+def _simulate_case(case, n_paths, seed, save_stride, t_end=1.0, reference=False):
     kind, lt, noise, u0, v0 = STEPWISE_CASES[case]
-    kwargs = dict(dt=5e-3, t_end=1.0, n_paths=_CHUNK + 3, seed=41, save_stride=save_stride)
+    kwargs = dict(dt=5e-3, t_end=t_end, n_paths=n_paths, seed=seed, save_stride=save_stride)
     if kind == "heat":
-        ens = simulate_heat(lt, 1.0, noise, np.array(u0), **kwargs)
-        expected = _stepwise_heat(lt, 1.0, noise, np.array(u0), **kwargs)
-    else:
-        ens = simulate_wave(lt, 1.0, noise, np.array(u0), np.array(v0), **kwargs)
-        expected = _stepwise_wave(lt, 1.0, noise, np.array(u0), np.array(v0), **kwargs)
+        simulate = _stepwise_heat if reference else simulate_heat
+        return simulate(lt, 1.0, noise, np.array(u0), **kwargs)
+    simulate = _stepwise_wave if reference else simulate_wave
+    return simulate(lt, 1.0, noise, np.array(u0), np.array(v0), **kwargs)
+
+
+# 200 steps: every step saved, two save intervals, and all steps in one interval.
+# Without noise the chain is deterministic, so it must match the loop pathwise.
+@pytest.mark.parametrize("save_stride", [1, 100, 200])
+@pytest.mark.parametrize("case", SIGMA0_CASES)
+def test_block_propagation_matches_stepwise_loop(case, save_stride):
+    ens = _simulate_case(case, _CHUNK + 3, 41, save_stride)
+    expected = _simulate_case(case, _CHUNK + 3, 41, save_stride, reference=True)
     assert ens.paths.shape == expected.shape
     assert np.max(np.abs(ens.paths - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _record_intervals(monkeypatch):
+    """Record ``(step, kick, stride, (S^b, C_b, L))`` of each ``sde._interval`` call."""
+    calls, interval = [], sde._interval
+
+    def spy(step, kick, stride):
+        calls.append((step, kick, stride, interval(step, kick, stride)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(sde, "_interval", spy)
+    return calls
+
+
+# stride 7 is odd, so the doubling appends single steps
+@pytest.mark.parametrize("save_stride", [1, 7, 100, 200])
+@pytest.mark.parametrize("case", sorted(STEPWISE_CASES))
+def test_save_interval_matches_explicit_step_sums(case, save_stride, monkeypatch):
+    calls = _record_intervals(monkeypatch)
+    _simulate_case(case, 1, 0, save_stride, t_end=5e-3 * save_stride)
+    ((step, kick, stride, (power, cov, root)),) = calls
+    assert stride == save_stride
+    expected_power, expected_cov = np.eye(len(step)), np.zeros_like(step)
+    for _ in range(stride):  # C_b = sum_{j<b} (K S^j)^T (K S^j)
+        response = kick @ expected_power
+        expected_cov += response.T @ response
+        expected_power = expected_power @ step
+    assert np.max(np.abs(power - expected_power)) <= 1e-12 * np.max(np.abs(expected_power))
+    assert np.max(np.abs(cov - expected_cov)) <= 1e-12 * np.max(np.abs(expected_cov))
+    assert np.max(np.abs(root.T @ root - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+# with noise the streams differ, so the two ensembles must agree in distribution:
+# cross-covariances at the last and middle saved times within 4 SE of their difference
+@pytest.mark.parametrize("save_stride", [1, 100, 200])
+@pytest.mark.parametrize("case", NOISY_CASES)
+def test_ensemble_covariance_matches_stepwise_ensemble(case, save_stride):
+    ens = _simulate_case(case, 20_000, 41, save_stride)
+    reference = _simulate_case(case, 20_000, 47, save_stride, reference=True)
+    expected = PathEnsemble(times=ens.times, paths=reference, seed=47, dt=ens.dt)
+    last, middle = len(ens.times) - 1, len(ens.times) // 2
+    for t_index, s_index in [(last, last), (last, middle), (middle, middle)]:
+        cov, se = empirical_cross_cov(ens, t_index, s_index)
+        expected_cov, expected_se = empirical_cross_cov(expected, t_index, s_index)
+        assert np.all(np.abs(cov - expected_cov) <= 4.0 * np.hypot(se, expected_se))
+
+
+@pytest.mark.parametrize("case", ["heat-matrix", "wave"])
+def test_paths_replay_one_path_major_stream(case, monkeypatch):
+    # path k reads normals k * intervals * m onwards of default_rng(seed), in every chunk
+    calls = _record_intervals(monkeypatch)
+    ens = _simulate_case(case, _CHUNK + 3, 41, 50)
+    ((step, _, _, (power, _, root)),) = calls
+    z = np.random.default_rng(41).standard_normal((ens.n_paths, len(ens.times) - 1, len(step)))
+    _, _, _, u0, v0 = STEPWISE_CASES[case]
+    x = np.tile(u0 + (v0 or []), (ens.n_paths, 1))
+    for saved in range(1, len(ens.times)):
+        x = x @ power + z[:, saved - 1] @ root
+        u = x[:, :len(u0)]
+        assert np.max(np.abs(ens.paths[:, saved] - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 SIMULATORS = {
@@ -312,6 +396,20 @@ def test_wave_memory_stays_within_a_few_noise_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 3 * buffer_bytes
+
+
+@pytest.mark.parametrize("save_stride", [1, 10_000])
+def test_one_path_needs_no_chunk_of_noise(save_stride):
+    # memory follows the ensemble: one path of 10,000 steps holds at most its own normals
+    frac = path3_operator()
+    tracemalloc.start()
+    try:
+        simulate_heat(frac.matrix, 1.0, 0.0, np.array([1.0, -0.5, 2.0]), dt=1e-4, t_end=1.0,
+                      n_paths=1, seed=0, save_stride=save_stride)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestInvalidInputs:
