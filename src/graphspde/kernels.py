@@ -418,6 +418,19 @@ def wave_solution(
     return q @ y
 
 
+# theta * max(t, s) below which the SWEK covariance comes from its series
+_SWEK_SERIES = 2e-2
+
+
+def _swek_series_terms(m, big, gap):
+    """theta^4 and theta^6 coefficients of ``m cos(theta gap) - cos(theta big) sin(theta m) / theta``."""
+    correction = m * gap**4 / 24.0 - m**5 / 120.0 - big**2 * m**3 / 12.0 - big**4 * m / 24.0
+    correction2 = (
+        m**7 / 5040.0 + big**2 * m**5 / 240.0 + big**4 * m**3 / 144.0 + big**6 * m / 720.0 - m * gap**6 / 720.0
+    )
+    return correction, correction2
+
+
 def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     """Scalar SWEK covariance per eigenvalue of the operator.
 
@@ -425,14 +438,16 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     ``sigma^2/(2 theta^2) (min(t,s) cos(theta (t-s)) - cos(theta max) sin(theta min) / theta)``,
     the Ito integral ``(sigma/theta)^2 int_0^min sin(theta(t-x)) sin(theta(s-x)) dx``.
     The theta -> 0 limit is the integrated-Brownian covariance
-    ``sigma^2 (t s m - (t+s) m^2/2 + m^3/3)``; a series expansion takes over
-    below theta*max(t,s) = 1e-3 where the direct form loses to cancellation.
+    ``sigma^2 (t s m - (t+s) m^2/2 + m^3/3)``.  The direct form loses about
+    eps / (theta max(t,s))^2 to cancellation, so below theta*max(t,s) =
+    :data:`_SWEK_SERIES` a series through theta^4 takes over; at the switch
+    both are accurate to about 1e-12 (its derivative, 1e-9).
     """
     theta = c * np.sqrt(mu)
     m = np.minimum(t, s)
     big = np.maximum(t, s)
     gap = np.abs(t - s)
-    small = theta * big < 1e-3
+    small = theta * big < _SWEK_SERIES
     theta_safe = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
         direct = (
@@ -441,10 +456,8 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
             * (m * np.cos(theta_safe * gap) - np.cos(theta_safe * big) * np.sin(theta_safe * m) / theta_safe)
         )
     lead = m**3 / 6.0 + big**2 * m / 2.0 - m * gap**2 / 2.0
-    correction = (
-        m * gap**4 / 24.0 - m**5 / 120.0 - big**2 * m**3 / 12.0 - big**4 * m / 24.0
-    )
-    series = sigma**2 / 2.0 * (lead + theta**2 * correction)
+    correction, correction2 = _swek_series_terms(m, big, gap)
+    series = sigma**2 / 2.0 * (lead + theta**2 * (correction + theta**2 * correction2))
     return np.where(small, series, direct)
 
 
@@ -458,7 +471,7 @@ def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, 
     m = np.minimum(t, s)
     big = np.maximum(t, s)
     gap = np.abs(t - s)
-    small = theta * big < 1e-3
+    small = theta * big < _SWEK_SERIES
     th = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
         # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta
@@ -469,10 +482,8 @@ def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, 
             + np.cos(th * big) * np.sin(th * m) / th
         )
         direct = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
-    correction = (
-        m * gap**4 / 24.0 - m**5 / 120.0 - big**2 * m**3 / 12.0 - big**4 * m / 24.0
-    )
-    return np.where(small, sigma**2 * theta**2 * correction, direct)
+    correction, correction2 = _swek_series_terms(m, big, gap)
+    return np.where(small, sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2), direct)
 
 
 def swek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: float) -> np.ndarray:

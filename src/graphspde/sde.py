@@ -109,7 +109,9 @@ def _interval(step: np.ndarray, kick: np.ndarray,
     ``(P, C)`` twice is ``(P P, P^T C P + C)``, and a set bit of b appends one
     step, so this takes O(log b) products of m x m matrices.  ``C_b`` is
     singular for sigma = 0 and for the wave at stride 1, so its root L, with
-    ``L^T L = C_b``, comes from ``eigh`` with the eigenvalues clipped at 0.
+    ``L^T L = C_b``, comes from ``eigh`` with eigenvalues at rounding level
+    set to 0: kept, their O(sqrt(eps)) rows would drive directions that no
+    sum of steps reaches.
     """
     one = kick.T @ kick
     power, cov = step, one
@@ -118,7 +120,8 @@ def _interval(step: np.ndarray, kick: np.ndarray,
         if bit == "1":
             power, cov = power @ step, step.T @ cov @ step + one
     w, v = np.linalg.eigh(cov)
-    return power, cov, np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
+    w[w <= len(w) * np.finfo(float).eps * w[-1]] = 0.0
+    return power, cov, np.sqrt(w)[:, None] * v.T
 
 
 def _propagate(step: np.ndarray, kick: np.ndarray, x0: np.ndarray, seed: int, n_paths: int,

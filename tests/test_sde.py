@@ -230,11 +230,12 @@ def _stepwise_noise(seed, n_paths, steps, n):
                      for p in range(n_paths)])
 
 
-def _stepwise_heat(lt, c, noise, u0, dt, t_end, n_paths, seed, save_stride=1):
-    """Reference: one Python iteration per Euler-Maruyama step."""
+def _stepwise_heat(lt, c, noise, u0, dt, t_end, n_paths, seed, save_stride=1, xi=None):
+    """Reference: one Python iteration per Euler-Maruyama step, on normals ``xi``."""
     lt, noise = np.asarray(lt, dtype=float), np.asarray(noise, dtype=float)
     n, steps = lt.shape[0], int(round(t_end / dt))
-    xi = _stepwise_noise(seed, n_paths, steps, n)
+    if xi is None:
+        xi = _stepwise_noise(seed, n_paths, steps, n)
     u = np.tile(np.broadcast_to(u0, (n,)), (n_paths, 1))
     saved = [u]
     for k in range(steps):
@@ -248,11 +249,12 @@ def _stepwise_heat(lt, c, noise, u0, dt, t_end, n_paths, seed, save_stride=1):
     return np.stack(saved, axis=1)
 
 
-def _stepwise_wave(lt, c, sigma, u0, v0, dt, t_end, n_paths, seed, save_stride=1):
+def _stepwise_wave(lt, c, sigma, u0, v0, dt, t_end, n_paths, seed, save_stride=1, xi=None):
     """Reference: semi-implicit Euler-Maruyama, one Python iteration per step."""
     lt = np.asarray(lt, dtype=float)
     n, steps = lt.shape[0], int(round(t_end / dt))
-    xi = _stepwise_noise(seed, n_paths, steps, n)
+    if xi is None:
+        xi = _stepwise_noise(seed, n_paths, steps, n)
     u = np.tile(np.broadcast_to(u0, (n,)), (n_paths, 1))
     v = np.tile(np.broadcast_to(v0, (n,)), (n_paths, 1))
     saved = [u]
@@ -277,29 +279,19 @@ STEPWISE_CASES = {
 }
 
 
-SIGMA0_CASES = sorted(name for name, case in STEPWISE_CASES.items() if not np.any(case[2]))
-NOISY_CASES = sorted(set(STEPWISE_CASES) - set(SIGMA0_CASES))
+NOISY_CASES = sorted(name for name, case in STEPWISE_CASES.items() if np.any(case[2]))
 
 
-def _simulate_case(case, n_paths, seed, save_stride, t_end=1.0, reference=False):
+def _simulate_case(case, n_paths, seed, save_stride, t_end=1.0, reference=False, xi=None):
     kind, lt, noise, u0, v0 = STEPWISE_CASES[case]
     kwargs = dict(dt=5e-3, t_end=t_end, n_paths=n_paths, seed=seed, save_stride=save_stride)
+    if reference:
+        kwargs["xi"] = xi
     if kind == "heat":
         simulate = _stepwise_heat if reference else simulate_heat
         return simulate(lt, 1.0, noise, np.array(u0), **kwargs)
     simulate = _stepwise_wave if reference else simulate_wave
     return simulate(lt, 1.0, noise, np.array(u0), np.array(v0), **kwargs)
-
-
-# 200 steps: every step saved, two save intervals, and all steps in one interval.
-# Without noise the chain is deterministic, so it must match the loop pathwise.
-@pytest.mark.parametrize("save_stride", [1, 100, 200])
-@pytest.mark.parametrize("case", SIGMA0_CASES)
-def test_block_propagation_matches_stepwise_loop(case, save_stride):
-    ens = _simulate_case(case, _CHUNK + 3, 41, save_stride)
-    expected = _simulate_case(case, _CHUNK + 3, 41, save_stride, reference=True)
-    assert ens.paths.shape == expected.shape
-    assert np.max(np.abs(ens.paths - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _record_intervals(monkeypatch):
@@ -312,6 +304,36 @@ def _record_intervals(monkeypatch):
 
     monkeypatch.setattr(sde, "_interval", spy)
     return calls
+
+
+def _lift_to_steps(step, kick, stride, root, z):
+    """Per-step normals whose stepwise sum over each save interval is the chain's ``z L``.
+
+    Step j of an interval reaches its end through ``K S^(b-1-j)``.  Stacked as
+    R (b n x m), ``R^T R = C_b = L^T L``, so ``xi = z L R^+`` gives ``xi R = z L``.
+    """
+    responses, power = [], np.eye(len(step))
+    for _ in range(stride):
+        responses.append(kick @ power)
+        power = power @ step
+    xi = z @ root @ np.linalg.pinv(np.vstack(responses[::-1]))
+    return xi.reshape(z.shape[0], -1, kick.shape[0])
+
+
+# 200 steps: every step saved, two save intervals, and all steps in one interval.
+# The loop runs on per-step normals lifted from the chain's one draw per saved
+# time, so the two must agree pathwise, noise included.
+@pytest.mark.parametrize("save_stride", [1, 100, 200])
+@pytest.mark.parametrize("case", sorted(STEPWISE_CASES))
+def test_block_propagation_matches_stepwise_loop(case, save_stride, monkeypatch):
+    calls = _record_intervals(monkeypatch)
+    ens = _simulate_case(case, _CHUNK + 3, 41, save_stride)
+    ((step, kick, stride, (_, _, root)),) = calls
+    z = np.random.default_rng(41).standard_normal((ens.n_paths, len(ens.times) - 1, len(root)))
+    xi = _lift_to_steps(step, kick, stride, root, z)
+    expected = _simulate_case(case, _CHUNK + 3, 41, save_stride, reference=True, xi=xi)
+    assert ens.paths.shape == expected.shape
+    assert np.max(np.abs(ens.paths - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # stride 7 is odd, so the doubling appends single steps
