@@ -31,7 +31,7 @@ from .data_io import (
 )
 from .exceptions import DataError, NumericError
 from .experiments import run_backtest
-from .gp import FitOptions, GPModel, SpatioTemporalDataset, fit as fit_gp, sample, sampling_moments
+from .gp import FitOptions, GPModel, SpatioTemporalDataset, _draw, fit as fit_gp, sampling_moments
 from .graphs import Graph, fractional_from_graph, line_graph
 from .kernels import TEMPORAL_KINDS, KernelSpec, STPoint, shek_cov, swek_cov
 from .sde import empirical_cross_cov, simulate_heat, simulate_wave
@@ -431,7 +431,7 @@ def cmd_sample(args) -> int:
         model = GPModel(kernel=spec, noise_variance=noise)
         mean, cov = sampling_moments(model, points, condition_data, graph=graph)
         sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        draws = sample(model, points, n_samples, seed, condition_on=condition_data, graph=graph)
+        draws = _draw(mean, cov, n_samples, seed)
 
         path = out / f"samples_c{c:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:

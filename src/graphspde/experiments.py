@@ -25,7 +25,7 @@ from .backtest import (
 )
 from .exceptions import DataError, NumericError
 from .gp import FitOptions, GPModel, SpatioTemporalDataset, fit, predict
-from .gp import _prepare, _scale_name
+from .gp import _prepare
 from .kernels import KernelSpec, mode_covariances
 
 TASKS = ("interpolation", "extrapolation")
@@ -34,6 +34,8 @@ TASKS = ("interpolation", "extrapolation")
 # likelihood is multimodal in the oscillation/decay rate, and a wrong-decade
 # start strands the fit in a white-noise-like basin
 _C_START_GRID = (0.03, 0.1, 0.3, 1.0)
+# share of a window's timepoints that an interpolation round holds out
+_INTERP_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ def _data_scaled_spec(
     probe = GPModel(kernel=spec, mean_policy=mean_policy)
     prep = _prepare(probe, train)
     target_var = max(float(np.var(prep.y)), 1e-12)
-    scale_name, power = _scale_name(spec)
+    # the hyperparameter that only rescales the Gram, and the power it enters with
+    scale_name, power = ("sigma", 2) if spec.kind in ("shek", "swek") else ("variance", 1)
     unit = spec.with_hyper(**{scale_name: 1.0})
     times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
     basis, variances, _ = mode_covariances(unit, train.graph, times, diagonal=True)
@@ -99,7 +102,6 @@ def _evaluate_round(
     test_times: np.ndarray,
     spec: KernelSpec,
     round_index: int,
-    noise_init: float | None,
     fit_opts: FitOptions,
     mean_policy: str,
 ) -> RoundResult:
@@ -110,7 +112,7 @@ def _evaluate_round(
     truth = np.array([y for _, y in test_obs])
 
     spec, target_var = _data_scaled_spec(spec, train, mean_policy)
-    noise = noise_init if noise_init is not None else max(1e-2 * target_var, 1e-8)
+    noise = max(1e-2 * target_var, 1e-8)
     started = time.perf_counter()
     if spec.kind in ("shek", "swek"):
         starts = dict.fromkeys((float(spec.hyper["c"]),) + _C_START_GRID)
@@ -148,8 +150,6 @@ def run_backtest(
     baseline: str,
     tasks: tuple[str, ...] = TASKS,
     fit_opts: FitOptions | None = None,
-    noise_init: float | None = None,
-    interp_fraction: float = 0.1,
     jobs: int = 1,
     mean_policy: str = "per_node_training_mean",
 ) -> BacktestReport:
@@ -157,7 +157,9 @@ def run_backtest(
 
     Extrapolation rounds train on the window's leading timepoints and test
     on the trailing ones; interpolation rounds hold out a random
-    ``interp_fraction`` of the whole window's timepoints (seeded per round).
+    ``_INTERP_FRACTION`` of the whole window's timepoints (seeded per round).
+    Every round starts from the data-scaled kernel (:func:`_data_scaled_spec`)
+    with a noise variance of 1 % of the training targets' variance.
     """
     if baseline not in kernels:
         raise DataError(f"baseline kernel {baseline!r} is not among the kernels {sorted(kernels)}")
@@ -176,7 +178,7 @@ def run_backtest(
             splits.append((r, "extrapolation", times[train_idx], times[test_idx]))
         if "interpolation" in tasks:
             window_times = times[train_idx + test_idx]
-            train_t, test_t = interpolation_split(list(window_times), interp_fraction, seed=[plan.seed, r])
+            train_t, test_t = interpolation_split(list(window_times), _INTERP_FRACTION, seed=[plan.seed, r])
             splits.append((r, "interpolation", np.asarray(train_t), np.asarray(test_t)))
 
     work = [
@@ -189,7 +191,7 @@ def run_backtest(
         name, spec, r, task, train_t, test_t = job
         try:
             result = _evaluate_round(
-                dataset, train_t, test_t, spec, r, noise_init, fit_opts, mean_policy
+                dataset, train_t, test_t, spec, r, fit_opts, mean_policy
             )
             return name, task, r, result, None
         except (NumericError, DataError) as exc:

@@ -9,18 +9,19 @@ Points with no repeated (vertex, time) pair form a vertex x time lattice
 over their T distinct times, with M cells missing.  Up to M = N readings,
 the likelihood of every kernel kind splits into one T x T problem per
 eigenmode of the kernel's operator (:func:`kernels.mode_covariances`),
-factorized as one batched Cholesky over the (n, T, T) stack, and its
-gradient is exact: per mode ``1/2 tr((a a^T - W) dK)`` (Rasmussen &
-Williams 2006, eq. 5.9).  Missing cells get the same noise, and a Schur
-complement on the inverse over the missing cells corrects both
-(incomplete grids in structured GP inference: Wilson, Gilboa, Nehorai &
-Cunningham 2014).  Other point sets, and any evaluation where that
-correction fails, take the dense N x N path with central
-finite-difference gradients.  ``fit`` logs the path at DEBUG on the
-``graphspde`` logger.  A start stops once an accepted step no longer
-raises the LML by more than round-off.  The ascent is in-house rather
-than ``scipy.optimize``: importing that module alone adds about 0.09 s and
-18 MB of resident memory to every process that fits a model.
+factorized as one batched Cholesky over the (n, T, T) stack.  Missing
+cells get the same noise, and a Schur complement on the inverse over the
+missing cells corrects the likelihood (incomplete grids in structured GP
+inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets,
+and any evaluation where that correction fails, take the dense N x N
+path.  The gradient is exact on both paths and written once:
+``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006, eq. 5.9), summed
+over the eigenmodes on the lattice and taken over the N x N Gram on the
+dense path.  ``fit`` logs the path at DEBUG on the ``graphspde`` logger.
+A start stops once an accepted step no longer raises the LML by more than
+round-off.  The ascent is in-house rather than ``scipy.optimize``:
+importing that module alone adds about 0.09 s and 18 MB of resident
+memory to every process that fits a model.
 
 Two conventions applied uniformly before any Gram assembly:
 
@@ -40,16 +41,17 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DataError, FactorizationError, NumericError
+from .exceptions import DataError, NumericError
 from .graphs import Graph, fractional_from_graph
-from .kernels import KernelSpec, STPoint, assemble_gram, mode_covariances, shek_mean, swek_mean
+from .kernels import (
+    KernelSpec, STPoint, _gram_and_derivatives, assemble_gram, mode_covariances, shek_mean, swek_mean
+)
 from .spectral import cholesky_jittered
 
 _LOG = logging.getLogger("graphspde")
@@ -59,8 +61,10 @@ _NOISE_FLOOR = 1e-10
 # LML, ends a start.  The grid and dense likelihoods agree to about 2e-13
 # relative, so smaller gains are round-off.
 _STALL_RTOL = 1e-10
-# What a failed lattice evaluation or gradient raises.
-_LATTICE_FAILURES = (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError)
+# Restarts draw each log-hyperparameter uniformly from log(0.1) to log(10).
+_RESTART_LOG_RANGE = (math.log(0.1), math.log(10.0))
+# What a failed likelihood or gradient evaluation raises.
+_EVAL_FAILURES = (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,6 @@ class FitOptions:
     grad_tol: float = 1e-6
     restarts: int = 3
     seed: int = 0
-    fd_step: float = 1e-5
-    restart_low: float = 0.1
-    restart_high: float = 10.0
     optimize_nu_kappa: bool = False
 
 
@@ -156,10 +157,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Prepared:
+    graph: Graph
     points: tuple[STPoint, ...]
     y: np.ndarray
     node_offsets: np.ndarray
     shift: float
+    grid: _GridStructure | None  # the points' vertex x time lattice
 
 
 def _node_offsets(model: GPModel, data: SpatioTemporalDataset) -> np.ndarray:
@@ -183,11 +186,8 @@ def _prepare(model: GPModel, data: SpatioTemporalDataset) -> _Prepared:
     points = tuple(STPoint(p.vertex, p.time + shift) for p, _ in data.observations)
     offsets = _node_offsets(model, data)
     y = data.values - offsets[[p.vertex for p, _ in data.observations]]
-    return _Prepared(points=points, y=y, node_offsets=offsets, shift=shift)
-
-
-def _shift_points(points: Sequence[STPoint], shift: float) -> tuple[STPoint, ...]:
-    return tuple(STPoint(p.vertex, p.time + shift) for p in points)
+    grid = _detect_grid(points, data.graph.n_vertices)
+    return _Prepared(data.graph, points, y, offsets, shift, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +195,67 @@ def _shift_points(points: Sequence[STPoint], shift: float) -> tuple[STPoint, ...
 # ---------------------------------------------------------------------------
 
 
-def _lml_from_gram(
-    gram: np.ndarray, noise_variance: float, y: np.ndarray, scale: float = 1.0
-) -> float:
-    """LML under ``scale * gram + noise_variance * I``; ``gram`` itself is left unchanged."""
-    n = y.shape[0]
-    noisy = scale * gram
-    noisy[np.diag_indices(n)] += noise_variance
+def _noisy_factor(gram: np.ndarray, noise_variance: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jittered Cholesky factor of ``gram + s2 I`` and ``a = (gram + s2 I)^-1 y``, s2 the noise variance."""
+    noisy = gram.copy()
+    noisy[np.diag_indices(y.shape[0])] += noise_variance
     factor, _ = cholesky_jittered(noisy)
-    alpha = scipy.linalg.cho_solve((factor, True), y, check_finite=False)
-    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(factor))) - 0.5 * n * _LOG_2PI)
+    return factor, scipy.linalg.cho_solve((factor, True), y, check_finite=False)
+
+
+def _lml(spec: KernelSpec, noise_variance: float, prep: _Prepared) -> float:
+    """The LML on the lattice where the points form one and its correction
+    holds, else on the dense path."""
+    if prep.grid is not None:
+        lml = _grid_lml(spec, prep.graph, prep.grid, prep.y, noise_variance)
+        if not (math.isnan(lml) and prep.grid.n_missing):
+            return lml
+        _LOG.debug("missing-cell correction failed at %s; dense path", dict(spec.hyper))
+    y = prep.y
+    factor, alpha = _noisy_factor(assemble_gram(spec, prep.graph, prep.points).matrix, noise_variance, y)
+    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(factor))) - 0.5 * y.shape[0] * _LOG_2PI)
+
+
+def _lml_gradient(spec: KernelSpec, noise_variance: float, prep: _Prepared, names: list[str]) -> np.ndarray:
+    """Exact gradient of :func:`_lml` in the log of each of ``names``: ``1/2 tr((a a^T - W) dK)``
+    (Rasmussen & Williams 2006, eq. 5.9) as the ``vdot`` of the weight ``a a^T - W`` with each dK,
+    per eigenmode on the lattice (:func:`_grid_weight`), else, or where that gives no finite
+    gradient, over the N x N Gram (:func:`_dense_weight`).  ``"noise"`` is the noise variance,
+    whose dK is ``s2 I``: its term is the weight's trace."""
+    kernel_names = [name for name in names if name != "noise"]
+
+    def terms(weight: np.ndarray, derivs) -> np.ndarray:
+        by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
+        by_name["noise"] = 0.5 * noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
+        return np.array([by_name[name] for name in names])
+
+    if prep.grid is not None:
+        try:
+            grad = terms(*_grid_weight(spec, prep.graph, prep.grid, prep.y, noise_variance, kernel_names))
+            if np.all(np.isfinite(grad)):
+                return grad
+        except _EVAL_FAILURES:
+            pass
+        _LOG.debug("lattice gradient failed at %s; dense path", dict(spec.hyper))
+    return terms(*_dense_weight(spec, noise_variance, prep, kernel_names))
+
+
+def _dense_weight(
+    spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """``a a^T - W`` with ``W = (K + s2 I)^-1`` from the jittered factor and
+    ``a = W y``, and the derivatives of K in ``wrt``."""
+    gram, derivs = _gram_and_derivatives(spec, prep.graph, prep.points, wrt)
+    factor, alpha = _noisy_factor(gram, noise_variance, prep.y)
+    inv, info = scipy.linalg.lapack.dpotri(factor, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
+    # dpotri overwrites L with W's lower triangle and keeps the zeros above, so W = inv + inv^T - diag(inv)
+    weight = np.multiply.outer(alpha, alpha)
+    weight -= inv
+    weight -= inv.T
+    weight[np.diag_indices(alpha.shape[0])] += np.diag(inv)
+    return weight, derivs
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -215,16 +266,10 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     eigenbasis on the full lattice, the likelihood factorizes into one
     small temporal problem per eigenmode, and a Schur complement corrects
     for the missing cells; otherwise, or where that correction fails, the
-    dense N x N path is used.  Both go through the jittered Cholesky.
+    dense N x N path is used.  Both go through the jittered Cholesky, and
+    ``fit`` maximizes this same function.
     """
-    prep = _prepare(model, data)
-    grid = _detect_grid(prep.points, data.graph.n_vertices)
-    if grid is not None:
-        lml = _grid_lml(model.kernel, data.graph, grid, prep.y, model.noise_variance)
-        if not (math.isnan(lml) and grid.n_missing):
-            return lml
-    gram = assemble_gram(model.kernel, data.graph, prep.points).matrix
-    return _lml_from_gram(gram, model.noise_variance, prep.y)
+    return _lml(model.kernel, model.noise_variance, _prepare(model, data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,27 +372,24 @@ def _grid_lml(
     return float(-0.5 * quad - log_det - 0.5 * y.shape[0] * _LOG_2PI)
 
 
-def _grid_lml_gradient(
+def _grid_weight(
     spec: KernelSpec,
     graph: Graph,
     grid: _GridStructure,
     y: np.ndarray,
     noise_variance: float,
-    names: Sequence[str],
-) -> np.ndarray:
-    """Exact gradient of :func:`_grid_lml` in the log of each of ``names``.
+    wrt: Sequence[str],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-mode weights ``a_i a_i^T - W_i`` (n, T, T) of :func:`_grid_lml`
+    and the derivatives of every mode's K_i in ``wrt``.
 
-    Per mode, d LML / d theta = 1/2 tr((a a^T - W) dK/d theta), summed over
-    the modes.  On a complete grid a = A^-1 y and W = A^-1 (Rasmussen &
-    Williams 2006, eq. 5.9).  With missing cells m, both are those of
-    A_oo^-1 padded with zeros: with ``G_i[:, c] = A_i^-1[:, t_c] Q[v_c, i]``,
-    ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T`` and
-    ``a_i = z_i - G_i B_mm^-1 (B y)_m``.  ``"noise"`` is the noise variance,
-    whose dK is ``s2 I``; W and a vanish on the missing cells, so its term
-    is the same trace.
+    On a complete grid a = A^-1 y and W = A^-1.  With missing cells m, both
+    are those of A_oo^-1 padded with zeros: with
+    ``G_i[:, c] = A_i^-1[:, t_c] Q[v_c, i]``, ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T``
+    and ``a_i = z_i - G_i B_mm^-1 (B y)_m``.  W and a vanish on the missing
+    cells, so the noise term is the same trace.
     """
-    kernel_names = [name for name in names if name != "noise"]
-    basis, factor, white, derivs = _grid_modes(spec, graph, grid, y, noise_variance, kernel_names)
+    basis, factor, white, derivs = _grid_modes(spec, graph, grid, y, noise_variance, wrt)
     alpha, inv = _mode_inverses(factor, white)
     if grid.n_missing:
         t_m, v_m = grid.missing
@@ -364,10 +406,7 @@ def _grid_lml_gradient(
         f = np.zeros_like(inv)
         f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
         inv = inv - inv @ f @ inv
-    weight = alpha[:, :, None] * alpha[:, None, :] - inv
-    by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
-    by_name["noise"] = 0.5 * noise_variance * np.trace(weight, axis1=1, axis2=2).sum()
-    return np.array([by_name[name] for name in names])
+    return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
 
 
 # ---------------------------------------------------------------------------
@@ -390,144 +429,64 @@ def _optimizable_names(spec: KernelSpec, optimize_nu_kappa: bool) -> list[str]:
     return ["variance"]
 
 
-def _scale_name(spec: KernelSpec) -> tuple[str, int]:
-    """Hyperparameter that only rescales the Gram, and the power it enters with."""
-    if spec.kind in ("shek", "swek"):
-        return "sigma", 2
-    return "variance", 1
-
-
 @dataclass(frozen=True)
 class _Objective:
-    """LML as a function of log-hyperparameters.
-
-    ``value`` serves the line-search trials; ``gradient(theta, value(theta))``
-    is called once per accepted iterate.  Calling the objective evaluates
-    ``value``.
-    """
+    """LML in log-hyperparameters: ``value`` for line-search trials, ``gradient`` per accepted iterate."""
 
     value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray, float], np.ndarray]
-
-    def __call__(self, theta: np.ndarray) -> float:
-        return self.value(theta)
+    gradient: Callable[[np.ndarray], np.ndarray]
 
 
-def _make_objective(
-    model: GPModel, data: SpatioTemporalDataset, names: list[str], fd_step: float = 1e-5
-) -> _Objective:
-    """LML and its gradient in log-hyperparameters ``names`` (``"noise"`` included).
+def _make_objective(model: GPModel, data: SpatioTemporalDataset, names: list[str]) -> _Objective:
+    """LML and its exact gradient in log-hyperparameters ``names`` (``"noise"`` included).
 
-    Points that form a vertex x time lattice, complete or with at most as
-    many missing cells as readings (:func:`_detect_grid`), go through the
-    factorized per-mode path, which is cheap enough to recompute every
-    evaluation and has an exact gradient.  Where its missing-cell
-    correction fails or is not finite, that evaluation takes the dense path,
-    so the two never disagree on whether a likelihood exists.  The dense
-    path caches the unit-scale Gram: the scale hyperparameter (sigma or
-    variance) multiplies the Gram by a known power, so its central
-    finite-difference steps (and those in the noise) reuse the Gram
-    assembled for the remaining hyperparameters.
+    Both go through the functions :func:`log_marginal_likelihood` uses:
+    points that form a vertex x time lattice, complete or with at most as
+    many missing cells as readings (:func:`_detect_grid`), take the
+    factorized per-mode path; other points, and any evaluation where its
+    missing-cell correction fails, take the dense N x N path.  The gradient
+    is the one formula of :func:`_lml_gradient` on either path.  Where
+    neither gives a finite gradient, it is zero, which ends the start.
     """
     prep = _prepare(model, data)
-    scale_name, power = _scale_name(model.kernel)
-    grid = _detect_grid(prep.points, data.graph.n_vertices)
-    cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
     noise_at = names.index("noise")
+    grid = prep.grid
     if grid is None:
         _LOG.debug("fit: dense likelihood over %d points", len(prep.points))
     else:
-        _LOG.debug(
-            "fit: lattice likelihood over %d times x %d vertices, %d missing cells",
-            grid.times.shape[0], data.graph.n_vertices, grid.n_missing,
-        )
+        _LOG.debug("fit: lattice likelihood over %d times x %d vertices, %d missing cells",
+                   grid.times.shape[0], data.graph.n_vertices, grid.n_missing)
 
-    def decode(theta: np.ndarray) -> tuple[KernelSpec, float] | None:
-        """Kernel and raw noise variance at ``theta``; None where undefined."""
+    def evaluate(fun, theta: np.ndarray, *args):
+        """``fun`` at the kernel and floored noise variance of ``theta``; None
+        where those are undefined, ``fun`` fails, or its result is not finite."""
         with np.errstate(over="ignore"):
             raw = np.exp(np.asarray(theta, dtype=float))
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0.0):
             return None
         values = {name: float(v) for name, v in zip(names, raw)}
-        noise = values.pop("noise")
+        noise_variance = max(values.pop("noise"), _NOISE_FLOOR)
         try:
-            return model.kernel.with_hyper(**values), noise
-        except DataError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = fun(model.kernel.with_hyper(**values), noise_variance, prep, *args)
+        except _EVAL_FAILURES:
             return None
+        return out if np.all(np.isfinite(out)) else None
 
     def value(theta: np.ndarray) -> float:
-        decoded = decode(theta)
-        if decoded is None:
-            return -np.inf
-        spec, noise = decoded
-        noise_variance = max(noise, _NOISE_FLOOR)
+        lml = evaluate(_lml, theta)
+        return -np.inf if lml is None else lml
 
-        if grid is not None:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    lml = _grid_lml(spec, data.graph, grid, prep.y, noise_variance)
-            except _LATTICE_FAILURES:
-                return -np.inf
-            if not (math.isnan(lml) and grid.n_missing):
-                return lml if np.isfinite(lml) else -np.inf
-            _LOG.debug("fit: missing-cell correction failed at theta %s; dense path", theta)
-
-        scale = float(spec.hyper.get(scale_name, 1.0))
-        key = tuple(spec.hyper[name] for name in names if name not in ("noise", scale_name))
-        gram_unit = cache.get(key)
-        if gram_unit is None:
-            unit_spec = spec.with_hyper(**{scale_name: 1.0})
-            try:
-                gram_unit = assemble_gram(unit_spec, data.graph, prep.points).matrix
-            except (NumericError, DataError, np.linalg.LinAlgError):
-                return -np.inf
-            if not np.all(np.isfinite(gram_unit)):
-                return -np.inf
-            cache[key] = gram_unit
-            if len(cache) > 16:
-                cache.popitem(last=False)
-        try:
-            lml = _lml_from_gram(gram_unit, noise_variance, prep.y, scale**power)
-        except (FactorizationError, OverflowError, ValueError, np.linalg.LinAlgError):
-            return -np.inf
-        return lml if np.isfinite(lml) else -np.inf
-
-    def gradient(theta: np.ndarray, f_theta: float) -> np.ndarray:
-        decoded = decode(theta) if grid is not None else None
-        if decoded is not None:
-            spec, noise = decoded
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    grad = _grid_lml_gradient(
-                        spec, data.graph, grid, prep.y, max(noise, _NOISE_FLOOR), names
-                    )
-            except _LATTICE_FAILURES:
-                grad = None
-            if grad is not None and np.all(np.isfinite(grad)):
-                if noise < _NOISE_FLOOR:
-                    grad[noise_at] = 0.0  # the floor holds the noise constant here
-                return grad
-        return _fd_gradient(value, theta, fd_step, f_theta)
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        grad = evaluate(_lml_gradient, theta, names)
+        if grad is None:
+            _LOG.debug("fit: no finite gradient at theta %s; the start ends here", theta)
+            return np.zeros_like(theta)
+        if np.exp(theta[noise_at]) < _NOISE_FLOOR:
+            grad[noise_at] = 0.0  # the floor holds the noise constant here
+        return grad
 
     return _Objective(value=value, gradient=gradient)
-
-
-def _fd_gradient(
-    fun: Callable[[np.ndarray], float], theta: np.ndarray, step: float, f_center: float
-) -> np.ndarray:
-    grad = np.zeros_like(theta)
-    for i in range(theta.shape[0]):
-        unit = np.zeros_like(theta)
-        unit[i] = step
-        f_plus = fun(theta + unit)
-        f_minus = fun(theta - unit)
-        if np.isfinite(f_plus) and np.isfinite(f_minus):
-            grad[i] = (f_plus - f_minus) / (2.0 * step)
-        elif np.isfinite(f_plus):
-            grad[i] = (f_plus - f_center) / step
-        elif np.isfinite(f_minus):
-            grad[i] = (f_center - f_minus) / step
-    return grad
 
 
 def _maximize(
@@ -538,12 +497,12 @@ def _maximize(
     Iteration count is the number of accepted iterates including the start,
     so ``max_iters=1`` evaluates and returns the initial point.  The trace is
     non-decreasing by construction.  Line-search trials evaluate only
-    ``objective.value``; the gradient (exact per eigenmode on a vertex x
-    time lattice, central differences on the dense path) is taken once per
-    accepted iterate.  It is in-house because importing ``scipy.optimize``
-    would add about 0.09 s and 18 MB to every process that fits a model.
+    ``objective.value``; the exact gradient is taken once per accepted
+    iterate.  It is in-house because importing ``scipy.optimize`` would add
+    about 0.09 s and 18 MB to every process that fits a model.
 
-    A start ends when the gradient is below ``grad_tol``, when the line
+    A start ends when the gradient is below ``grad_tol`` (or zero, which
+    the objective returns where no gradient is finite), when the line
     search finds no ascent, or when an accepted step raises the LML by no
     more than ``_STALL_RTOL`` relative to it.  The last rule is what stops
     a converged start: once the step's predicted gain falls below half an
@@ -560,7 +519,7 @@ def _maximize(
     grad = None
     while len(trace) < max_iters:
         if grad is None:
-            grad = objective.gradient(theta, trace[-1])
+            grad = objective.gradient(theta)
         if np.max(np.abs(grad)) < grad_tol:
             break
         direction = h_inv @ grad
@@ -586,7 +545,7 @@ def _maximize(
         if stalled or len(trace) >= max_iters:
             theta = theta_new
             break
-        grad_new = objective.gradient(theta_new, f_new)
+        grad_new = objective.gradient(theta_new)
         step_vec = theta_new - theta
         grad_change = -(grad_new - grad)
         curvature = float(step_vec @ grad_change)
@@ -609,7 +568,7 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
     the model's own starting point plus ``opts.restarts`` log-uniform draws.
     """
     names = _optimizable_names(model.kernel, opts.optimize_nu_kappa) + ["noise"]
-    objective = _make_objective(model, data, names, opts.fd_step)
+    objective = _make_objective(model, data, names)
 
     init = [
         model.noise_variance if name == "noise" else float(model.kernel.hyper.get(name, 1.0))
@@ -617,9 +576,8 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
     ]
     starts = [np.log(np.asarray(init))]
     rng = np.random.default_rng(opts.seed)
-    low, high = math.log(opts.restart_low), math.log(opts.restart_high)
     for _ in range(opts.restarts):
-        starts.append(rng.uniform(low, high, size=len(names)))
+        starts.append(rng.uniform(*_RESTART_LOG_RANGE, size=len(names)))
 
     best: tuple[np.ndarray, list[float]] | None = None
     for theta0 in starts:
@@ -630,13 +588,9 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
         raise NumericError("every optimization start failed to evaluate")
 
     theta, trace = best
-    values = dict(zip(names, np.exp(theta)))
+    values = {name: float(v) for name, v in zip(names, np.exp(theta))}
     noise_variance = values.pop("noise")
-    fitted = replace(
-        model,
-        kernel=model.kernel.with_hyper(**{k: float(v) for k, v in values.items()}),
-        noise_variance=float(noise_variance),
-    )
+    fitted = replace(model, kernel=model.kernel.with_hyper(**values), noise_variance=noise_variance)
     return FitResult(model=fitted, trace=tuple(trace))
 
 
@@ -653,7 +607,7 @@ def predict(
 ) -> PosteriorPrediction:
     """Standard GP posterior at the query points given the training data."""
     prep = _prepare(model, train_data)
-    query = _shift_points(query_points, prep.shift)
+    query = tuple(STPoint(p.vertex, p.time + prep.shift) for p in query_points)
     correction, cov = _condition(model, train_data.graph, prep.points, prep.y, query)
     mean = prep.node_offsets[[p.vertex for p in query_points]] + correction
     variance = np.clip(np.diag(cov).copy(), 0.0, None)
@@ -668,8 +622,7 @@ def _condition(
     n_obs = len(obs)
     gram = assemble_gram(model.kernel, graph, tuple(obs) + tuple(query)).matrix
     k_cross = gram[:n_obs, n_obs:]
-    factor, _ = cholesky_jittered(gram[:n_obs, :n_obs] + model.noise_variance * np.eye(n_obs))
-    alpha = scipy.linalg.cho_solve((factor, True), residual, check_finite=False)
+    factor, alpha = _noisy_factor(gram[:n_obs, :n_obs], model.noise_variance, residual)
     half = scipy.linalg.solve_triangular(factor, k_cross, lower=True, check_finite=False)
     return k_cross.T @ alpha, gram[n_obs:, n_obs:] - half.T @ half
 
@@ -710,16 +663,12 @@ def sampling_moments(
         c = model.kernel.hyper["c"]
 
         def process_mean(pts: Sequence[STPoint]) -> np.ndarray:
-            out = np.empty(len(pts))
-            by_time: dict[float, np.ndarray] = {}
-            for k, p in enumerate(pts):
-                if p.time not in by_time:
-                    if kind == "shek":
-                        by_time[p.time] = shek_mean(frac, c, u0, p.time)
-                    else:
-                        by_time[p.time] = swek_mean(frac, c, u0, np.zeros_like(u0), p.time)
-                out[k] = by_time[p.time][p.vertex]
-            return out
+            times, t_idx = np.unique([p.time for p in pts], return_inverse=True)
+            if kind == "shek":
+                by_time = [shek_mean(frac, c, u0, t) for t in times]
+            else:
+                by_time = [swek_mean(frac, c, u0, np.zeros_like(u0), t) for t in times]
+            return np.array(by_time)[t_idx, [p.vertex for p in pts]]
 
         residual = condition_on.values - process_mean(condition_on.points)
         correction, cov = _condition(model, graph, condition_on.points, residual, points)
@@ -743,10 +692,12 @@ def sample(
     conditioning dataset.  Returns an (n_samples, len(points)) array built
     as ``mean + z @ chol(cov).T`` from seeded standard normals.
     """
+    return _draw(*sampling_moments(model, points, condition_on, graph), n_samples, seed)
+
+
+def _draw(mean: np.ndarray, cov: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
+    """``n_samples`` draws ``mean + z @ chol(cov).T`` from seeded standard normals."""
     if n_samples < 0:
         raise DataError("n_samples must be >= 0")
-    mean, cov = sampling_moments(model, points, condition_on, graph)
     factor, _ = cholesky_jittered(cov)
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n_samples, len(points)))
-    return mean + draws @ factor.T
+    return mean + np.random.default_rng(seed).standard_normal((n_samples, mean.shape[0])) @ factor.T

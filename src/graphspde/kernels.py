@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -475,11 +475,12 @@ def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, 
     th = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
         # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta
+        cos_big, sin_m = np.cos(th * big), np.sin(th * m)
         theta_dh = (
             -m * gap * th * np.sin(th * gap)
-            + big * np.sin(th * big) * np.sin(th * m)
-            - m * np.cos(th * big) * np.cos(th * m)
-            + np.cos(th * big) * np.sin(th * m) / th
+            + big * np.sin(th * big) * sin_m
+            - m * cos_big * np.cos(th * m)
+            + cos_big * sin_m / th
         )
         direct = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
     correction, correction2 = _swek_series_terms(m, big, gap)
@@ -583,40 +584,10 @@ def mode_covariances(
     ``k_i(t_a, t_a)`` are computed, shape (n, T), in O(n T) memory.
     """
     times = np.asarray(times, dtype=float)
+    if spec.kind in ("shek", "swek"):
+        return _process_covariances(spec, graph, times, wrt, diagonal)
     t, s = (times[None], times[None]) if diagonal else (times[None, :, None], times[None, None, :])
     column = (-1,) + (1,) * (t.ndim - 1)  # one mode per leading index
-    if spec.kind in ("shek", "swek"):
-        c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
-        frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
-        mu = frac.shifted_eigs.reshape(column)
-        # SHEK depends on (c, mu) through c mu and SWEK through c sqrt(mu),
-        # so the log-mu derivative is the log-c one times 1 or 1/2.
-        if spec.kind == "shek":
-            scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
-        else:
-            scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
-        covs = scalar(mu, c, sigma, t, s)
-        if not wrt:
-            return frac.basis, covs, []
-        d_log_c = d_scalar(covs, mu, c, sigma, t, s)
-        d_log_mu = mu_power * d_log_c
-        # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
-        shift = 2.0 * nu / kappa**2
-        shifted = mu ** (2.0 / nu)
-        log_mu_by = {
-            "nu": 0.5 * nu * (np.log(shifted) + shift / shifted),
-            "kappa": -nu * shift / shifted,
-        }
-        derivs = []
-        for name in wrt:
-            if name == "c":
-                derivs.append(d_log_c)
-            elif name == "sigma":
-                derivs.append(2.0 * covs)
-            else:
-                derivs.append(d_log_mu * log_mu_by[name])
-        return frac.basis, covs, derivs
-
     spatial = spec.spatial if spec.kind == "separable_product" else spec
     if spatial.kind == "matern_spatial":
         frac = fractional_from_graph(
@@ -643,6 +614,41 @@ def mode_covariances(
     return basis, covs, derivs
 
 
+def _process_covariances(
+    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str], diagonal: bool
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """:func:`mode_covariances` of SHEK/SWEK.  Their entries cost exponentials or trigonometric
+    functions and are symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
+    n_times = times.shape[0]
+    pairs = (np.arange(n_times),) * 2 if diagonal else np.triu_indices(n_times)
+    t, s = times[pairs[0]][None], times[pairs[1]][None]
+    c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
+    frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
+    mu = frac.shifted_eigs.reshape(-1, 1)  # one mode per row
+    # SHEK depends on (c, mu) through c mu and SWEK through c sqrt(mu),
+    # so the log-mu derivative is the log-c one times 1 or 1/2.
+    if spec.kind == "shek":
+        scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
+    else:
+        scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
+    covs, derivs = scalar(mu, c, sigma, t, s), []
+    if wrt:
+        d_log_c = d_scalar(covs, mu, c, sigma, t, s)
+        d_log_mu = mu_power * d_log_c
+        # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
+        shift = 2.0 * nu / kappa**2
+        shifted = mu ** (2.0 / nu)
+        log_mu_by = {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
+        derivs = [d_log_c if name == "c" else 2.0 * covs if name == "sigma" else d_log_mu * log_mu_by[name]
+                  for name in wrt]
+    if diagonal:
+        return frac.basis, covs, derivs
+    mirrored = [np.empty((packed.shape[0], n_times, n_times)) for packed in [covs] + derivs]
+    for full, packed in zip(mirrored, [covs] + derivs):
+        full[:, pairs[0], pairs[1]] = full[:, pairs[1], pairs[0]] = packed
+    return frac.basis, mirrored[0], mirrored[1:]
+
+
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
     """N x N Gram matrix of the kernel over the given (vertex, time) points.
 
@@ -656,6 +662,17 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     of an eighth of it.
     """
     points = tuple(points)
+    return GramMatrix(matrix=_gram_and_derivatives(spec, graph, points)[0], points=points)
+
+
+def _gram_and_derivatives(
+    spec: KernelSpec, graph: Graph, points: Sequence[STPoint], wrt: Sequence[str] = ()
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The Gram over ``points`` and, one N x N array at a time, its
+    derivatives in the log of each name in ``wrt`` (those of
+    :func:`mode_covariances`).  The variance and sigma only scale the Gram,
+    by 1x and 2x; the others gather as the Gram does, a separable
+    lengthscale as the spatial factor times the temporal derivative."""
     if not points:
         raise DataError("need at least one point")
     v_idx = np.array([p.vertex for p in points], dtype=int)
@@ -663,34 +680,59 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     if np.any(v_idx >= graph.n_vertices):
         bad = v_idx[v_idx >= graph.n_vertices][0]
         raise DataError(f"point references vertex {bad} outside the graph")
-
     times, t_idx = np.unique(t_val, return_inverse=True)
+    gathered = [name for name in wrt if name not in ("variance", "sigma")]
     if spec.kind in ("shek", "swek"):
-        basis, covs, _ = mode_covariances(spec, graph, times)
-        n, n_times = graph.n_vertices, times.shape[0]
-        flat = t_idx * n + v_idx
-        # one chained expression, so each (T n)^2 intermediate is freed as
-        # soon as the next exists
-        gram = (
-            np.einsum("xi,iab,yi->axby", basis, covs, basis, optimize=True)
-            .reshape(n_times * n, n_times * n)
-            .take(flat, axis=0)
-            .take(flat, axis=1)
-        )
+        factor, values, derivs = mode_covariances(spec, graph, times, gathered)
+        gather = _mode_gather
     else:
-        spatial, temporal = spec, None
+        values, derivs = None, []
         if spec.kind == "separable_product":
-            # before the Gram exists, so that its T x T temporaries never
-            # coexist with it
-            spatial = spec.spatial
-            temporal = temporal_kernel(spec.temporal_kind, spec.hyper, times[:, None], times[None, :])
+            # before the Gram exists, so that its T x T temporaries never coexist with it
+            t, s = times[:, None], times[None, :]
+            values = temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
+            derivs = [temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s) for _ in gathered]
+        spatial = spec.spatial if spec.kind == "separable_product" else spec
         basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
-        gram = ((basis * rho[:, 0]) @ basis.T).take(v_idx, axis=0).take(v_idx, axis=1)
-        if temporal is not None:
-            for rows in _row_bands(gram.shape[0]):
-                gram[rows] *= temporal.take(t_idx[rows], axis=0).take(t_idx, axis=1)
+        gather, factor = _factored_gather, (basis * rho[:, 0]) @ basis.T
+    gram = gather(factor, values, v_idx, t_idx)
     _symmetrize(gram)
-    return GramMatrix(matrix=gram, points=points)
+    by_name = dict(zip(gathered, derivs))
+
+    def derivatives() -> Iterator[np.ndarray]:
+        for name in wrt:
+            if name in ("variance", "sigma"):
+                yield gram if name == "variance" else 2.0 * gram
+            else:
+                yield gather(factor, by_name.pop(name), v_idx, t_idx)
+
+    return gram, derivatives()
+
+
+def _mode_gather(basis: np.ndarray, covs: np.ndarray, v_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
+    """``sum_i Q[v, i] covs[i, a, b] Q[w, i]`` at every pair of points, taken
+    from the (T n)^2 matrix over every vertex and time by one chained
+    expression, so that each such intermediate is freed once the next exists."""
+    n, n_times = basis.shape[0], covs.shape[1]
+    flat = t_idx * n + v_idx
+    return (
+        np.einsum("xi,iab,yi->axby", basis, covs, basis, optimize=True)
+        .reshape(n_times * n, n_times * n)
+        .take(flat, axis=0)
+        .take(flat, axis=1)
+    )
+
+
+def _factored_gather(
+    spatial: np.ndarray, temporal: np.ndarray | None, v_idx: np.ndarray, t_idx: np.ndarray
+) -> np.ndarray:
+    """``spatial[v, w] * temporal[a, b]`` at every pair of points, one band of
+    rows at a time; ``temporal`` None stands for ones."""
+    gram = spatial.take(v_idx, axis=0).take(v_idx, axis=1)
+    if temporal is not None:
+        for rows in _row_bands(gram.shape[0]):
+            gram[rows] *= temporal.take(t_idx[rows], axis=0).take(t_idx, axis=1)
+    return gram
 
 
 def _row_bands(n: int) -> list[slice]:

@@ -132,19 +132,6 @@ class TestFit:
         initial = log_marginal_likelihood(model, data)
         assert result.lml >= initial - 1e-12
 
-    def test_fd_gradient_step_consistency(self):
-        from graphspde.gp import _fd_gradient, _make_objective
-
-        data = self._prior_dataset(4)
-        model = GPModel(kernel=shek_spec(), noise_variance=0.01, mean_policy="zero")
-        objective = _make_objective(model, data, ["c", "sigma", "noise"])
-        theta = np.log(np.array([0.8, 1.2, 0.02]))
-        center = objective(theta)
-        coarse = _fd_gradient(objective, theta, 1e-4, center)
-        fine = _fd_gradient(objective, theta, 5e-5, center)
-        scale = np.maximum(np.abs(coarse), np.abs(fine)).max()
-        assert np.all(np.abs(coarse - fine) <= 0.10 * scale + 1e-12)
-
 
 class TestMaximizeStopRule:
     def test_stops_at_the_optimum_of_a_concave_quadratic(self):
@@ -157,7 +144,7 @@ class TestMaximizeStopRule:
         # stop rule as the only way to end before max_iters
         objective = _Objective(
             value=lambda th: 1000.0 - 0.5 * (th - peak) @ curvature @ (th - peak),
-            gradient=lambda th, f: -curvature @ (th - peak) + 1e-9 * np.sin(1e4 * th),
+            gradient=lambda th: -curvature @ (th - peak) + 1e-9 * np.sin(1e4 * th),
         )
         theta, trace = _maximize(objective, np.zeros(3), max_iters=200, grad_tol=0.0)
         assert len(trace) <= 20
@@ -172,7 +159,7 @@ class TestMaximizeStopRule:
         def value(th):
             return 5.0 - max(float(np.linalg.norm(th)) - 1.0, 0.0) ** 2
 
-        def gradient(th, f):
+        def gradient(th):
             radius = float(np.linalg.norm(th))
             if radius <= 1.0:
                 return -1e-3 * th

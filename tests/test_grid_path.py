@@ -1,10 +1,10 @@
 """Oracle tests of the vertex x time lattice likelihood path against the dense path.
 
 On a vertex x time lattice the likelihood splits into one temporal problem
-per Laplacian eigenmode, with an exact gradient; missing cells are
-corrected for by a Schur complement.  These tests hold that path to the
-dense N x N likelihood and to finite differences, and check which points
-take which path.
+per Laplacian eigenmode; missing cells are corrected for by a Schur
+complement.  These tests hold that path to the dense N x N likelihood, the
+exact gradient of both paths to finite differences, and check which
+points take which path.
 """
 
 import logging
@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import graphspde
 from graphspde import (
@@ -28,14 +28,7 @@ from graphspde import (
     log_marginal_likelihood,
 )
 from graphspde.experiments import _data_scaled_spec
-from graphspde.gp import (
-    _detect_grid,
-    _lml_from_gram,
-    _missing_block,
-    _make_objective,
-    _optimizable_names,
-    _prepare,
-)
+from graphspde.gp import _detect_grid, _lml, _missing_block, _make_objective, _optimizable_names, _prepare
 
 from conftest import random_graph
 
@@ -107,9 +100,8 @@ GRID_KINDS = ["shek", "swek", "laplacian", "matern"] + [
 
 
 def dense_lml(model: GPModel, data: SpatioTemporalDataset) -> float:
-    prep = _prepare(model, data)
-    gram = assemble_gram(model.kernel, data.graph, prep.points).matrix
-    return _lml_from_gram(gram, model.noise_variance, prep.y)
+    """The LML on the dense N x N path, whatever the points."""
+    return _lml(model.kernel, model.noise_variance, replace(_prepare(model, data), grid=None))
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,7 +159,7 @@ def check_gradient(model: GPModel, data: SpatioTemporalDataset, optimize_nu_kapp
     )
     value = objective.value(theta)
     assert math.isfinite(value)
-    exact = objective.gradient(theta, value)
+    exact = objective.gradient(theta)
     reference = central_difference(objective.value, theta)
     assert np.max(np.abs(exact - reference)) <= 1e-5 * np.max(np.abs(reference)) + 1e-8, (
         names,
@@ -216,7 +208,7 @@ def test_noise_gradient_is_zero_below_the_noise_floor():
     names = ["c", "sigma", "noise"]
     objective = _make_objective(model, data, names)
     theta = np.log([1.0, 1.0, 1e-14])
-    grad = objective.gradient(theta, objective.value(theta))
+    grad = objective.gradient(theta)
     assert grad[2] == 0.0
     assert np.all(grad[:2] != 0.0)
 
@@ -270,7 +262,9 @@ def drop_cells(data: SpatioTemporalDataset, drop) -> SpatioTemporalDataset:
 def gappy_dataset(rng: np.random.Generator, graph, n_times: int, mask: str) -> SpatioTemporalDataset:
     """A lattice with missing cells: ``none`` (M = 0), ``half`` (M = N),
     ``vertex`` (one vertex at no time), ``single`` (a time with one
-    reading) or ``random`` (0 < M <= N; a time may lose every reading)."""
+    reading) or ``random`` (0 < M <= N; a time may lose every reading).
+    The dense sets: ``repeated`` (a complete grid plus second readings of
+    some cells) and ``sparse`` (M > N)."""
     n = graph.n_vertices
     if mask == "half" and n * n_times % 2:
         n_times += 1
@@ -286,10 +280,22 @@ def gappy_dataset(rng: np.random.Generator, graph, n_times: int, mask: str) -> S
     elif mask == "single":
         a, keep = int(rng.integers(n_times)), int(rng.integers(n))
         drop = [(v, a) for v in range(n) if v != keep]
-    else:
+    elif mask == "random":
         cells = [(v, a) for v in range(n) for a in range(n_times)]
         count = int(rng.integers(1, len(cells) // 2 + 1))
         drop = [cells[k] for k in rng.choice(len(cells), count, replace=False)]
+    elif mask == "repeated":
+        again = rng.choice(len(data.observations), int(rng.integers(1, n + 1)), replace=False)
+        observations = data.observations + tuple(
+            (data.observations[k][0], float(rng.standard_normal())) for k in again
+        )
+        return replace(data, observations=observations)
+    else:
+        # every time keeps fewer than half of its cells, so M > N if n >= 3
+        drop = []
+        for a in range(n_times):
+            keep = rng.choice(n, int(rng.integers(1, max(2, (n + 1) // 2))), replace=False)
+            drop += [(v, a) for v in range(n) if v not in keep]
     return drop_cells(data, set(drop))
 
 
@@ -298,6 +304,7 @@ def lattice_missing(data: SpatioTemporalDataset) -> int:
 
 
 MASKS = ("none", "half", "vertex", "single", "random")
+DENSE_MASKS = ("repeated", "sparse")
 
 
 @settings(max_examples=120, deadline=None)
@@ -337,6 +344,28 @@ def test_exact_lattice_gradient_with_missing_cells_matches_central_differences(
     )
     grid = _detect_grid(_prepare(model, data).points, graph.n_vertices)
     assert grid.n_missing == lattice_missing(data)
+    check_gradient(model, data, optimize_nu_kappa)
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    mask=st.sampled_from(DENSE_MASKS),
+    optimize_nu_kappa=st.booleans(),
+    large_kappa=st.booleans(),
+)
+def test_exact_dense_gradient_matches_central_differences(kind, seed, mask, optimize_nu_kappa, large_kappa):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 5)
+    assume(mask != "sparse" or graph.n_vertices >= 3)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 6)), mask)
+    model = GPModel(
+        kernel=random_spec(rng, kind, large_kappa),
+        noise_variance=float(rng.uniform(0.05, 0.5)),
+        mean_policy="zero",
+    )
+    assert _detect_grid(_prepare(model, data).points, graph.n_vertices) is None
     check_gradient(model, data, optimize_nu_kappa)
 
 
@@ -409,9 +438,10 @@ def test_failed_missing_cell_correction_takes_the_dense_path(monkeypatch, how):
     objective = _make_objective(model, data, names)
     np.testing.assert_allclose(objective.value(theta), expected, rtol=1e-12)
     assert len(calls) == 2
-    # the gradient falls back to central differences over the dense values
-    grad = objective.gradient(theta, objective.value(theta))
-    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+    # the gradient falls back to the exact dense gradient
+    grad = objective.gradient(theta)
+    reference = central_difference(objective.value, theta)
+    assert np.max(np.abs(grad - reference)) <= 1e-5 * np.max(np.abs(reference))
 
 
 def test_fit_logs_the_likelihood_path(caplog):

@@ -404,20 +404,21 @@ def test_each_path_is_bit_identical_whatever_the_ensemble_size(name, k):
     np.testing.assert_array_equal(simulate(k).paths, simulate(2 * _CHUNK + 5).paths[:k])
 
 
-def test_wave_memory_stays_within_a_few_noise_buffers():
-    # all steps in one save interval: an uncapped block would stack steps * n x 2n
-    # response rows, more than twice the (_CHUNK, steps, n) noise buffer at n = 300
-    n, steps = 300, 32
+def test_wave_memory_stays_within_a_few_interval_matrices():
+    # all 32 steps in one save interval of the 2n-state wave: the interval
+    # matrices S^b, C_b and L and their eigh scratch are (2n)^2 each, and
+    # a (_CHUNK, steps, n) noise buffer (19.7 MB at n = 300) on top of them
+    # would break the bound
+    n, steps, n_paths = 300, 32, 2
     lt = laplacian(line_graph(n)).matrix
-    buffer_bytes = _CHUNK * steps * n * 8
     tracemalloc.start()
     try:
-        simulate_wave(lt, 1.0, 1.0, np.zeros(n), np.zeros(n), dt=0.1, t_end=0.1 * steps,
-                      n_paths=2, seed=0, save_stride=steps)
+        ens = simulate_wave(lt, 1.0, 1.0, np.zeros(n), np.zeros(n), dt=0.1, t_end=0.1 * steps,
+                            n_paths=n_paths, seed=0, save_stride=steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * buffer_bytes
+    assert peak < 12 * (2 * n) ** 2 * 8 + ens.paths.nbytes
 
 
 @pytest.mark.parametrize("save_stride", [1, 10_000])
