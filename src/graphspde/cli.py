@@ -166,6 +166,14 @@ def _out_dir(args, config: dict) -> Path:
     return out
 
 
+def _load_graph(args, config: dict, section: str) -> Graph:
+    """The --graph file, else a line graph of --nodes vertices (default 3)."""
+    graph_path = _setting(args, config, section, "graph")
+    if graph_path:
+        return load_graph_csv(graph_path)
+    return line_graph(int(_setting(args, config, section, "nodes", 3)))
+
+
 def _load_dataset(args, config: dict, section: str) -> tuple[Graph, SpatioTemporalDataset]:
     """Dataset from --graph/--series files, or from an inline synth spec."""
     graph_path = _setting(args, config, section, "graph")
@@ -249,6 +257,8 @@ def cmd_backtest(args) -> int:
     names = _setting(args, config, section, "kernels", "shek,sep-matern-rbf,sep-laplacian-rbf")
     if isinstance(names, str):
         names = [n.strip() for n in names.split(",") if n.strip()]
+    if not names:
+        raise DataError(f"--kernels names no kernel; expected one or more of {', '.join(KERNEL_NAMES)}")
     hyper = _hyper_defaults(args, config, section)
     kernels = {name: _kernel_spec(name, hyper) for name in names}
     baseline = str(_setting(args, config, section, "baseline", names[0]))
@@ -329,15 +339,14 @@ def cmd_validate_kernel(args) -> int:
     kernel = str(_setting(args, config, section, "kernel", "shek"))
     if kernel not in ("shek", "swek"):
         raise DataError(f"validate-kernel supports 'shek' and 'swek', got {kernel!r}")
-    graph_path = _setting(args, config, section, "graph")
-    if graph_path:
-        graph = load_graph_csv(graph_path)
-    else:
-        graph = line_graph(int(_setting(args, config, section, "nodes", 3)))
+    graph = _load_graph(args, config, section)
     hyper = _hyper_defaults(args, config, section)
     c, sigma = hyper["c"], hyper["sigma"]
     dt = float(_setting(args, config, section, "dt", 1e-3))
     t_end = float(_setting(args, config, section, "t_end", 1.0))
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not (np.isfinite(value) and value > 0):
+            raise DataError(f"validate-kernel needs a finite {name} > 0, got {value:g}")
     n_paths = int(_setting(args, config, section, "n_paths", 50_000))
     if n_paths < 2:
         raise DataError(f"validate-kernel needs n_paths >= 2 for a covariance, got {n_paths}")
@@ -391,11 +400,7 @@ def cmd_sample(args) -> int:
     section = "sample"
     hyper = _hyper_defaults(args, config, section, skip=("c",))  # --c may be a list here
     kernel_name = str(_setting(args, config, section, "kernel", "shek"))
-    graph_path = _setting(args, config, section, "graph")
-    if graph_path:
-        graph = load_graph_csv(graph_path)
-    else:
-        graph = line_graph(int(_setting(args, config, section, "nodes", 3)))
+    graph = _load_graph(args, config, section)
 
     times = _parse_times(_setting(args, config, section, "times", "0:2:0.05"))
     n_samples = int(_setting(args, config, section, "n_samples", 5))
@@ -489,7 +494,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its keys")
     common.add_argument("--seed", type=int, help="global random seed")
-    common.add_argument("--jobs", type=int, help="worker threads for independent rounds")
     common.add_argument("--out", help="output directory (default: out)")
 
     parser = _Parser(prog="graphspde", description=__doc__)
@@ -516,6 +520,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rounds", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--restarts", type=int)
+    p.add_argument("--jobs", type=int, help="worker threads for independent rounds")
     for flag in ("--c", "--sigma", "--nu", "--kappa", "--time-lengthscale", "--variance"):
         p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_backtest)

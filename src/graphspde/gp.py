@@ -14,14 +14,15 @@ cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
 inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets,
 and any evaluation where that correction fails, take the dense N x N
-path.  The gradient is exact on both paths and written once:
-``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006, eq. 5.9), summed
-over the eigenmodes on the lattice and taken over the N x N Gram on the
-dense path.  ``fit`` logs the path at DEBUG on the ``graphspde`` logger.
-A start stops once an accepted step no longer raises the LML by more than
-round-off.  The ascent is in-house rather than ``scipy.optimize``:
-importing that module alone adds about 0.09 s and 18 MB of resident
-memory to every process that fits a model.
+path.  :func:`_factorize` makes that choice and factorizes ``K + s2 I``
+once per theta; the LML and its exact gradient ``1/2 tr((a a^T - W) dK)``
+(Rasmussen & Williams 2006, eq. 5.9), per eigenmode or over the N x N
+Gram, both read those factors.  ``fit`` logs the path at DEBUG on the
+``graphspde`` logger, takes each gradient from the factorization of its
+line search's accepted trial, and ends a start once an accepted step no
+longer raises the LML by more than round-off.  The ascent is in-house
+rather than ``scipy.optimize``, whose import alone adds about 0.09 s and
+18 MB of resident memory to every process that fits a model.
 
 Two conventions applied uniformly before any Gram assembly:
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -191,7 +192,7 @@ def _prepare(model: GPModel, data: SpatioTemporalDataset) -> _Prepared:
 
 
 # ---------------------------------------------------------------------------
-# log marginal likelihood
+# log marginal likelihood: K + s2 I factorized once per theta
 # ---------------------------------------------------------------------------
 
 
@@ -203,59 +204,157 @@ def _noisy_factor(gram: np.ndarray, noise_variance: float, y: np.ndarray) -> tup
     return factor, scipy.linalg.cho_solve((factor, True), y, check_finite=False)
 
 
-def _lml(spec: KernelSpec, noise_variance: float, prep: _Prepared) -> float:
-    """The LML on the lattice where the points form one and its correction
-    holds, else on the dense path."""
+def _factorize(spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str] = ()) -> _Factorization:
+    """``K + s2 I`` factorized once: on the points' lattice where they form
+    one and its missing-cell correction holds, else over the dense N x N
+    Gram.  Its ``lml`` and, in the log of each name in ``wrt``, its exact
+    gradient both read these factors."""
     if prep.grid is not None:
-        lml = _grid_lml(spec, prep.graph, prep.grid, prep.y, noise_variance)
-        if not (math.isnan(lml) and prep.grid.n_missing):
-            return lml
+        lattice = _Lattice(spec, noise_variance, prep, wrt)
+        if not (math.isnan(lattice.lml) and prep.grid.n_missing):
+            return lattice
         _LOG.debug("missing-cell correction failed at %s; dense path", dict(spec.hyper))
-    y = prep.y
-    factor, alpha = _noisy_factor(assemble_gram(spec, prep.graph, prep.points).matrix, noise_variance, y)
-    return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(factor))) - 0.5 * y.shape[0] * _LOG_2PI)
+    return _Dense(spec, noise_variance, prep, wrt)
 
 
-def _lml_gradient(spec: KernelSpec, noise_variance: float, prep: _Prepared, names: list[str]) -> np.ndarray:
-    """Exact gradient of :func:`_lml` in the log of each of ``names``: ``1/2 tr((a a^T - W) dK)``
-    (Rasmussen & Williams 2006, eq. 5.9) as the ``vdot`` of the weight ``a a^T - W`` with each dK,
-    per eigenmode on the lattice (:func:`_grid_weight`), else, or where that gives no finite
-    gradient, over the N x N Gram (:func:`_dense_weight`).  ``"noise"`` is the noise variance,
-    whose dK is ``s2 I``: its term is the weight's trace."""
-    kernel_names = [name for name in names if name != "noise"]
+class _Factorization:
+    """``K + s2 I`` at one kernel and noise variance, factorized once.
 
-    def terms(weight: np.ndarray, derivs) -> np.ndarray:
-        by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
-        by_name["noise"] = 0.5 * noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
-        return np.array([by_name[name] for name in names])
+    ``lml`` is the log marginal likelihood and :meth:`gradient` its exact
+    gradient in the log of each name in ``wrt`` (``"noise"`` is the noise
+    variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
+    eq. 5.9), as the ``vdot`` of the weight ``a a^T - W`` with each dK.  The
+    noise's dK is ``s2 I``, so its term is the weight's trace.  A noise
+    variance below the floor is held at the floor.
+    """
 
-    if prep.grid is not None:
+    def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
+        self.spec, self.prep, self.wrt = spec, prep, list(wrt)
+        self.requested_noise = noise_variance
+        self.noise_variance = max(noise_variance, _NOISE_FLOOR)
+
+    def gradient(self) -> np.ndarray:
+        """The exact gradient; zeros where no path gives a finite one, which ends a start."""
         try:
-            grad = terms(*_grid_weight(spec, prep.graph, prep.grid, prep.y, noise_variance, kernel_names))
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = self._exact_gradient()
+        except _EVAL_FAILURES:
+            grad = None
+        if grad is None or not np.all(np.isfinite(grad)):
+            _LOG.debug("fit: no finite gradient at %s; the start ends here", dict(self.spec.hyper))
+            return np.zeros(len(self.wrt))
+        if self.requested_noise < _NOISE_FLOOR and "noise" in self.wrt:
+            grad[self.wrt.index("noise")] = 0.0  # the floor holds the noise constant here
+        return grad
+
+    def _exact_gradient(self) -> np.ndarray:
+        kernel_names = [name for name in self.wrt if name != "noise"]
+        weight, derivs = self._weight(kernel_names)
+        by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
+        by_name["noise"] = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
+        return np.array([by_name[name] for name in self.wrt])
+
+
+class _Dense(_Factorization):
+    """Over the N x N Gram: the Gram, its jittered factor L and ``a = (K + s2 I)^-1 y``."""
+
+    def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
+        super().__init__(spec, noise_variance, prep, wrt)
+        y = prep.y
+        self.gram = assemble_gram(spec, prep.graph, prep.points).matrix
+        self.factor, self.alpha = _noisy_factor(self.gram, self.noise_variance, y)
+        self.lml = float(-0.5 * y @ self.alpha - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
+
+    def _weight(self, kernel_names: list[str]) -> tuple[np.ndarray, Iterable[np.ndarray]]:
+        """``a a^T - W`` with ``W = (K + s2 I)^-1`` from L, and the
+        derivatives of K, gathered beside the Gram held here."""
+        _, derivs = _gram_and_derivatives(self.spec, self.prep.graph, self.prep.points, kernel_names, self.gram)
+        inv, info = scipy.linalg.lapack.dpotri(self.factor, lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
+        # dpotri overwrites L with W's lower triangle and keeps the zeros above, so W = inv + inv^T - diag(inv)
+        weight = np.multiply.outer(self.alpha, self.alpha)
+        weight -= inv
+        weight -= inv.T
+        weight[np.diag_indices(self.alpha.shape[0])] += np.diag(inv)
+        return weight, derivs
+
+
+class _Lattice(_Factorization):
+    """On the points' vertex x time lattice: eigenbasis Q, the Cholesky factors L_i of every
+    mode's ``A_i = K_i + s2 I`` over all T times, in one batched call, and the whitened mode
+    targets ``L_i^-1 y_i`` (missing cells read 0).  Missing cells m get the same noise, so these
+    factors apply; with ``B = A^-1`` and y zero at m, ``log|A_oo| = log|A| + log|B_mm|`` and
+    ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``, from ``z_i = A_i^-1 y_i``, ``A_i^-1``
+    and :func:`_missing_block`, kept for the gradient.  ``lml`` is NaN where that fails or is not
+    finite: the dense path then decides."""
+
+    def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
+        super().__init__(spec, noise_variance, prep, wrt)
+        grid = prep.grid
+        self.basis, covs, _ = mode_covariances(spec, prep.graph, grid.times)
+        self.factor, _ = cholesky_jittered(covs + self.noise_variance * np.eye(grid.times.shape[0]))
+        y_modes = (np.append(prep.y, 0.0)[grid.index] @ self.basis).T  # (n, T): row i is eigenmode i's series
+        self.white = np.linalg.solve(self.factor, y_modes[:, :, None])[:, :, 0]
+        quad = np.sum(self.white**2)
+        log_det = np.sum(np.log(np.diagonal(self.factor, axis1=1, axis2=2)))
+        self.lml = math.nan
+        if grid.n_missing:
+            self.z, self.inv = _mode_inverses(self.factor, self.white)
+            try:
+                self.missing = _missing_block(self.basis, self.z, self.inv, grid)
+            except np.linalg.LinAlgError:
+                return
+            chol_mm, by_m, _ = self.missing
+            r = scipy.linalg.solve_triangular(chol_mm, by_m, lower=True, check_finite=False)
+            drop, extra = r @ r, np.sum(np.log(np.diag(chol_mm)))
+            if not np.isfinite(drop + extra):
+                return
+            quad -= drop
+            log_det += extra
+        self.lml = float(-0.5 * quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
+
+    def _exact_gradient(self) -> np.ndarray:
+        """Per eigenmode, or where that raises or is not finite, over the dense N x N Gram."""
+        try:
+            grad = super()._exact_gradient()
             if np.all(np.isfinite(grad)):
                 return grad
         except _EVAL_FAILURES:
             pass
-        _LOG.debug("lattice gradient failed at %s; dense path", dict(spec.hyper))
-    return terms(*_dense_weight(spec, noise_variance, prep, kernel_names))
+        _LOG.debug("lattice gradient failed at %s; dense path", dict(self.spec.hyper))
+        return _Dense(self.spec, self.requested_noise, self.prep, self.wrt)._exact_gradient()
 
+    def _weight(self, kernel_names: list[str]) -> tuple[np.ndarray, Iterable[np.ndarray]]:
+        """Per-mode weights ``a_i a_i^T - W_i`` (n, T, T) and the derivatives
+        of every mode's K_i.
 
-def _dense_weight(
-    spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """``a a^T - W`` with ``W = (K + s2 I)^-1`` from the jittered factor and
-    ``a = W y``, and the derivatives of K in ``wrt``."""
-    gram, derivs = _gram_and_derivatives(spec, prep.graph, prep.points, wrt)
-    factor, alpha = _noisy_factor(gram, noise_variance, prep.y)
-    inv, info = scipy.linalg.lapack.dpotri(factor, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
-    # dpotri overwrites L with W's lower triangle and keeps the zeros above, so W = inv + inv^T - diag(inv)
-    weight = np.multiply.outer(alpha, alpha)
-    weight -= inv
-    weight -= inv.T
-    weight[np.diag_indices(alpha.shape[0])] += np.diag(inv)
-    return weight, derivs
+        On a complete grid a = A^-1 y and W = A^-1.  With missing cells m, both
+        are those of A_oo^-1 padded with zeros: with
+        ``G_i[:, c] = A_i^-1[:, t_c] Q[v_c, i]``, ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T``
+        and ``a_i = z_i - G_i B_mm^-1 (B y)_m``.  W and a vanish on the missing
+        cells, so the noise term is the same trace.
+        """
+        grid = self.prep.grid
+        derivs = mode_covariances(self.spec, self.prep.graph, grid.times, kernel_names)[2]
+        if not grid.n_missing:
+            alpha, inv = _mode_inverses(self.factor, self.white)
+            return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
+        t_m, v_m = grid.missing
+        chol_mm, by_m, gain = self.missing
+        c_mm = scipy.linalg.cho_solve((chol_mm, True), np.eye(grid.n_missing), check_finite=False)
+        alpha = self.z - gain @ (c_mm @ by_m)
+        # G_i C G_i^T = A_i^-1 F_i A_i^-1 with F_i = E_i C E_i^T, C = B_mm^-1:
+        # scatter C's rows onto the lattice, move them into the modes, then
+        # sum its columns by time
+        rows = np.zeros(grid.index.shape + (grid.n_missing,))
+        rows[t_m, v_m] = c_mm
+        rows = (self.basis.T @ rows) * self.basis[v_m].T  # (T, n, M)
+        times_m, starts = np.unique(t_m, return_index=True)
+        f = np.zeros_like(self.inv)
+        f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
+        inv = self.inv - self.inv @ f @ self.inv
+        return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -269,7 +368,7 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     dense N x N path is used.  Both go through the jittered Cholesky, and
     ``fit`` maximizes this same function.
     """
-    return _lml(model.kernel, model.noise_variance, _prepare(model, data))
+    return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,24 +402,6 @@ def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure |
     return _GridStructure(times=times, index=index, missing=np.nonzero(empty))
 
 
-def _grid_modes(
-    spec: KernelSpec,
-    graph: Graph,
-    grid: _GridStructure,
-    y: np.ndarray,
-    noise_variance: float,
-    wrt: Sequence[str] = (),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Eigenbasis Q, Cholesky factors L_i of every mode's A_i = K_i + s2 I
-    over all T times, in one batched call, the whitened mode targets
-    L_i^-1 y_i (missing cells read 0), and the derivatives of K_i."""
-    basis, covs, derivs = mode_covariances(spec, graph, grid.times, wrt)
-    factor, _ = cholesky_jittered(covs + noise_variance * np.eye(grid.times.shape[0]))
-    y_modes = (np.append(y, 0.0)[grid.index] @ basis).T  # (n, T): row i is eigenmode i's series
-    white = np.linalg.solve(factor, y_modes[:, :, None])[:, :, 0]
-    return basis, factor, white, derivs
-
-
 def _mode_inverses(factor: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per mode, z_i = A_i^-1 y_i and A_i^-1, from the Cholesky factors."""
     factor_inv = np.linalg.inv(factor)
@@ -345,70 +426,6 @@ def _missing_block(
     return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), by_m, gain
 
 
-def _grid_lml(
-    spec: KernelSpec, graph: Graph, grid: _GridStructure, y: np.ndarray, noise_variance: float
-) -> float:
-    """LML on a lattice.  Missing cells get the same noise, so the per-mode
-    factors of A apply; with B = A^-1 and y zero in the missing cells m,
-    ``log|A_oo| = log|A| + log|B_mm|`` and
-    ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``.  NaN where
-    that correction fails or is not finite: the dense path then decides.
-    """
-    basis, factor, white, _ = _grid_modes(spec, graph, grid, y, noise_variance)
-    quad = np.sum(white**2)
-    log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
-    if grid.n_missing:
-        z, inv = _mode_inverses(factor, white)
-        try:
-            chol_mm, by_m, _ = _missing_block(basis, z, inv, grid)
-        except np.linalg.LinAlgError:
-            return math.nan
-        r = scipy.linalg.solve_triangular(chol_mm, by_m, lower=True, check_finite=False)
-        drop, extra = r @ r, np.sum(np.log(np.diag(chol_mm)))
-        if not np.isfinite(drop + extra):
-            return math.nan
-        quad -= drop
-        log_det += extra
-    return float(-0.5 * quad - log_det - 0.5 * y.shape[0] * _LOG_2PI)
-
-
-def _grid_weight(
-    spec: KernelSpec,
-    graph: Graph,
-    grid: _GridStructure,
-    y: np.ndarray,
-    noise_variance: float,
-    wrt: Sequence[str],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-mode weights ``a_i a_i^T - W_i`` (n, T, T) of :func:`_grid_lml`
-    and the derivatives of every mode's K_i in ``wrt``.
-
-    On a complete grid a = A^-1 y and W = A^-1.  With missing cells m, both
-    are those of A_oo^-1 padded with zeros: with
-    ``G_i[:, c] = A_i^-1[:, t_c] Q[v_c, i]``, ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T``
-    and ``a_i = z_i - G_i B_mm^-1 (B y)_m``.  W and a vanish on the missing
-    cells, so the noise term is the same trace.
-    """
-    basis, factor, white, derivs = _grid_modes(spec, graph, grid, y, noise_variance, wrt)
-    alpha, inv = _mode_inverses(factor, white)
-    if grid.n_missing:
-        t_m, v_m = grid.missing
-        chol_mm, by_m, gain = _missing_block(basis, alpha, inv, grid)
-        c_mm = scipy.linalg.cho_solve((chol_mm, True), np.eye(grid.n_missing), check_finite=False)
-        alpha = alpha - gain @ (c_mm @ by_m)
-        # G_i C G_i^T = A_i^-1 F_i A_i^-1 with F_i = E_i C E_i^T, C = B_mm^-1:
-        # scatter C's rows onto the lattice, move them into the modes, then
-        # sum its columns by time
-        rows = np.zeros(grid.index.shape + (grid.n_missing,))
-        rows[t_m, v_m] = c_mm
-        rows = (basis.T @ rows) * basis[v_m].T  # (T, n, M)
-        times_m, starts = np.unique(t_m, return_index=True)
-        f = np.zeros_like(inv)
-        f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
-        inv = inv - inv @ f @ inv
-    return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
-
-
 # ---------------------------------------------------------------------------
 # hyperparameter fitting
 # ---------------------------------------------------------------------------
@@ -429,27 +446,13 @@ def _optimizable_names(spec: KernelSpec, optimize_nu_kappa: bool) -> list[str]:
     return ["variance"]
 
 
-@dataclass(frozen=True)
-class _Objective:
-    """LML in log-hyperparameters: ``value`` for line-search trials, ``gradient`` per accepted iterate."""
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-
-def _make_objective(model: GPModel, data: SpatioTemporalDataset, names: list[str]) -> _Objective:
-    """LML and its exact gradient in log-hyperparameters ``names`` (``"noise"`` included).
-
-    Both go through the functions :func:`log_marginal_likelihood` uses:
-    points that form a vertex x time lattice, complete or with at most as
-    many missing cells as readings (:func:`_detect_grid`), take the
-    factorized per-mode path; other points, and any evaluation where its
-    missing-cell correction fails, take the dense N x N path.  The gradient
-    is the one formula of :func:`_lml_gradient` on either path.  Where
-    neither gives a finite gradient, it is zero, which ends the start.
-    """
+def _evaluator(
+    model: GPModel, data: SpatioTemporalDataset, names: list[str]
+) -> Callable[[np.ndarray], _Factorization | None]:
+    """``theta ->`` :func:`_factorize` at log-hyperparameters ``theta`` over ``names`` (``"noise"``
+    included), as :func:`log_marginal_likelihood` factorizes; None where the hyperparameters are
+    undefined, the factorization fails or its LML is not finite."""
     prep = _prepare(model, data)
-    noise_at = names.index("noise")
     grid = prep.grid
     if grid is None:
         _LOG.debug("fit: dense likelihood over %d points", len(prep.points))
@@ -457,69 +460,57 @@ def _make_objective(model: GPModel, data: SpatioTemporalDataset, names: list[str
         _LOG.debug("fit: lattice likelihood over %d times x %d vertices, %d missing cells",
                    grid.times.shape[0], data.graph.n_vertices, grid.n_missing)
 
-    def evaluate(fun, theta: np.ndarray, *args):
-        """``fun`` at the kernel and floored noise variance of ``theta``; None
-        where those are undefined, ``fun`` fails, or its result is not finite."""
+    def evaluate(theta: np.ndarray) -> _Factorization | None:
         with np.errstate(over="ignore"):
             raw = np.exp(np.asarray(theta, dtype=float))
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0.0):
             return None
         values = {name: float(v) for name, v in zip(names, raw)}
-        noise_variance = max(values.pop("noise"), _NOISE_FLOOR)
+        noise_variance = values.pop("noise")
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                out = fun(model.kernel.with_hyper(**values), noise_variance, prep, *args)
+                point = _factorize(model.kernel.with_hyper(**values), noise_variance, prep, names)
         except _EVAL_FAILURES:
             return None
-        return out if np.all(np.isfinite(out)) else None
+        return point if math.isfinite(point.lml) else None
 
-    def value(theta: np.ndarray) -> float:
-        lml = evaluate(_lml, theta)
-        return -np.inf if lml is None else lml
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        grad = evaluate(_lml_gradient, theta, names)
-        if grad is None:
-            _LOG.debug("fit: no finite gradient at theta %s; the start ends here", theta)
-            return np.zeros_like(theta)
-        if np.exp(theta[noise_at]) < _NOISE_FLOOR:
-            grad[noise_at] = 0.0  # the floor holds the noise constant here
-        return grad
-
-    return _Objective(value=value, gradient=gradient)
+    return evaluate
 
 
 def _maximize(
-    objective: _Objective, theta0: np.ndarray, max_iters: int, grad_tol: float
+    evaluate: Callable[[np.ndarray], _Factorization | None], theta0: np.ndarray, max_iters: int, grad_tol: float
 ) -> tuple[np.ndarray, list[float]] | None:
     """BFGS ascent with Armijo backtracking; trace holds accepted LML values.
 
-    Iteration count is the number of accepted iterates including the start,
-    so ``max_iters=1`` evaluates and returns the initial point.  The trace is
-    non-decreasing by construction.  Line-search trials evaluate only
-    ``objective.value``; the exact gradient is taken once per accepted
-    iterate.  It is in-house because importing ``scipy.optimize`` would add
-    about 0.09 s and 18 MB to every process that fits a model.
+    ``evaluate(theta)`` gives a point with ``lml`` and ``gradient()``, or
+    None where the LML is undefined.  Iteration count is the number of
+    accepted iterates including the start, so ``max_iters=1`` evaluates
+    and returns the initial point.  The trace is non-decreasing by
+    construction.  Each line-search trial is one evaluation; the gradient
+    is asked of the accepted trial's point, so it reads the factorization
+    that trial made, and no point outlives the next evaluation.  It is
+    in-house because importing ``scipy.optimize`` would add about 0.09 s
+    and 18 MB to every process that fits a model.
 
     A start ends when the gradient is below ``grad_tol`` (or zero, which
-    the objective returns where no gradient is finite), when the line
+    a point returns where no gradient is finite), when the line
     search finds no ascent, or when an accepted step raises the LML by no
     more than ``_STALL_RTOL`` relative to it.  The last rule is what stops
     a converged start: once the step's predicted gain falls below half an
     ulp of the LML, the Armijo test reduces to ``f_new >= f`` and accepts
     steps that gain exactly nothing.
     """
-    f0 = objective.value(theta0)
-    if not np.isfinite(f0):
+    point = evaluate(theta0)
+    if point is None:
         return None
     theta = theta0.astype(float).copy()
-    trace = [f0]
+    trace = [point.lml]
     dim = theta.shape[0]
     h_inv = np.eye(dim)
     grad = None
     while len(trace) < max_iters:
         if grad is None:
-            grad = objective.gradient(theta)
+            grad = point.gradient()
         if np.max(np.abs(grad)) < grad_tol:
             break
         direction = h_inv @ grad
@@ -531,21 +522,22 @@ def _maximize(
             if slope == 0.0:
                 break
         f_old = trace[-1]
-        alpha, f_new = 1.0, -np.inf
+        alpha = 1.0
         while alpha >= 1e-12:
-            f_new = objective.value(theta + alpha * direction)
-            if np.isfinite(f_new) and f_new >= f_old + 1e-4 * alpha * slope:
+            point = None  # the last point's factors go before the next are made
+            point = evaluate(theta + alpha * direction)
+            if point is not None and point.lml >= f_old + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             break
         theta_new = theta + alpha * direction
-        trace.append(f_new)
-        stalled = f_new - f_old <= _STALL_RTOL * max(abs(f_new), abs(f_old), 1.0)
+        trace.append(point.lml)
+        stalled = point.lml - f_old <= _STALL_RTOL * max(abs(point.lml), abs(f_old), 1.0)
         if stalled or len(trace) >= max_iters:
             theta = theta_new
             break
-        grad_new = objective.gradient(theta_new)
+        grad_new = point.gradient()
         step_vec = theta_new - theta
         grad_change = -(grad_new - grad)
         curvature = float(step_vec @ grad_change)
@@ -568,7 +560,7 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
     the model's own starting point plus ``opts.restarts`` log-uniform draws.
     """
     names = _optimizable_names(model.kernel, opts.optimize_nu_kappa) + ["noise"]
-    objective = _make_objective(model, data, names)
+    evaluate = _evaluator(model, data, names)
 
     init = [
         model.noise_variance if name == "noise" else float(model.kernel.hyper.get(name, 1.0))
@@ -581,7 +573,7 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
 
     best: tuple[np.ndarray, list[float]] | None = None
     for theta0 in starts:
-        result = _maximize(objective, theta0, opts.max_iters, opts.grad_tol)
+        result = _maximize(evaluate, theta0, opts.max_iters, opts.grad_tol)
         if result is not None and (best is None or result[1][-1] > best[1][-1]):
             best = result
     if best is None:

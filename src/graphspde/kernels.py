@@ -666,13 +666,14 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
 
 
 def _gram_and_derivatives(
-    spec: KernelSpec, graph: Graph, points: Sequence[STPoint], wrt: Sequence[str] = ()
+    spec: KernelSpec, graph: Graph, points: Sequence[STPoint], wrt: Sequence[str] = (),
+    gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The Gram over ``points`` and, one N x N array at a time, its
-    derivatives in the log of each name in ``wrt`` (those of
-    :func:`mode_covariances`).  The variance and sigma only scale the Gram,
-    by 1x and 2x; the others gather as the Gram does, a separable
-    lengthscale as the spatial factor times the temporal derivative."""
+    """The Gram over ``points`` (``gram``, where the caller holds it) and,
+    one N x N array at a time, its derivatives in the log of each name in
+    ``wrt`` (those of :func:`mode_covariances`).  The variance and sigma
+    only scale the Gram, by 1x and 2x; the others gather as the Gram does,
+    a separable lengthscale as the spatial factor times the temporal derivative."""
     if not points:
         raise DataError("need at least one point")
     v_idx = np.array([p.vertex for p in points], dtype=int)
@@ -695,8 +696,9 @@ def _gram_and_derivatives(
         spatial = spec.spatial if spec.kind == "separable_product" else spec
         basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
         gather, factor = _factored_gather, (basis * rho[:, 0]) @ basis.T
-    gram = gather(factor, values, v_idx, t_idx)
-    _symmetrize(gram)
+    if gram is None:
+        gram = gather(factor, values, v_idx, t_idx)
+        _symmetrize(gram)
     by_name = dict(zip(gathered, derivs))
 
     def derivatives() -> Iterator[np.ndarray]:

@@ -79,6 +79,14 @@ class TestBacktest:
         assert code == 2
         assert "baseline" in capsys.readouterr().err
 
+    def test_empty_kernel_list_lists_valid_names(self, small_dataset, tmp_path, capsys):
+        code = main(["backtest", "--graph", str(small_dataset / "graph.csv"),
+                     "--series", str(small_dataset / "series.csv"),
+                     "--kernels", ",", "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--kernels" in err and "shek" in err and "sep-matern-rbf" in err
+
 
 class TestValidateKernel:
     def test_shek_three_path_passes(self, tmp_path, capsys):
@@ -110,6 +118,19 @@ class TestValidateKernel:
                      "--n-paths", n_paths, "--out", str(tmp_path / "v")])
         assert code == 2
         assert "n_paths >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [("--dt", "0", "dt"), ("--dt", "nan", "dt"),
+                                                   ("--t-end", "0", "t_end")])
+    def test_non_positive_or_non_finite_times_are_data_errors(self, tmp_path, capsys, monkeypatch,
+                                                              flag, value, name):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated with an invalid dt or t_end")
+
+        monkeypatch.setattr("graphspde.cli.simulate_heat", unreachable)
+        code = main(["validate-kernel", "--kernel", "shek", "--nodes", "3", flag, value,
+                     "--n-paths", "10", "--out", str(tmp_path / "v")])
+        assert code == 2
+        assert f"finite {name} > 0" in capsys.readouterr().err
 
     def test_unstable_dt_fails_with_numeric_exit(self, tmp_path, capsys):
         code = main(["validate-kernel", "--kernel", "shek", "--nodes", "3",
@@ -180,6 +201,10 @@ class TestFitCommand:
 class TestUsage:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_jobs_belongs_to_backtest_alone(self, capsys):
+        assert main(["fit", "--jobs", "2"]) == 1
+        assert "--jobs" in capsys.readouterr().err
 
     def test_version_runs(self, capsys):
         with pytest.raises(SystemExit) as exc:

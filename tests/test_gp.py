@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from graphspde import (
     sample,
     sampling_moments,
 )
-from graphspde.gp import _prepare
+from graphspde.gp import _maximize, _prepare
 
 from conftest import mvn_logpdf_bruteforce, random_graph
 
@@ -133,27 +134,28 @@ class TestFit:
         assert result.lml >= initial - 1e-12
 
 
+def points(value, gradient):
+    """``evaluate`` for :func:`_maximize`: the point at theta, with its value and, on request, its gradient."""
+    return lambda th: SimpleNamespace(lml=value(th), gradient=lambda: gradient(th))
+
+
 class TestMaximizeStopRule:
     def test_stops_at_the_optimum_of_a_concave_quadratic(self):
-        from graphspde.gp import _maximize, _Objective
-
         peak = np.array([0.3, -1.2, 2.0])
         curvature = np.array([[3.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
         # the gradient carries a 1e-9 error, as a computed one does, so it
         # never vanishes exactly at the optimum; grad_tol = 0 then leaves the
         # stop rule as the only way to end before max_iters
-        objective = _Objective(
+        evaluate = points(
             value=lambda th: 1000.0 - 0.5 * (th - peak) @ curvature @ (th - peak),
             gradient=lambda th: -curvature @ (th - peak) + 1e-9 * np.sin(1e4 * th),
         )
-        theta, trace = _maximize(objective, np.zeros(3), max_iters=200, grad_tol=0.0)
+        theta, trace = _maximize(evaluate, np.zeros(3), max_iters=200, grad_tol=0.0)
         assert len(trace) <= 20
         np.testing.assert_allclose(theta, peak, atol=1e-4)
         assert np.all(np.diff(trace) >= 0.0)
 
     def test_stops_within_two_iterations_of_a_flat_maximum(self):
-        from graphspde.gp import _maximize, _Objective
-
         # constant 5 on the unit disc; there the gradient is small round-off
         # that still points somewhere, as a computed gradient on a plateau does
         def value(th):
@@ -165,8 +167,7 @@ class TestMaximizeStopRule:
                 return -1e-3 * th
             return -2.0 * (radius - 1.0) * th / radius
 
-        objective = _Objective(value=value, gradient=gradient)
-        _, trace = _maximize(objective, np.array([3.0, -2.0]), max_iters=200, grad_tol=0.0)
+        _, trace = _maximize(points(value, gradient), np.array([3.0, -2.0]), max_iters=200, grad_tol=0.0)
         flat = trace.index(5.0)
         assert len(trace) - 1 <= flat + 2
 

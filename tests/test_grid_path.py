@@ -28,7 +28,7 @@ from graphspde import (
     log_marginal_likelihood,
 )
 from graphspde.experiments import _data_scaled_spec
-from graphspde.gp import _detect_grid, _lml, _missing_block, _make_objective, _optimizable_names, _prepare
+from graphspde.gp import _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
 
 from conftest import random_graph
 
@@ -101,7 +101,7 @@ GRID_KINDS = ["shek", "swek", "laplacian", "matern"] + [
 
 def dense_lml(model: GPModel, data: SpatioTemporalDataset) -> float:
     """The LML on the dense N x N path, whatever the points."""
-    return _lml(model.kernel, model.noise_variance, replace(_prepare(model, data), grid=None))
+    return _factorize(model.kernel, model.noise_variance, replace(_prepare(model, data), grid=None)).lml
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,14 +153,14 @@ def central_difference(fun, theta: np.ndarray, step: float = 1e-3) -> np.ndarray
 
 def check_gradient(model: GPModel, data: SpatioTemporalDataset, optimize_nu_kappa: bool) -> None:
     names = _optimizable_names(model.kernel, optimize_nu_kappa) + ["noise"]
-    objective = _make_objective(model, data, names)
+    evaluate = _evaluator(model, data, names)
     theta = np.log(
         [model.noise_variance if name == "noise" else model.kernel.hyper.get(name, 1.0) for name in names]
     )
-    value = objective.value(theta)
-    assert math.isfinite(value)
-    exact = objective.gradient(theta)
-    reference = central_difference(objective.value, theta)
+    point = evaluate(theta)
+    assert math.isfinite(point.lml)
+    exact = point.gradient()
+    reference = central_difference(lambda th: evaluate(th).lml, theta)
     assert np.max(np.abs(exact - reference)) <= 1e-5 * np.max(np.abs(reference)) + 1e-8, (
         names,
         exact,
@@ -206,9 +206,8 @@ def test_noise_gradient_is_zero_below_the_noise_floor():
     data = grid_dataset(rng, graph, 4)
     model = GPModel(kernel=random_spec(rng, "shek"), noise_variance=0.1, mean_policy="zero")
     names = ["c", "sigma", "noise"]
-    objective = _make_objective(model, data, names)
     theta = np.log([1.0, 1.0, 1e-14])
-    grad = objective.gradient(theta)
+    grad = _evaluator(model, data, names)(theta).gradient()
     assert grad[2] == 0.0
     assert np.all(grad[:2] != 0.0)
 
@@ -413,6 +412,61 @@ def test_gappy_fit_assembles_no_gram(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
+def test_fit_factorizes_once_per_value_and_never_for_a_gradient(monkeypatch, drop):
+    rng = np.random.default_rng(9)
+    graph = line_graph(5)
+    data = drop_cells(grid_dataset(rng, graph, 6), drop)
+    model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
+    events = []
+    cholesky, factorize = graphspde.gp.cholesky_jittered, graphspde.gp._factorize
+    gradient = graphspde.gp._Factorization.gradient
+
+    def logged(event, fun):
+        def wrapped(*args):
+            events.append(event)
+            return fun(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(graphspde.gp, "cholesky_jittered", logged("cholesky", cholesky))
+    monkeypatch.setattr(graphspde.gp, "_factorize", logged("value", factorize))
+    monkeypatch.setattr(graphspde.gp._Factorization, "gradient", logged("gradient", gradient))
+    calls = count_grams(monkeypatch)
+    fit(model, data, FitOptions(max_iters=20, restarts=1))
+    assert calls == [] and events.count("gradient") > 0
+    # each value evaluation makes one Cholesky, and nothing else makes any
+    assert events.count("cholesky") == events.count("value")
+    assert all(events[k + 1] == "cholesky" for k, event in enumerate(events) if event == "value")
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    mask=st.sampled_from(("none", "random", "repeated", "sparse")),
+    optimize_nu_kappa=st.booleans(),
+)
+def test_kept_factorization_gives_the_gradient_of_a_fresh_one(kind, seed, mask, optimize_nu_kappa):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 5)
+    assume(mask != "sparse" or graph.n_vertices >= 3)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 6)), mask)
+    model = GPModel(
+        kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
+    )
+    names = _optimizable_names(model.kernel, optimize_nu_kappa) + ["noise"]
+    evaluate = _evaluator(model, data, names)
+    theta = np.log(
+        [model.noise_variance if name == "noise" else model.kernel.hyper.get(name, 1.0) for name in names]
+    )
+    kept = evaluate(theta)
+    assert evaluate(theta + 0.3) is not None  # another factorization between the value and the gradient
+    first = kept.gradient()
+    np.testing.assert_array_equal(first, evaluate(theta).gradient())
+    np.testing.assert_array_equal(first, kept.gradient())
+
+
 def failing_correction(how: str):
     def patched(basis, z, inv, grid):
         chol_mm, by_m, gain = _missing_block(basis, z, inv, grid)
@@ -435,12 +489,13 @@ def test_failed_missing_cell_correction_takes_the_dense_path(monkeypatch, how):
     monkeypatch.setattr(graphspde.gp, "_missing_block", failing_correction(how))
     calls = count_grams(monkeypatch)
     assert log_marginal_likelihood(model, data) == expected
-    objective = _make_objective(model, data, names)
-    np.testing.assert_allclose(objective.value(theta), expected, rtol=1e-12)
+    evaluate = _evaluator(model, data, names)
+    point = evaluate(theta)
+    np.testing.assert_allclose(point.lml, expected, rtol=1e-12)
     assert len(calls) == 2
-    # the gradient falls back to the exact dense gradient
-    grad = objective.gradient(theta)
-    reference = central_difference(objective.value, theta)
+    # the gradient is the exact dense gradient
+    grad = point.gradient()
+    reference = central_difference(lambda th: evaluate(th).lml, theta)
     assert np.max(np.abs(grad - reference)) <= 1e-5 * np.max(np.abs(reference))
 
 
