@@ -1,9 +1,10 @@
 """Command-line interface: reproducible experiments over the library.
 
 Subcommands: ``synth``, ``backtest``, ``validate-kernel``, ``sample``,
-``fit``.  Every run is driven by flags plus an optional JSON config file
-(flags win); seeds are explicit everywhere, so reruns are byte-identical
-apart from wall-time fields.
+``fit``.  Every run is driven by flags plus an optional JSON config file;
+each setting is the flag if given, else its key in the subcommand's config
+section, else the top-level key, else its default.  Seeds are explicit
+everywhere, so reruns are byte-identical apart from wall-time fields.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,31 @@ KERNEL_NAMES = ("laplacian", "matern", "shek", "swek") + tuple(
     f"sep-{spatial}-{temporal}" for spatial in ("laplacian", "matern") for temporal in TEMPORAL_KINDS
 )
 
+# Each subcommand's config section and the defaults of its settings.  A type
+# in place of a default marks a setting with none (it reads None).  A tuple
+# setting takes a comma list or a JSON list of its default's item type, or
+# of floats where it has no default.
+_COMMON = {"out": "out", "seed": 0}
+_HYPER = {"c": 1.0, "sigma": 1.0, "nu": 1.5, "kappa": 1.0, "time_lengthscale": 5.0,
+          "variance": 1.0, "variant": "unnormalized"}
+_GRAPH = {"graph": str, "nodes": 3}
+_DATA = {"graph": str, "series": str, "synth": dict}
+_SYNTH = {"kind": "heat-line", "nodes": int, "k": 1.0, "t": "1:60", "noise_sd": 0.0}  # nodes: by kind
+_COMMANDS = {
+    "synth": ("synth", _SYNTH),
+    "backtest": ("backtest", {
+        **_DATA, **_HYPER, "kernels": ("shek", "sep-matern-rbf", "sep-laplacian-rbf"),
+        "baseline": str, "n_train": 50, "n_test": 10, "stride": 1, "rounds": 10, "task": "both",
+        "max_iters": 40, "restarts": 1, "grad_tol": 1e-4, "jobs": 1,
+        "mean_policy": "per_node_training_mean"}),
+    "validate-kernel": ("validate", {**_GRAPH, **_HYPER, "kernel": "shek", "dt": 1e-3,
+                                     "t_end": 1.0, "n_paths": 50_000}),
+    "sample": ("sample", {**_GRAPH, **_HYPER, "c": (1.0,), "kernel": "shek", "times": "0:2:0.05",
+                          "n_samples": 5, "noise": 1e-8, "condition": tuple}),
+    "fit": ("fit", {**_DATA, **_HYPER, "kernel": "shek", "noise": 1e-2, "max_iters": 100,
+                    "restarts": 2}),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -51,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config and small parsers
+# settings and small parsers
 # ---------------------------------------------------------------------------
 
 
@@ -70,45 +97,60 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _setting(args, config: dict, section: str, key: str, default=None):
-    """Precedence: CLI flag > config[section][key] > config[key] > default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if isinstance(config.get(section), dict) and key in config[section]:
-        return config[section][key]
-    if key in config:
-        return config[key]
-    return default
+def _settings(args) -> dict:
+    """The subcommand's settings: flag > config[section] key > top-level config key > default."""
+    section, defaults = _COMMANDS[args.command]
+    config = _load_config(args.config)
+    scoped = config.get(section)
+    return _resolve({**_COMMON, **defaults}, vars(args), scoped if isinstance(scoped, dict) else {},
+                    config)
+
+
+def _resolve(defaults: dict, *layers: dict) -> dict:
+    """Each setting from the first layer that gives it (null counts as not
+    given), else its default, converted to the default's type."""
+    def given(key):
+        return next((layer[key] for layer in layers if layer.get(key) is not None), None)
+
+    return {key: _convert(key, given(key), default) for key, default in defaults.items()}
+
+
+def _convert(key: str, value, default):
+    if value is None:
+        return None if isinstance(default, type) else default
+    kind = default if isinstance(default, type) else type(default)
+    try:
+        if kind is tuple:
+            items = value.split(",") if isinstance(value, str) else value
+            item = type(default[0]) if isinstance(default, tuple) else float
+            return tuple(map(item, items if isinstance(items, (list, tuple)) else [items]))
+        if kind is dict and not isinstance(value, dict):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "list" if kind is tuple else "object" if kind is dict else kind.__name__
+        raise DataError(f"setting {key!r}: expected {expected}, got {value!r}") from None
 
 
 def _parse_times(spec: str) -> tuple[float, ...]:
     """Time grids: 'a:b' (integer steps, inclusive), 'a:b:step', or 'a,b,c'."""
     spec = str(spec).strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) == 2:
-            start, stop = float(parts[0]), float(parts[1])
-            step = 1.0
-        elif len(parts) == 3:
-            start, stop, step = float(parts[0]), float(parts[1]), float(parts[2])
-        else:
-            raise DataError(f"bad time range {spec!r}; expected start:stop[:step]")
-        if step <= 0 or stop < start:
-            raise DataError(f"bad time range {spec!r}")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + k * step for k in range(count))
+    if ":" not in spec:
+        try:
+            return tuple(float(tok) for tok in spec.split(",") if tok.strip())
+        except ValueError:
+            raise DataError(f"bad time list {spec!r}") from None
+    parts = spec.split(":")
+    if len(parts) == 2:
+        parts.append("1")
     try:
-        return tuple(float(tok) for tok in spec.split(",") if tok.strip())
+        start, stop, step = map(float, parts)
     except ValueError:
-        raise DataError(f"bad time list {spec!r}") from None
-
-
-def _parse_values(spec: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in str(spec).split(","))
-    except ValueError:
-        raise DataError(f"bad value list {spec!r}") from None
+        raise DataError(f"bad time range {spec!r}; expected start:stop[:step]") from None
+    if not (np.all(np.isfinite([start, stop, step])) and step > 0 and stop >= start):
+        raise DataError(f"bad time range {spec!r}")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(start + k * step for k in range(count))
 
 
 def _kernel_spec(name: str, hyper: dict) -> KernelSpec:
@@ -145,20 +187,8 @@ def _kernel_spec(name: str, hyper: dict) -> KernelSpec:
     raise DataError(f"unknown kernel {name!r}; expected one of {', '.join(KERNEL_NAMES)}")
 
 
-def _hyper_defaults(args, config: dict, section: str, skip: tuple[str, ...] = ()) -> dict:
-    return {
-        "c": 1.0 if "c" in skip else float(_setting(args, config, section, "c", 1.0)),
-        "sigma": float(_setting(args, config, section, "sigma", 1.0)),
-        "nu": float(_setting(args, config, section, "nu", 1.5)),
-        "kappa": float(_setting(args, config, section, "kappa", 1.0)),
-        "time_lengthscale": float(_setting(args, config, section, "time_lengthscale", 5.0)),
-        "variance": float(_setting(args, config, section, "variance", 1.0)),
-        "variant": str(_setting(args, config, section, "variant", "unnormalized")),
-    }
-
-
-def _out_dir(args, config: dict) -> Path:
-    out = Path(_setting(args, config, "", "out", "out"))
+def _out_dir(settings: dict) -> Path:
+    out = Path(settings["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -166,35 +196,36 @@ def _out_dir(args, config: dict) -> Path:
     return out
 
 
-def _load_graph(args, config: dict, section: str) -> Graph:
-    """The --graph file, else a line graph of --nodes vertices (default 3)."""
-    graph_path = _setting(args, config, section, "graph")
-    if graph_path:
-        return load_graph_csv(graph_path)
-    return line_graph(int(_setting(args, config, section, "nodes", 3)))
+def _load_graph(settings: dict) -> Graph:
+    """The --graph file, else a line graph of --nodes vertices."""
+    if settings["graph"]:
+        return load_graph_csv(settings["graph"])
+    return line_graph(settings["nodes"])
 
 
-def _load_dataset(args, config: dict, section: str) -> tuple[Graph, SpatioTemporalDataset]:
-    """Dataset from --graph/--series files, or from an inline synth spec."""
-    graph_path = _setting(args, config, section, "graph")
-    series_path = _setting(args, config, section, "series")
-    synth = _setting(args, config, section, "synth")
-    if graph_path and series_path:
-        graph = load_graph_csv(graph_path)
-        return graph, load_series_csv(series_path, graph)
-    if synth:
-        if not isinstance(synth, dict):
-            raise DataError("config 'synth' must be an object")
-        spec = SyntheticSpec(
-            kind=str(synth.get("kind", "heat_line")).replace("-", "_"),
-            n_nodes=int(synth.get("nodes", 21)),
-            coefficient=float(synth.get("k", 1.0)),
-            timestamps=_parse_times(synth.get("t", "1:60")),
-            noise_sd=float(synth.get("noise_sd", 0.0)),
-            seed=int(synth.get("seed", _setting(args, config, section, "seed", 0))),
-        )
-        gen = gen_heat_line if spec.kind == "heat_line" else gen_wave_line
-        return gen(spec)
+def _synthesize(settings: dict) -> tuple[SyntheticSpec, Graph, SpatioTemporalDataset]:
+    """A synthetic line-graph dataset from the settings of ``_SYNTH`` and a seed."""
+    kind = settings["kind"].replace("-", "_")
+    nodes = settings["nodes"]
+    spec = SyntheticSpec(
+        kind=kind,
+        n_nodes=nodes if nodes is not None else 21 if kind == "heat_line" else 11,
+        coefficient=settings["k"],
+        timestamps=_parse_times(settings["t"]),
+        noise_sd=settings["noise_sd"],
+        seed=settings["seed"],
+    )
+    gen = gen_heat_line if spec.kind == "heat_line" else gen_wave_line
+    return (spec, *gen(spec))
+
+
+def _load_dataset(settings: dict) -> SpatioTemporalDataset:
+    """Dataset from --graph/--series files, or from an inline synth spec,
+    whose seed defaults to the command's."""
+    if settings["graph"] and settings["series"]:
+        return load_series_csv(settings["series"], load_graph_csv(settings["graph"]))
+    if settings["synth"]:
+        return _synthesize(_resolve({**_SYNTH, "seed": settings["seed"]}, settings["synth"]))[2]
     raise DataError("need either --graph and --series files or a 'synth' config entry")
 
 
@@ -204,34 +235,13 @@ def _load_dataset(args, config: dict, section: str) -> tuple[Graph, SpatioTempor
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    kind = str(_setting(args, config, "synth", "kind", "heat-line")).replace("-", "_")
-    spec = SyntheticSpec(
-        kind=kind,
-        n_nodes=int(_setting(args, config, "synth", "nodes", 21 if kind == "heat_line" else 11)),
-        coefficient=float(_setting(args, config, "synth", "k", 1.0)),
-        timestamps=_parse_times(_setting(args, config, "synth", "t", "1:60")),
-        noise_sd=float(_setting(args, config, "synth", "noise_sd", 0.0)),
-        seed=int(_setting(args, config, "synth", "seed", 0)),
-    )
-    gen = gen_heat_line if spec.kind == "heat_line" else gen_wave_line
-    graph, dataset = gen(spec)
+    settings = _settings(args)
+    out = _out_dir(settings)
+    spec, graph, dataset = _synthesize(settings)
     try:
         write_graph_csv(graph, out / "graph.csv")
         write_series_csv(dataset, out / "series.csv")
-        provenance = {
-            "command": "synth",
-            "package_version": __version__,
-            "spec": {
-                "kind": spec.kind,
-                "n_nodes": spec.n_nodes,
-                "coefficient": spec.coefficient,
-                "timestamps": list(spec.timestamps),
-                "noise_sd": spec.noise_sd,
-                "seed": spec.seed,
-            },
-        }
+        provenance = {"command": "synth", "package_version": __version__, "spec": asdict(spec)}
         with open(out / "provenance.json", "w", encoding="utf-8") as fh:
             json.dump(provenance, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -249,40 +259,25 @@ def _format_cell(value, digits=4) -> str:
 
 
 def cmd_backtest(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    section = "backtest"
-    graph, dataset = _load_dataset(args, config, section)
+    settings = _settings(args)
+    out = _out_dir(settings)
+    dataset = _load_dataset(settings)
 
-    names = _setting(args, config, section, "kernels", "shek,sep-matern-rbf,sep-laplacian-rbf")
-    if isinstance(names, str):
-        names = [n.strip() for n in names.split(",") if n.strip()]
+    names = [n.strip() for n in settings["kernels"] if n.strip()]
     if not names:
         raise DataError(f"--kernels names no kernel; expected one or more of {', '.join(KERNEL_NAMES)}")
-    hyper = _hyper_defaults(args, config, section)
-    kernels = {name: _kernel_spec(name, hyper) for name in names}
-    baseline = str(_setting(args, config, section, "baseline", names[0]))
+    kernels = {name: _kernel_spec(name, settings) for name in names}
+    baseline = names[0] if settings["baseline"] is None else settings["baseline"]
 
-    plan = BacktestPlan(
-        n_train=int(_setting(args, config, section, "n_train", 50)),
-        n_test=int(_setting(args, config, section, "n_test", 10)),
-        stride=int(_setting(args, config, section, "stride", 1)),
-        rounds=int(_setting(args, config, section, "rounds", 10)),
-        seed=int(_setting(args, config, section, "seed", 0)),
-    )
-    task = str(_setting(args, config, section, "task", "both"))
+    plan = BacktestPlan(n_train=settings["n_train"], n_test=settings["n_test"],
+                        stride=settings["stride"], rounds=settings["rounds"], seed=settings["seed"])
+    task = settings["task"]
     tasks = ("interpolation", "extrapolation") if task == "both" else (task,)
-    fit_opts = FitOptions(
-        max_iters=int(_setting(args, config, section, "max_iters", 40)),
-        restarts=int(_setting(args, config, section, "restarts", 1)),
-        grad_tol=float(_setting(args, config, section, "grad_tol", 1e-4)),
-        seed=plan.seed,
-    )
-    jobs = int(_setting(args, config, section, "jobs", 1))
-    mean_policy = str(_setting(args, config, section, "mean_policy", "per_node_training_mean"))
+    fit_opts = FitOptions(max_iters=settings["max_iters"], restarts=settings["restarts"],
+                          grad_tol=settings["grad_tol"], seed=plan.seed)
 
-    report = run_backtest(dataset, kernels, plan, baseline, tasks=tasks,
-                          fit_opts=fit_opts, jobs=jobs, mean_policy=mean_policy)
+    report = run_backtest(dataset, kernels, plan, baseline, tasks=tasks, fit_opts=fit_opts,
+                          jobs=settings["jobs"], mean_policy=settings["mean_policy"])
 
     rows_path = out / "results.csv"
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
@@ -333,26 +328,21 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_validate_kernel(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    section = "validate"
-    kernel = str(_setting(args, config, section, "kernel", "shek"))
+    settings = _settings(args)
+    out = _out_dir(settings)
+    kernel = settings["kernel"]
     if kernel not in ("shek", "swek"):
         raise DataError(f"validate-kernel supports 'shek' and 'swek', got {kernel!r}")
-    graph = _load_graph(args, config, section)
-    hyper = _hyper_defaults(args, config, section)
-    c, sigma = hyper["c"], hyper["sigma"]
-    dt = float(_setting(args, config, section, "dt", 1e-3))
-    t_end = float(_setting(args, config, section, "t_end", 1.0))
+    graph = _load_graph(settings)
+    c, sigma, dt, t_end = settings["c"], settings["sigma"], settings["dt"], settings["t_end"]
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (np.isfinite(value) and value > 0):
             raise DataError(f"validate-kernel needs a finite {name} > 0, got {value:g}")
-    n_paths = int(_setting(args, config, section, "n_paths", 50_000))
+    n_paths, seed = settings["n_paths"], settings["seed"]
     if n_paths < 2:
         raise DataError(f"validate-kernel needs n_paths >= 2 for a covariance, got {n_paths}")
-    seed = int(_setting(args, config, section, "seed", 0))
 
-    frac = fractional_from_graph(graph, hyper["variant"], hyper["nu"], hyper["kappa"])
+    frac = fractional_from_graph(graph, settings["variant"], settings["nu"], settings["kappa"])
     steps = int(round(t_end / dt))
     if steps % 2:
         raise DataError("t_end must be an even number of dt steps so t_end/2 is on the grid")
@@ -395,30 +385,15 @@ def cmd_validate_kernel(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    section = "sample"
-    hyper = _hyper_defaults(args, config, section, skip=("c",))  # --c may be a list here
-    kernel_name = str(_setting(args, config, section, "kernel", "shek"))
-    graph = _load_graph(args, config, section)
-
-    times = _parse_times(_setting(args, config, section, "times", "0:2:0.05"))
-    n_samples = int(_setting(args, config, section, "n_samples", 5))
-    seed = int(_setting(args, config, section, "seed", 0))
-    noise = float(_setting(args, config, section, "noise", 1e-8))
-    condition = _setting(args, config, section, "condition")
-
-    c_values = _setting(args, config, section, "c", 1.0)
-    if isinstance(c_values, str):
-        c_values = _parse_values(c_values)
-    elif not isinstance(c_values, (list, tuple)):
-        c_values = (float(c_values),)
-
-    points = [STPoint(vertex=v, time=float(t)) for t in times for v in range(graph.n_vertices)]
+    settings = _settings(args)
+    out = _out_dir(settings)
+    graph = _load_graph(settings)
+    n_samples, values = settings["n_samples"], settings["condition"]
+    points = [STPoint(vertex=v, time=t) for t in _parse_times(settings["times"])
+              for v in range(graph.n_vertices)]
 
     condition_data = None
-    if condition is not None:
-        values = _parse_values(condition) if isinstance(condition, str) else tuple(condition)
+    if values is not None:
         if len(values) != graph.n_vertices:
             raise DataError(
                 f"--condition needs one value per vertex ({graph.n_vertices}), got {len(values)}"
@@ -426,17 +401,17 @@ def cmd_sample(args) -> int:
         condition_data = SpatioTemporalDataset(
             graph=graph,
             observations=tuple(
-                (STPoint(vertex=v, time=0.0), float(values[v])) for v in range(graph.n_vertices)
+                (STPoint(vertex=v, time=0.0), values[v]) for v in range(graph.n_vertices)
             ),
         )
 
     written = []
-    for c in c_values:
-        spec = _kernel_spec(kernel_name, {**hyper, "c": float(c)})
-        model = GPModel(kernel=spec, noise_variance=noise)
+    for c in settings["c"]:
+        model = GPModel(kernel=_kernel_spec(settings["kernel"], {**settings, "c": c}),
+                        noise_variance=settings["noise"])
         mean, cov = sampling_moments(model, points, condition_data, graph=graph)
         sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        draws = _draw(mean, cov, n_samples, seed)
+        draws = _draw(mean, cov, n_samples, settings["seed"])
 
         path = out / f"samples_c{c:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -456,20 +431,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config)
-    section = "fit"
-    graph, dataset = _load_dataset(args, config, section)
-    hyper = _hyper_defaults(args, config, section)
-    kernel_name = str(_setting(args, config, section, "kernel", "shek"))
-    spec = _kernel_spec(kernel_name, hyper)
-    noise = float(_setting(args, config, section, "noise", 1e-2))
-    opts = FitOptions(
-        max_iters=int(_setting(args, config, section, "max_iters", 100)),
-        restarts=int(_setting(args, config, section, "restarts", 2)),
-        seed=int(_setting(args, config, section, "seed", 0)),
-    )
-    model = GPModel(kernel=spec, noise_variance=noise)
+    settings = _settings(args)
+    out = _out_dir(settings)
+    dataset = _load_dataset(settings)
+    kernel_name = settings["kernel"]
+    model = GPModel(kernel=_kernel_spec(kernel_name, settings), noise_variance=settings["noise"])
+    opts = FitOptions(max_iters=settings["max_iters"], restarts=settings["restarts"],
+                      seed=settings["seed"])
     result = fit_gp(model, dataset, opts)
     payload = {
         "kernel": kernel_name,
@@ -508,7 +476,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise-sd", dest="noise_sd", type=float)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("backtest", parents=[common], help="sliding-window backtest of kernels")
+    backtest = p = sub.add_parser("backtest", parents=[common], help="sliding-window backtest of kernels")
     p.add_argument("--graph")
     p.add_argument("--series")
     p.add_argument("--kernels", help="comma list, e.g. shek,sep-matern-rbf")
@@ -521,23 +489,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--restarts", type=int)
     p.add_argument("--jobs", type=int, help="worker threads for independent rounds")
-    for flag in ("--c", "--sigma", "--nu", "--kappa", "--time-lengthscale", "--variance"):
-        p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("validate-kernel", parents=[common],
-                       help="check an analytic kernel against Euler-Maruyama simulation")
+    validate = p = sub.add_parser("validate-kernel", parents=[common],
+                                  help="check an analytic kernel against Euler-Maruyama simulation")
     p.add_argument("--kernel", choices=["shek", "swek"])
     p.add_argument("--graph")
     p.add_argument("--nodes", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--n-paths", dest="n_paths", type=int)
-    for flag in ("--c", "--sigma", "--nu", "--kappa"):
-        p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_validate_kernel)
 
-    p = sub.add_parser("sample", parents=[common], help="emit mean, 95% band and sample paths as CSV")
+    sample = p = sub.add_parser("sample", parents=[common],
+                                help="emit mean, 95%% band and sample paths as CSV")
     p.add_argument("--kernel")
     p.add_argument("--graph")
     p.add_argument("--nodes", type=int)
@@ -546,21 +511,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-samples", dest="n_samples", type=int)
     p.add_argument("--noise", type=float)
     p.add_argument("--c", help="diffusivity / wave speed; accepts a comma list (one CSV per value)")
-    for flag in ("--sigma", "--nu", "--kappa", "--time-lengthscale", "--variance"):
-        p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("fit", parents=[common], help="fit kernel hyperparameters to a dataset")
+    fit = p = sub.add_parser("fit", parents=[common], help="fit kernel hyperparameters to a dataset")
     p.add_argument("--graph")
     p.add_argument("--series")
     p.add_argument("--kernel")
     p.add_argument("--noise", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--restarts", type=int)
-    for flag in ("--c", "--sigma", "--nu", "--kappa", "--time-lengthscale", "--variance"):
-        p.add_argument(flag, type=float)
     p.set_defaults(func=cmd_fit)
 
+    # the hyperparameter flags close each list; sample's --c, a comma list, is above
+    hyper = ("--c", "--sigma", "--nu", "--kappa", "--time-lengthscale", "--variance")
+    for p, flags in ((backtest, hyper), (validate, hyper[:4]), (sample, hyper[1:]), (fit, hyper)):
+        for flag in flags:
+            p.add_argument(flag, type=float)
     return parser
 
 

@@ -9,7 +9,8 @@ Points with no repeated (vertex, time) pair form a vertex x time lattice
 over their T distinct times, with M cells missing.  Up to M = N readings,
 the likelihood of every kernel kind splits into one T x T problem per
 eigenmode of the kernel's operator (:func:`kernels.mode_covariances`),
-factorized as one batched Cholesky over the (n, T, T) stack.  Missing
+factorized as one batched Cholesky over the (n, T, T) stack; each factor
+is inverted by LAPACK's triangular inverse, not a general LU.  Missing
 cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
 inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets,
@@ -43,6 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,7 +55,7 @@ from .graphs import Graph, fractional_from_graph
 from .kernels import (
     KernelSpec, STPoint, _gram_and_derivatives, assemble_gram, mode_covariances, shek_mean, swek_mean
 )
-from .spectral import cholesky_jittered
+from .spectral import cholesky_jittered, invert_lower_triangular
 
 _LOG = logging.getLogger("graphspde")
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -281,26 +283,29 @@ class _Dense(_Factorization):
 
 
 class _Lattice(_Factorization):
-    """On the points' vertex x time lattice: eigenbasis Q, the Cholesky factors L_i of every
-    mode's ``A_i = K_i + s2 I`` over all T times, in one batched call, and the whitened mode
-    targets ``L_i^-1 y_i`` (missing cells read 0).  Missing cells m get the same noise, so these
-    factors apply; with ``B = A^-1`` and y zero at m, ``log|A_oo| = log|A| + log|B_mm|`` and
-    ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``, from ``z_i = A_i^-1 y_i``, ``A_i^-1``
-    and :func:`_missing_block`, kept for the gradient.  ``lml`` is NaN where that fails or is not
+    """On the points' vertex x time lattice: eigenbasis Q, the inverses ``L_i^-1`` of the
+    Cholesky factors of every mode's ``A_i = K_i + s2 I`` over all T times (one batched
+    Cholesky), and ``z_i = A_i^-1 y_i`` from the whitened mode targets ``L_i^-1 y_i`` (missing
+    cells read 0).  ``A_i^-1 = L_i^-T L_i^-1`` is formed only where it is read: for missing
+    cells, or for the gradient.  Missing cells m get the same noise, so these factors apply;
+    with ``B = A^-1`` and y zero at m, ``log|A_oo| = log|A| + log|B_mm|`` and
+    ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``, from z, ``A_i^-1`` and
+    :func:`_missing_block`, kept for the gradient.  ``lml`` is NaN where that fails or is not
     finite: the dense path then decides."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         grid = prep.grid
         self.basis, covs, _ = mode_covariances(spec, prep.graph, grid.times)
-        self.factor, _ = cholesky_jittered(covs + self.noise_variance * np.eye(grid.times.shape[0]))
+        factor, _ = cholesky_jittered(covs + self.noise_variance * np.eye(grid.times.shape[0]))
+        self.factor_inv = invert_lower_triangular(factor)
         y_modes = (np.append(prep.y, 0.0)[grid.index] @ self.basis).T  # (n, T): row i is eigenmode i's series
-        self.white = np.linalg.solve(self.factor, y_modes[:, :, None])[:, :, 0]
-        quad = np.sum(self.white**2)
-        log_det = np.sum(np.log(np.diagonal(self.factor, axis1=1, axis2=2)))
+        white = np.einsum("iab,ib->ia", self.factor_inv, y_modes)
+        self.z = np.einsum("iab,ia->ib", self.factor_inv, white)
+        quad = np.sum(white**2)
+        log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
         self.lml = math.nan
         if grid.n_missing:
-            self.z, self.inv = _mode_inverses(self.factor, self.white)
             try:
                 self.missing = _missing_block(self.basis, self.z, self.inv, grid)
             except np.linalg.LinAlgError:
@@ -313,6 +318,11 @@ class _Lattice(_Factorization):
             quad -= drop
             log_det += extra
         self.lml = float(-0.5 * quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T)."""
+        return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
 
     def _exact_gradient(self) -> np.ndarray:
         """Per eigenmode, or where that raises or is not finite, over the dense N x N Gram."""
@@ -337,23 +347,22 @@ class _Lattice(_Factorization):
         """
         grid = self.prep.grid
         derivs = mode_covariances(self.spec, self.prep.graph, grid.times, kernel_names)[2]
-        if not grid.n_missing:
-            alpha, inv = _mode_inverses(self.factor, self.white)
-            return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
-        t_m, v_m = grid.missing
-        chol_mm, by_m, gain = self.missing
-        c_mm = scipy.linalg.cho_solve((chol_mm, True), np.eye(grid.n_missing), check_finite=False)
-        alpha = self.z - gain @ (c_mm @ by_m)
-        # G_i C G_i^T = A_i^-1 F_i A_i^-1 with F_i = E_i C E_i^T, C = B_mm^-1:
-        # scatter C's rows onto the lattice, move them into the modes, then
-        # sum its columns by time
-        rows = np.zeros(grid.index.shape + (grid.n_missing,))
-        rows[t_m, v_m] = c_mm
-        rows = (self.basis.T @ rows) * self.basis[v_m].T  # (T, n, M)
-        times_m, starts = np.unique(t_m, return_index=True)
-        f = np.zeros_like(self.inv)
-        f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
-        inv = self.inv - self.inv @ f @ self.inv
+        alpha, inv = self.z, self.inv
+        if grid.n_missing:
+            t_m, v_m = grid.missing
+            chol_mm, by_m, gain = self.missing
+            c_mm = scipy.linalg.cho_solve((chol_mm, True), np.eye(grid.n_missing), check_finite=False)
+            alpha = alpha - gain @ (c_mm @ by_m)
+            # G_i C G_i^T = A_i^-1 F_i A_i^-1 with F_i = E_i C E_i^T, C = B_mm^-1:
+            # scatter C's rows onto the lattice, move them into the modes, then
+            # sum its columns by time
+            rows = np.zeros(grid.index.shape + (grid.n_missing,))
+            rows[t_m, v_m] = c_mm
+            rows = (self.basis.T @ rows) * self.basis[v_m].T  # (T, n, M)
+            times_m, starts = np.unique(t_m, return_index=True)
+            f = np.zeros_like(inv)
+            f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
+            inv = inv - inv @ f @ inv
         return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
 
 
@@ -400,12 +409,6 @@ def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure |
     if index.size - np.count_nonzero(empty) < n_points or 2 * n_points < index.size:
         return None
     return _GridStructure(times=times, index=index, missing=np.nonzero(empty))
-
-
-def _mode_inverses(factor: np.ndarray, white: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per mode, z_i = A_i^-1 y_i and A_i^-1, from the Cholesky factors."""
-    factor_inv = np.linalg.inv(factor)
-    return np.einsum("iab,ia->ib", factor_inv, white), np.swapaxes(factor_inv, 1, 2) @ factor_inv
 
 
 def _missing_block(

@@ -128,6 +128,20 @@ def cholesky_jittered(a: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, largest
 
 
+def invert_lower_triangular(factors: np.ndarray) -> np.ndarray:
+    """Inverses of a (k, n, n) stack of lower-triangular factors, each by
+    LAPACK's triangular inverse rather than a general LU; raises
+    ``LinAlgError`` where a factor is singular."""
+    inverse = np.empty_like(factors)
+    for k, factor in enumerate(factors):
+        # the transpose is the Fortran-ordered upper factor, which LAPACK takes without a copy
+        upper_inv, info = scipy.linalg.lapack.dtrtri(factor.T, lower=0)
+        inverse[k] = upper_inv.T
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtri failed with info {info}")
+    return inverse
+
+
 def _cholesky_ladder(a: np.ndarray) -> tuple[np.ndarray, float]:
     # One matrix at a time stays on scipy: at n = 504 it factorizes in
     # 0.8 ms, against 1.5 ms for np.linalg.cholesky.

@@ -261,3 +261,97 @@ class TestSampleDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "samples_c1.csv").read_bytes() == (b / "samples_c1.csv").read_bytes()
+
+
+TINY_SYNTH = {"kind": "heat-line", "nodes": 3, "t": "1:14", "noise_sd": 0.01, "seed": 1}
+
+
+def _rounds(out):
+    return len({r["round"] for r in read_csv(out / "results.csv") if r["status"] == "ok"})
+
+
+def _nodes(out):
+    return len({r["node_i"] for r in read_csv(out / "validate_shek.csv")})
+
+
+def _samples(out):
+    return len({r["series"] for r in read_csv(out / "samples_c1.csv")} - {"mean", "lo95", "hi95"})
+
+
+def _iters(out):
+    return json.loads((out / "fit_shek.json").read_text())["trace_length"]
+
+
+# command: config section, setting, other flags, other config keys, what the
+# outputs show of the setting, and its values (default, top level, section, flag)
+PRECEDENCE = {
+    "backtest": ("backtest", "rounds",
+                 ["--kernels", "laplacian", "--task", "extrapolation", "--n-train", "2",
+                  "--n-test", "1", "--max-iters", "2", "--restarts", "0"],
+                 {"synth": TINY_SYNTH}, _rounds, (10, 2, 3, 4)),
+    "validate-kernel": ("validate", "nodes", ["--n-paths", "50", "--dt", "0.01", "--t-end", "0.1"],
+                        {}, _nodes, (3, 2, 4, 5)),
+    "sample": ("sample", "n_samples", ["--nodes", "2", "--times", "1:2"], {}, _samples, (5, 1, 2, 3)),
+    # the default of 100 iterations lets the fit run to convergence, past the
+    # few iterations that the other layers allow
+    "fit": ("fit", "max_iters", ["--restarts", "0"], {"synth": TINY_SYNTH}, _iters, (None, 2, 3, 4)),
+}
+
+
+class TestSettingLayers:
+    @pytest.mark.parametrize("command", list(PRECEDENCE))
+    def test_each_layer_beats_the_one_below(self, tmp_path, command):
+        section, key, argv, extra, observe, (default, top, scoped, flag) = PRECEDENCE[command]
+        layers = [
+            ({}, []),
+            ({key: top}, []),
+            ({key: top, section: {key: scoped}}, []),
+            ({key: top, section: {key: scoped}}, ["--" + key.replace("_", "-"), str(flag)]),
+        ]
+        seen = []
+        for k, (config, flags) in enumerate(layers):
+            path = tmp_path / f"config{k}.json"
+            path.write_text(json.dumps({**config, section: {**extra, **config.get(section, {})}}))
+            out = tmp_path / f"out{k}"
+            code = main([command, "--config", str(path), "--out", str(out)] + argv + flags)
+            assert code == 0
+            seen.append(observe(out))
+        assert seen[1:] == [top, scoped, flag]
+        if default is None:
+            assert seen[0] > flag
+        else:
+            assert seen[0] == default
+
+
+MALFORMED = [
+    ("synth", {"synth": {"k": "abc"}}),
+    ("backtest", {"backtest": {"synth": TINY_SYNTH, "rounds": "x"}}),
+    ("validate-kernel", {"validate": {"dt": "abc"}}),
+    ("sample", {"sample": {"n_samples": "many"}}),
+    ("fit", {"fit": {"synth": TINY_SYNTH, "max_iters": "1.5"}}),
+    ("backtest", {"backtest": {"synth": TINY_SYNTH, "kernels": 5}}),
+    ("backtest", {"backtest": {"synth": {"nodes": "x"}}}),
+    ("sample", {"sample": {"condition": [1, "x", 3]}}),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command, config", MALFORMED)
+    def test_malformed_config_value_is_data_error(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("times", ["a:5", "1:5:x", "1:2:3:4", "1:inf", "5:1", "1,x"])
+    def test_malformed_time_grid_is_data_error(self, tmp_path, capsys, times):
+        code = main(["synth", "--t", times, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_top_level_help_runs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "95% band" in capsys.readouterr().out

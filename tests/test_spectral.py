@@ -13,6 +13,7 @@ from graphspde import (
     matrix_function,
     pseudoinverse,
 )
+from graphspde.spectral import invert_lower_triangular
 
 
 def _random_symmetric(rng, n):
@@ -185,3 +186,18 @@ class TestStackedCholeskyJittered:
         stack = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, -5.0]])])
         with pytest.raises(FactorizationError):
             cholesky_jittered(stack)
+
+
+class TestInvertLowerTriangular:
+    def test_matches_general_inverse(self):
+        rng = np.random.default_rng(2)
+        base = rng.standard_normal((3, 6, 6))
+        factors = np.linalg.cholesky(base @ np.swapaxes(base, 1, 2) + 6 * np.eye(6))
+        inverse = invert_lower_triangular(factors)
+        np.testing.assert_allclose(inverse, np.linalg.inv(factors), rtol=1e-12, atol=1e-14)
+        assert np.all(np.triu(inverse, 1) == 0.0)
+
+    def test_singular_factor_raises(self):
+        factors = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])])
+        with pytest.raises(np.linalg.LinAlgError):
+            invert_lower_triangular(factors)
