@@ -389,6 +389,8 @@ def cmd_sample(args) -> int:
     out = _out_dir(settings)
     graph = _load_graph(settings)
     n_samples, values = settings["n_samples"], settings["condition"]
+    if not settings["c"]:
+        raise DataError("sample needs at least one c value")
     points = [STPoint(vertex=v, time=t) for t in _parse_times(settings["times"])
               for v in range(graph.n_vertices)]
 

@@ -16,7 +16,8 @@ class NumericError(RuntimeError):
 
 
 class FactorizationError(NumericError):
-    """Cholesky factorization failed even after maximum jitter."""
+    """A Cholesky factorization failed: after maximum jitter, or, for the
+    lattice likelihood's missing-cell block, which is never jittered, at once."""
 
 
 class StabilityError(NumericError):

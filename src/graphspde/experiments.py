@@ -24,7 +24,7 @@ from .backtest import (
     sliding_windows,
 )
 from .exceptions import DataError, NumericError
-from .gp import FitOptions, GPModel, SpatioTemporalDataset, fit, predict
+from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, fit, predict
 from .gp import _prepare
 from .kernels import KernelSpec, mode_covariances
 
@@ -166,6 +166,8 @@ def run_backtest(
     for task in tasks:
         if task not in TASKS:
             raise DataError(f"unknown task {task!r}; expected subset of {TASKS}")
+    if mean_policy not in MEAN_POLICIES:
+        raise DataError(f"unknown mean policy {mean_policy!r}; expected one of {MEAN_POLICIES}")
     if fit_opts is None:
         fit_opts = FitOptions()
 

@@ -13,17 +13,17 @@ factorized as one batched Cholesky over the (n, T, T) stack; each factor
 is inverted by LAPACK's triangular inverse, not a general LU.  Missing
 cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
-inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets,
-and any evaluation where that correction fails, take the dense N x N
-path.  :func:`_factorize` makes that choice and factorizes ``K + s2 I``
-once per theta; the LML and its exact gradient ``1/2 tr((a a^T - W) dK)``
-(Rasmussen & Williams 2006, eq. 5.9), per eigenmode or over the N x N
-Gram, both read those factors.  ``fit`` logs the path at DEBUG on the
-``graphspde`` logger, takes each gradient from the factorization of its
-line search's accepted trial, and ends a start once an accepted step no
-longer raises the LML by more than round-off.  The ascent is in-house
-rather than ``scipy.optimize``, whose import alone adds about 0.09 s and
-18 MB of resident memory to every process that fits a model.
+inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets
+take the dense N x N path.  :func:`_factorize` makes that choice from the
+points alone and factorizes ``K + s2 I`` once per theta; the LML and its
+exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
+eq. 5.9), per eigenmode or over the N x N Gram, both read those factors.
+``fit`` logs the path at DEBUG on the ``graphspde`` logger, takes each
+gradient from the factorization of its line search's accepted trial, and
+ends a start once an accepted step no longer raises the LML by more than
+round-off.  The ascent is in-house rather than ``scipy.optimize``, whose
+import alone adds about 0.09 s and 18 MB of resident memory to every
+process that fits a model.
 
 Two conventions applied uniformly before any Gram assembly:
 
@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DataError, NumericError
+from .exceptions import DataError, FactorizationError, NumericError
 from .graphs import Graph, fractional_from_graph
 from .kernels import (
     KernelSpec, STPoint, _gram_and_derivatives, assemble_gram, mode_covariances, shek_mean, swek_mean
@@ -68,6 +68,7 @@ _STALL_RTOL = 1e-10
 _RESTART_LOG_RANGE = (math.log(0.1), math.log(10.0))
 # What a failed likelihood or gradient evaluation raises.
 _EVAL_FAILURES = (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError)
+MEAN_POLICIES = ("zero", "per_node_training_mean")
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,8 @@ class GPModel:
     time_offset: float = 1.0
 
     def __post_init__(self):
-        if self.mean_policy not in ("zero", "per_node_training_mean"):
-            raise DataError(f"unknown mean policy {self.mean_policy!r}")
+        if self.mean_policy not in MEAN_POLICIES:
+            raise DataError(f"unknown mean policy {self.mean_policy!r}; expected one of {MEAN_POLICIES}")
         if self.time_offset < 0:
             raise DataError("time_offset must be non-negative")
         object.__setattr__(self, "noise_variance", max(float(self.noise_variance), _NOISE_FLOOR))
@@ -208,15 +209,9 @@ def _noisy_factor(gram: np.ndarray, noise_variance: float, y: np.ndarray) -> tup
 
 def _factorize(spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str] = ()) -> _Factorization:
     """``K + s2 I`` factorized once: on the points' lattice where they form
-    one and its missing-cell correction holds, else over the dense N x N
-    Gram.  Its ``lml`` and, in the log of each name in ``wrt``, its exact
-    gradient both read these factors."""
-    if prep.grid is not None:
-        lattice = _Lattice(spec, noise_variance, prep, wrt)
-        if not (math.isnan(lattice.lml) and prep.grid.n_missing):
-            return lattice
-        _LOG.debug("missing-cell correction failed at %s; dense path", dict(spec.hyper))
-    return _Dense(spec, noise_variance, prep, wrt)
+    one, else over the dense N x N Gram.  Its ``lml`` and, in the log of
+    each name in ``wrt``, its exact gradient both read these factors."""
+    return (_Dense if prep.grid is None else _Lattice)(spec, noise_variance, prep, wrt)
 
 
 class _Factorization:
@@ -236,10 +231,14 @@ class _Factorization:
         self.noise_variance = max(noise_variance, _NOISE_FLOOR)
 
     def gradient(self) -> np.ndarray:
-        """The exact gradient; zeros where no path gives a finite one, which ends a start."""
+        """The exact gradient; zeros where it fails or is not finite, which ends a start."""
+        kernel_names = [name for name in self.wrt if name != "noise"]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                grad = self._exact_gradient()
+                weight, derivs = self._weight(kernel_names)
+                by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
+                by_name["noise"] = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
+                grad = np.array([by_name[name] for name in self.wrt])
         except _EVAL_FAILURES:
             grad = None
         if grad is None or not np.all(np.isfinite(grad)):
@@ -248,13 +247,6 @@ class _Factorization:
         if self.requested_noise < _NOISE_FLOOR and "noise" in self.wrt:
             grad[self.wrt.index("noise")] = 0.0  # the floor holds the noise constant here
         return grad
-
-    def _exact_gradient(self) -> np.ndarray:
-        kernel_names = [name for name in self.wrt if name != "noise"]
-        weight, derivs = self._weight(kernel_names)
-        by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
-        by_name["noise"] = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
-        return np.array([by_name[name] for name in self.wrt])
 
 
 class _Dense(_Factorization):
@@ -290,13 +282,13 @@ class _Lattice(_Factorization):
     cells, or for the gradient.  Missing cells m get the same noise, so these factors apply;
     with ``B = A^-1`` and y zero at m, ``log|A_oo| = log|A| + log|B_mm|`` and
     ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``, from z, ``A_i^-1`` and
-    :func:`_missing_block`, kept for the gradient.  ``lml`` is NaN where that fails or is not
-    finite: the dense path then decides."""
+    :func:`_missing_block`, kept for the gradient, which forms every K_i's derivatives from the
+    covariances this value evaluated."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         grid = prep.grid
-        self.basis, covs, _ = mode_covariances(spec, prep.graph, grid.times)
+        self.basis, covs, self.derivatives = mode_covariances(spec, prep.graph, grid.times)
         factor, _ = cholesky_jittered(covs + self.noise_variance * np.eye(grid.times.shape[0]))
         self.factor_inv = invert_lower_triangular(factor)
         y_modes = (np.append(prep.y, 0.0)[grid.index] @ self.basis).T  # (n, T): row i is eigenmode i's series
@@ -304,36 +296,18 @@ class _Lattice(_Factorization):
         self.z = np.einsum("iab,ia->ib", self.factor_inv, white)
         quad = np.sum(white**2)
         log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
-        self.lml = math.nan
         if grid.n_missing:
-            try:
-                self.missing = _missing_block(self.basis, self.z, self.inv, grid)
-            except np.linalg.LinAlgError:
-                return
+            self.missing = _missing_block(self.basis, self.z, self.inv, grid)
             chol_mm, by_m, _ = self.missing
             r = scipy.linalg.solve_triangular(chol_mm, by_m, lower=True, check_finite=False)
-            drop, extra = r @ r, np.sum(np.log(np.diag(chol_mm)))
-            if not np.isfinite(drop + extra):
-                return
-            quad -= drop
-            log_det += extra
+            quad -= r @ r
+            log_det += np.sum(np.log(np.diag(chol_mm)))
         self.lml = float(-0.5 * quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
 
     @cached_property
     def inv(self) -> np.ndarray:
         """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T)."""
         return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
-
-    def _exact_gradient(self) -> np.ndarray:
-        """Per eigenmode, or where that raises or is not finite, over the dense N x N Gram."""
-        try:
-            grad = super()._exact_gradient()
-            if np.all(np.isfinite(grad)):
-                return grad
-        except _EVAL_FAILURES:
-            pass
-        _LOG.debug("lattice gradient failed at %s; dense path", dict(self.spec.hyper))
-        return _Dense(self.spec, self.requested_noise, self.prep, self.wrt)._exact_gradient()
 
     def _weight(self, kernel_names: list[str]) -> tuple[np.ndarray, Iterable[np.ndarray]]:
         """Per-mode weights ``a_i a_i^T - W_i`` (n, T, T) and the derivatives
@@ -346,7 +320,6 @@ class _Lattice(_Factorization):
         cells, so the noise term is the same trace.
         """
         grid = self.prep.grid
-        derivs = mode_covariances(self.spec, self.prep.graph, grid.times, kernel_names)[2]
         alpha, inv = self.z, self.inv
         if grid.n_missing:
             t_m, v_m = grid.missing
@@ -363,7 +336,7 @@ class _Lattice(_Factorization):
             f = np.zeros_like(inv)
             f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
             inv = inv - inv @ f @ inv
-        return alpha[:, :, None] * alpha[:, None, :] - inv, derivs
+        return alpha[:, :, None] * alpha[:, None, :] - inv, self.derivatives(kernel_names)
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -373,9 +346,8 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     time lattice is missing, the Gram is block-diagonal in the spatial
     eigenbasis on the full lattice, the likelihood factorizes into one
     small temporal problem per eigenmode, and a Schur complement corrects
-    for the missing cells; otherwise, or where that correction fails, the
-    dense N x N path is used.  Both go through the jittered Cholesky, and
-    ``fit`` maximizes this same function.
+    for the missing cells; otherwise the dense N x N path is used.  Both go
+    through the jittered Cholesky, and ``fit`` maximizes this same function.
     """
     return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
 
@@ -415,7 +387,8 @@ def _missing_block(
     basis: np.ndarray, z: np.ndarray, inv: np.ndarray, grid: _GridStructure
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cholesky factor of B_mm and (B y)_m, where B = A^-1 over the lattice,
-    read at the missing cells m, and the per-mode ``G_i = A_i^-1 E_i``.
+    read at the missing cells m, and the per-mode ``G_i = A_i^-1 E_i``.  An
+    indefinite B_mm raises :class:`FactorizationError`; it is never jittered.
 
     ``E_i[:, c] = e_{t_c} Q[v_c, i]`` moves cell c into mode i, so
     ``B[(a, v), c] = sum_i Q[v, i] G_i[a, c]`` and
@@ -426,7 +399,10 @@ def _missing_block(
     gain = inv[:, :, t_m] * q_m.T[:, None, :]  # (n, T, M)
     b_mm = (basis @ gain.swapaxes(0, 1))[t_m, v_m]
     by_m = np.einsum("ci,ic->c", q_m, z[:, t_m])
-    return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), by_m, gain
+    try:
+        return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), by_m, gain
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"missing-cell block B_mm is not positive definite: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -568,10 +568,10 @@ def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, 
 
 
 def mode_covariances(
-    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str] = (), diagonal: bool = False
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Eigenbasis Q, per-mode temporal covariances (n, T, T), and their
-    derivatives in the log of each kernel hyperparameter in ``wrt``.
+    spec: KernelSpec, graph: Graph, times: np.ndarray, diagonal: bool = False
+) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], list[np.ndarray]]]:
+    """Eigenbasis Q, per-mode temporal covariances (n, T, T), and the map from
+    kernel hyperparameter names to the covariances' derivatives in their logs.
 
     Every kernel kind is a function of one symmetric operator, so
     ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``.  The
@@ -580,12 +580,15 @@ def mode_covariances(
     kinds have ``covs[i] = rho_i`` at every time pair.  Derivatives cover
     the hyperparameters a fit varies: c, sigma, nu and kappa for SHEK/SWEK,
     time_lengthscale and variance for separable products, variance for
-    spatial kinds.  With ``diagonal``, only the per-mode variances
-    ``k_i(t_a, t_a)`` are computed, shape (n, T), in O(n T) memory.
+    spatial kinds.  The map forms them from the covariances this call holds
+    and never evaluates those again: the variance and sigma derivatives are
+    the covariances and twice them, and SHEK/SWEK's take the evaluated upper
+    triangle as their value ``k``.  With ``diagonal``, only the per-mode
+    variances ``k_i(t_a, t_a)`` are computed, shape (n, T), in O(n T) memory.
     """
     times = np.asarray(times, dtype=float)
     if spec.kind in ("shek", "swek"):
-        return _process_covariances(spec, graph, times, wrt, diagonal)
+        return _process_covariances(spec, graph, times, diagonal)
     t, s = (times[None], times[None]) if diagonal else (times[None, :, None], times[None, None, :])
     column = (-1,) + (1,) * (t.ndim - 1)  # one mode per leading index
     spatial = spec.spatial if spec.kind == "separable_product" else spec
@@ -604,19 +607,18 @@ def mode_covariances(
     rho = rho.reshape(column)
     if spec.kind != "separable_product":
         covs = rho * np.ones(np.broadcast(t, s).shape)
-        return basis, covs, [covs for _ in wrt]
+        return basis, covs, lambda wrt: [covs for _ in wrt]
     covs = rho * temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
-    derivs = [
+    return basis, covs, lambda wrt: [
         covs if name == "variance"
         else rho * temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s)
         for name in wrt
     ]
-    return basis, covs, derivs
 
 
 def _process_covariances(
-    spec: KernelSpec, graph: Graph, times: np.ndarray, wrt: Sequence[str], diagonal: bool
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    spec: KernelSpec, graph: Graph, times: np.ndarray, diagonal: bool
+) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], list[np.ndarray]]]:
     """:func:`mode_covariances` of SHEK/SWEK.  Their entries cost exponentials or trigonometric
     functions and are symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
     n_times = times.shape[0]
@@ -631,22 +633,28 @@ def _process_covariances(
         scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
     else:
         scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
-    covs, derivs = scalar(mu, c, sigma, t, s), []
-    if wrt:
+    covs = scalar(mu, c, sigma, t, s)
+
+    def mirrored(packed: np.ndarray) -> np.ndarray:
+        if diagonal:
+            return packed
+        full = np.empty((packed.shape[0], n_times, n_times))
+        full[:, pairs[0], pairs[1]] = full[:, pairs[1], pairs[0]] = packed
+        return full
+
+    def derivatives(wrt: Sequence[str]) -> list[np.ndarray]:
+        if not wrt:
+            return []
         d_log_c = d_scalar(covs, mu, c, sigma, t, s)
         d_log_mu = mu_power * d_log_c
         # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
         shift = 2.0 * nu / kappa**2
         shifted = mu ** (2.0 / nu)
         log_mu_by = {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
-        derivs = [d_log_c if name == "c" else 2.0 * covs if name == "sigma" else d_log_mu * log_mu_by[name]
-                  for name in wrt]
-    if diagonal:
-        return frac.basis, covs, derivs
-    mirrored = [np.empty((packed.shape[0], n_times, n_times)) for packed in [covs] + derivs]
-    for full, packed in zip(mirrored, [covs] + derivs):
-        full[:, pairs[0], pairs[1]] = full[:, pairs[1], pairs[0]] = packed
-    return frac.basis, mirrored[0], mirrored[1:]
+        return [mirrored(d_log_c if name == "c" else 2.0 * covs if name == "sigma"
+                         else d_log_mu * log_mu_by[name]) for name in wrt]
+
+    return frac.basis, mirrored(covs), derivatives
 
 
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
@@ -684,8 +692,8 @@ def _gram_and_derivatives(
     times, t_idx = np.unique(t_val, return_inverse=True)
     gathered = [name for name in wrt if name not in ("variance", "sigma")]
     if spec.kind in ("shek", "swek"):
-        factor, values, derivs = mode_covariances(spec, graph, times, gathered)
-        gather = _mode_gather
+        factor, values, derivatives = mode_covariances(spec, graph, times)
+        derivs, gather = derivatives(gathered), _mode_gather
     else:
         values, derivs = None, []
         if spec.kind == "separable_product":

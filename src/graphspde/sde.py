@@ -130,11 +130,16 @@ def _propagate(step: np.ndarray, kick: np.ndarray, x0: np.ndarray, seed: int, n_
 
     Each save interval is one ``x <- x S^b + z L`` (see :func:`_interval`),
     with the z of all paths drawn in path-major order from one generator.
+    An ``n_paths`` whose saved array numpy refuses to allocate raises
+    :class:`DataError`.
     """
     n = kick.shape[0]
+    try:
+        out = np.empty((n_paths, steps // save_stride + 1, n))
+    except (MemoryError, ValueError) as exc:
+        raise DataError(f"n_paths={n_paths}: cannot allocate the saved paths ({exc})") from exc
     power, _, root = _interval(step, kick, save_stride)
     rng = np.random.default_rng(seed)
-    out = np.empty((n_paths, steps // save_stride + 1, n))
     z = np.empty((min(_CHUNK, n_paths), out.shape[1] - 1, len(root)))
     noise = np.empty((_CHUNK, len(root)))
     for start in range(0, n_paths, _CHUNK):

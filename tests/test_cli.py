@@ -79,6 +79,18 @@ class TestBacktest:
         assert code == 2
         assert "baseline" in capsys.readouterr().err
 
+    def test_unknown_mean_policy_rejected_before_any_round(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fitted a round although the mean policy is unknown")
+
+        monkeypatch.setattr("graphspde.experiments._evaluate_round", unreachable)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backtest": {"synth": TINY_SYNTH, "mean_policy": "bogus"}}))
+        code = main(["backtest", "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "'bogus'" in err
+
     def test_empty_kernel_list_lists_valid_names(self, small_dataset, tmp_path, capsys):
         code = main(["backtest", "--graph", str(small_dataset / "graph.csv"),
                      "--series", str(small_dataset / "series.csv"),
@@ -131,6 +143,14 @@ class TestValidateKernel:
                      "--n-paths", "10", "--out", str(tmp_path / "v")])
         assert code == 2
         assert f"finite {name} > 0" in capsys.readouterr().err
+
+    def test_unallocatable_path_count_is_a_data_error(self, tmp_path, capsys):
+        # numpy refuses 6.4 PiB of paths outright, before it reserves any memory
+        code = main(["validate-kernel", "--kernel", "shek", "--nodes", "3",
+                     "--n-paths", "100000000000000", "--out", str(tmp_path / "v")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "n_paths" in err
 
     def test_unstable_dt_fails_with_numeric_exit(self, tmp_path, capsys):
         code = main(["validate-kernel", "--kernel", "shek", "--nodes", "3",
@@ -332,6 +352,8 @@ MALFORMED = [
     ("backtest", {"backtest": {"synth": TINY_SYNTH, "kernels": 5}}),
     ("backtest", {"backtest": {"synth": {"nodes": "x"}}}),
     ("sample", {"sample": {"condition": [1, "x", 3]}}),
+    ("validate-kernel", {"validate": {"n_paths": 1e30}}),
+    ("sample", {"sample": {"c": []}}),
 ]
 
 

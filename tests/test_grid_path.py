@@ -4,7 +4,7 @@ On a vertex x time lattice the likelihood splits into one temporal problem
 per Laplacian eigenmode; missing cells are corrected for by a Schur
 complement.  These tests hold that path to the dense N x N likelihood, the
 exact gradient of both paths to finite differences, and check which
-points take which path.
+points take which path: a lattice input is answered on the lattice alone.
 """
 
 import logging
@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import graphspde
 from graphspde import (
+    FactorizationError,
     FitOptions,
     GPModel,
     KernelSpec,
@@ -469,34 +470,84 @@ def test_kept_factorization_gives_the_gradient_of_a_fresh_one(kind, seed, mask, 
 
 def failing_correction(how: str):
     def patched(basis, z, inv, grid):
+        if how == "raise":  # -A^-1 makes B_mm negative definite
+            return _missing_block(basis, z, -inv, grid)
         chol_mm, by_m, gain = _missing_block(basis, z, inv, grid)
-        if how == "raise":
-            raise np.linalg.LinAlgError("B_mm is not positive definite")
         return chol_mm, np.full_like(by_m, np.nan), gain
 
     return patched
 
 
 @pytest.mark.parametrize("how", ["raise", "nan"])
-def test_failed_missing_cell_correction_takes_the_dense_path(monkeypatch, how):
+def test_failed_missing_cell_correction_is_an_undefined_point(monkeypatch, how):
+    # the lattice answers alone: a failed correction is no cue to try the dense path
     rng = np.random.default_rng(7)
     graph = line_graph(4)
     data = drop_cells(grid_dataset(rng, graph, 5), {(1, 1), (2, 3)})
     model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
-    expected = dense_lml(model, data)
     names = ["c", "sigma", "noise"]
     theta = np.log([model.kernel.hyper["c"], model.kernel.hyper["sigma"], model.noise_variance])
     monkeypatch.setattr(graphspde.gp, "_missing_block", failing_correction(how))
     calls = count_grams(monkeypatch)
-    assert log_marginal_likelihood(model, data) == expected
-    evaluate = _evaluator(model, data, names)
-    point = evaluate(theta)
-    np.testing.assert_allclose(point.lml, expected, rtol=1e-12)
-    assert len(calls) == 2
-    # the gradient is the exact dense gradient
-    grad = point.gradient()
-    reference = central_difference(lambda th: evaluate(th).lml, theta)
-    assert np.max(np.abs(grad - reference)) <= 1e-5 * np.max(np.abs(reference))
+    if how == "raise":
+        with pytest.raises(FactorizationError):
+            log_marginal_likelihood(model, data)
+    else:
+        assert math.isnan(log_marginal_likelihood(model, data))
+    assert _evaluator(model, data, names)(theta) is None
+    assert calls == []
+
+
+def theta_of(model: GPModel, names: list[str]) -> np.ndarray:
+    return np.log([model.noise_variance if name == "noise" else model.kernel.hyper[name] for name in names])
+
+
+@pytest.mark.parametrize("kind", ["shek", "swek"])
+@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
+def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, kind, drop):
+    rng = np.random.default_rng(10)
+    graph = line_graph(5)
+    data = drop_cells(grid_dataset(rng, graph, 6), drop)
+    model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
+    scalar = getattr(graphspde.kernels, f"_{kind}_eig")
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return scalar(*args)
+
+    monkeypatch.setattr(graphspde.kernels, f"_{kind}_eig", counting)
+    names = _optimizable_names(model.kernel, True) + ["noise"]
+    grad = _evaluator(model, data, names)(theta_of(model, names)).gradient()
+    assert np.all(np.isfinite(grad)) and np.all(grad[:-1] != 0.0)
+    assert len(calls) == 1
+
+
+def test_non_finite_lattice_gradient_ends_the_start_without_a_gram(monkeypatch):
+    rng = np.random.default_rng(11)
+    graph = line_graph(4)
+    data = drop_cells(grid_dataset(rng, graph, 5), {(1, 1), (2, 3)})
+    model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
+    monkeypatch.setattr(graphspde.kernels, "_swek_eig_dlog_theta", lambda k, *args: np.full_like(k, np.nan))
+    calls = count_grams(monkeypatch)
+    names = ["c", "sigma", "noise"]
+    point = _evaluator(model, data, names)(theta_of(model, names))
+    assert math.isfinite(point.lml)
+    np.testing.assert_array_equal(point.gradient(), np.zeros(3))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_gappy_lattices_at_the_noise_floor_stay_on_the_lattice(monkeypatch, kind):
+    calls = count_grams(monkeypatch)
+    for mask in MASKS[1:]:
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            graph = random_graph(rng, 6)
+            data = gappy_dataset(rng, graph, int(rng.integers(2, 7)), mask)
+            model = GPModel(kernel=random_spec(rng, kind), noise_variance=1e-10, mean_policy="zero")
+            assert math.isfinite(log_marginal_likelihood(model, data)), (mask, seed)
+    assert calls == []
 
 
 def test_fit_logs_the_likelihood_path(caplog):

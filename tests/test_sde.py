@@ -477,6 +477,14 @@ class TestInvalidInputs:
         with pytest.raises(DataError):
             simulate_wave(**{**self.WAVE, **change})
 
+    # numpy refuses both sizes outright, before it reserves any memory
+    @pytest.mark.parametrize("n_paths", [10**30, 10**14])
+    @pytest.mark.parametrize("wave", [False, True])
+    def test_unallocatable_path_count_is_a_data_error(self, n_paths, wave):
+        simulate, inputs = (simulate_wave, self.WAVE) if wave else (simulate_heat, self.HEAT)
+        with pytest.raises(DataError, match="n_paths"):
+            simulate(**{**inputs, "n_paths": n_paths})
+
     def test_scalar_starts_still_broadcast(self):
         ens = simulate_wave(**{**self.WAVE, "u0": 1.0, "v0": 0.0, "sigma": 0.0})
         assert ens.paths.shape == (2, 11, 3)
