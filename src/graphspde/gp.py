@@ -45,7 +45,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -119,8 +119,10 @@ class GPModel:
     def __post_init__(self):
         if self.mean_policy not in MEAN_POLICIES:
             raise DataError(f"unknown mean policy {self.mean_policy!r}; expected one of {MEAN_POLICIES}")
-        if self.time_offset < 0:
-            raise DataError("time_offset must be non-negative")
+        if not (math.isfinite(self.time_offset) and self.time_offset >= 0):
+            raise DataError(f"time_offset must be finite and non-negative, got {self.time_offset}")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise DataError(f"noise_variance must be finite and non-negative, got {self.noise_variance}")
         object.__setattr__(self, "noise_variance", max(float(self.noise_variance), _NOISE_FLOOR))
 
 
@@ -220,7 +222,8 @@ class _Factorization:
     ``lml`` is the log marginal likelihood and :meth:`gradient` its exact
     gradient in the log of each name in ``wrt`` (``"noise"`` is the noise
     variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
-    eq. 5.9), as the ``vdot`` of the weight ``a a^T - W`` with each dK.  The
+    eq. 5.9), as the ``vdot`` of the weight ``a a^T - W`` with each dK, which
+    ``derivatives`` forms from the covariances the value evaluated.  The
     noise's dK is ``s2 I``, so its term is the weight's trace.  A noise
     variance below the floor is held at the floor.
     """
@@ -235,7 +238,7 @@ class _Factorization:
         kernel_names = [name for name in self.wrt if name != "noise"]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                weight, derivs = self._weight(kernel_names)
+                weight, derivs = self._weight(), self.derivatives(kernel_names)
                 by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
                 by_name["noise"] = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
                 grad = np.array([by_name[name] for name in self.wrt])
@@ -250,19 +253,17 @@ class _Factorization:
 
 
 class _Dense(_Factorization):
-    """Over the N x N Gram: the Gram, its jittered factor L and ``a = (K + s2 I)^-1 y``."""
+    """Over the N x N Gram K: the jittered factor L of ``K + s2 I``, ``a = (K + s2 I)^-1 y`` and K's ``derivatives``."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         y = prep.y
-        self.gram = assemble_gram(spec, prep.graph, prep.points).matrix
-        self.factor, self.alpha = _noisy_factor(self.gram, self.noise_variance, y)
+        gram, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.points)
+        self.factor, self.alpha = _noisy_factor(gram, self.noise_variance, y)
         self.lml = float(-0.5 * y @ self.alpha - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
 
-    def _weight(self, kernel_names: list[str]) -> tuple[np.ndarray, Iterable[np.ndarray]]:
-        """``a a^T - W`` with ``W = (K + s2 I)^-1`` from L, and the
-        derivatives of K, gathered beside the Gram held here."""
-        _, derivs = _gram_and_derivatives(self.spec, self.prep.graph, self.prep.points, kernel_names, self.gram)
+    def _weight(self) -> np.ndarray:
+        """``a a^T - W`` with ``W = (K + s2 I)^-1`` from L."""
         inv, info = scipy.linalg.lapack.dpotri(self.factor, lower=1)
         if info:
             raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
@@ -271,7 +272,7 @@ class _Dense(_Factorization):
         weight -= inv
         weight -= inv.T
         weight[np.diag_indices(self.alpha.shape[0])] += np.diag(inv)
-        return weight, derivs
+        return weight
 
 
 class _Lattice(_Factorization):
@@ -309,9 +310,8 @@ class _Lattice(_Factorization):
         """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T)."""
         return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
 
-    def _weight(self, kernel_names: list[str]) -> tuple[np.ndarray, Iterable[np.ndarray]]:
-        """Per-mode weights ``a_i a_i^T - W_i`` (n, T, T) and the derivatives
-        of every mode's K_i.
+    def _weight(self) -> np.ndarray:
+        """Per-mode weights ``a_i a_i^T - W_i``, (n, T, T).
 
         On a complete grid a = A^-1 y and W = A^-1.  With missing cells m, both
         are those of A_oo^-1 padded with zeros: with
@@ -336,7 +336,7 @@ class _Lattice(_Factorization):
             f = np.zeros_like(inv)
             f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
             inv = inv - inv @ f @ inv
-        return alpha[:, :, None] * alpha[:, None, :] - inv, self.derivatives(kernel_names)
+        return alpha[:, :, None] * alpha[:, None, :] - inv
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:

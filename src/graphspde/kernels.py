@@ -11,10 +11,9 @@ per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
 :func:`mode_covariances` is the one place that maps a :class:`KernelSpec`
 to that eigenbasis and those covariances, on a spectrum computed once per
-(graph, variant, operator).  :func:`assemble_gram` gathers from it.  For
-SHEK/SWEK that costs O((T n)^2) memory for T distinct times and n
-vertices (N^2 on a complete grid); spatial-only and separable kernels
-gather their spatial and temporal factors apart in O(n^2 + T^2 + N^2).
+(graph, variant, operator).  :func:`assemble_gram` gathers from it:
+SHEK/SWEK one distinct row time at a time, spatial-only and separable
+kernels their spatial and temporal factors apart.
 The matrix-level functions (``laplacian_kernel``, ``shek_cov``, ...) stay
 as the references the tests hold the gather to.
 
@@ -103,7 +102,8 @@ class KernelSpec:
     ``laplacian_variant`` picks which Laplacian backs the spatial operator.
     Every kind except ``laplacian_spatial`` needs a symmetric variant (for a
     separable product, on its spatial sub-spec, whose variant is the one
-    used); ``random_walk`` is rejected for them here.
+    used); ``random_walk`` is rejected for them here.  ``temporal_kind`` and
+    ``spatial`` are rejected on every other kind.
     """
 
     kind: str
@@ -128,6 +128,9 @@ class KernelSpec:
                 f"kernel kind {self.kind!r} needs a symmetric Laplacian; "
                 f"variant {self.laplacian_variant!r} is not symmetric"
             )
+
+        if self.kind != "separable_product" and (self.temporal_kind is not None or self.spatial is not None):
+            raise DataError(f"kernel kind {self.kind!r} takes no temporal_kind or spatial sub-spec")
 
         required: tuple[str, ...] = ()
         if self.kind == "matern_spatial":
@@ -661,27 +664,26 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     """N x N Gram matrix of the kernel over the given (vertex, time) points.
 
     A gather from the per-mode covariances (:func:`mode_covariances`) at the
-    points' T distinct times.  SHEK/SWEK gather from the full
-    ``Q covs Q^T`` over every vertex and time, which costs O((T n)^2)
-    memory: N^2 on a complete vertex x time grid.  Spatial-only kinds have
-    ``covs[i] = rho_i`` and separable products ``rho_i k(t, s)``, so their
-    spatial factor ``Q rho Q^T`` and temporal kernel gather apart in
-    O(n^2 + T^2 + N^2), whatever the times: one N x N array, plus scratch
-    of an eighth of it.
+    points' T distinct times.  SHEK/SWEK gather one distinct row time at a
+    time, in O(n T^2 + n N + N^2) memory: the (n, T, T) stack, one n x N
+    slice of it and the Gram.  Spatial-only kinds have ``covs[i] = rho_i``
+    and separable products ``rho_i k(t, s)``, so their spatial factor
+    ``Q rho Q^T`` and temporal kernel gather apart in O(n^2 + T^2 + N^2),
+    whatever the times: one N x N array, plus scratch of an eighth of it.
     """
     points = tuple(points)
     return GramMatrix(matrix=_gram_and_derivatives(spec, graph, points)[0], points=points)
 
 
 def _gram_and_derivatives(
-    spec: KernelSpec, graph: Graph, points: Sequence[STPoint], wrt: Sequence[str] = (),
-    gram: np.ndarray | None = None,
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The Gram over ``points`` (``gram``, where the caller holds it) and,
-    one N x N array at a time, its derivatives in the log of each name in
-    ``wrt`` (those of :func:`mode_covariances`).  The variance and sigma
-    only scale the Gram, by 1x and 2x; the others gather as the Gram does,
-    a separable lengthscale as the spatial factor times the temporal derivative."""
+    spec: KernelSpec, graph: Graph, points: Sequence[STPoint]
+) -> tuple[np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
+    """The Gram over ``points`` and the map from names (those of
+    :func:`mode_covariances`) to the Gram's derivatives in their logs, one
+    N x N array at a time, gathered from the covariances this call
+    evaluated.  The variance and sigma only scale the Gram, by 1x and 2x;
+    the others gather as the Gram does, a separable lengthscale as the
+    spatial factor times the temporal derivative."""
     if not points:
         raise DataError("need at least one point")
     v_idx = np.array([p.vertex for p in points], dtype=int)
@@ -690,47 +692,46 @@ def _gram_and_derivatives(
         bad = v_idx[v_idx >= graph.n_vertices][0]
         raise DataError(f"point references vertex {bad} outside the graph")
     times, t_idx = np.unique(t_val, return_inverse=True)
-    gathered = [name for name in wrt if name not in ("variance", "sigma")]
     if spec.kind in ("shek", "swek"):
-        factor, values, derivatives = mode_covariances(spec, graph, times)
-        derivs, gather = derivatives(gathered), _mode_gather
+        factor, values, derivs_of = mode_covariances(spec, graph, times)
+        gather = _row_time_gather
     else:
-        values, derivs = None, []
+        values, derivs_of = None, lambda wrt: []
         if spec.kind == "separable_product":
             # before the Gram exists, so that its T x T temporaries never coexist with it
             t, s = times[:, None], times[None, :]
             values = temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
-            derivs = [temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s) for _ in gathered]
+            derivs_of = lambda wrt: [
+                temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s) for _ in wrt
+            ]
         spatial = spec.spatial if spec.kind == "separable_product" else spec
         basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
         gather, factor = _factored_gather, (basis * rho[:, 0]) @ basis.T
-    if gram is None:
-        gram = gather(factor, values, v_idx, t_idx)
-        _symmetrize(gram)
-    by_name = dict(zip(gathered, derivs))
+    gram = gather(factor, values, v_idx, t_idx)
+    _symmetrize(gram)
 
-    def derivatives() -> Iterator[np.ndarray]:
-        for name in wrt:
-            if name in ("variance", "sigma"):
-                yield gram if name == "variance" else 2.0 * gram
-            else:
-                yield gather(factor, by_name.pop(name), v_idx, t_idx)
+    def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
+        gathered = [name for name in wrt if name not in ("variance", "sigma")]
+        by_name = dict(zip(gathered, derivs_of(gathered)))
+        return (
+            gram if name == "variance" else 2.0 * gram if name == "sigma"
+            else gather(factor, by_name[name], v_idx, t_idx)
+            for name in wrt
+        )
 
-    return gram, derivatives()
+    return gram, derivatives
 
 
-def _mode_gather(basis: np.ndarray, covs: np.ndarray, v_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
-    """``sum_i Q[v, i] covs[i, a, b] Q[w, i]`` at every pair of points, taken
-    from the (T n)^2 matrix over every vertex and time by one chained
-    expression, so that each such intermediate is freed once the next exists."""
-    n, n_times = basis.shape[0], covs.shape[1]
-    flat = t_idx * n + v_idx
-    return (
-        np.einsum("xi,iab,yi->axby", basis, covs, basis, optimize=True)
-        .reshape(n_times * n, n_times * n)
-        .take(flat, axis=0)
-        .take(flat, axis=1)
-    )
+def _row_time_gather(basis: np.ndarray, covs: np.ndarray, v_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
+    """``sum_i Q[v, i] covs[i, a, b] Q[w, i]`` at every pair of points, the rows at each distinct
+    time a as one product ``Q[V_a] @ (covs[:, a, t_idx] * Q[v_idx]^T)``: nothing larger than
+    n x N is formed beside the Gram."""
+    right = basis[v_idx].T
+    gram = np.empty((v_idx.shape[0],) * 2)
+    for a in range(covs.shape[1]):
+        rows = np.flatnonzero(t_idx == a)
+        gram[rows] = basis[v_idx[rows]] @ (covs[:, a].take(t_idx, axis=1) * right)
+    return gram
 
 
 def _factored_gather(

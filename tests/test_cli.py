@@ -197,6 +197,12 @@ class TestSample:
         assert code == 0
         assert (out / "samples_c1.csv").exists()
 
+    def test_non_finite_noise_is_data_error(self, tmp_path, capsys):
+        code = main(["sample", "--kernel", "shek", "--nodes", "3", "--condition", "0,0,1",
+                     "--noise", "nan", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: noise_variance")
+
     def test_condition_length_checked(self, tmp_path, capsys):
         code = main(["sample", "--kernel", "shek", "--nodes", "3", "--condition", "1,2",
                      "--out", str(tmp_path / "s")])
@@ -216,6 +222,15 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads((out / "fit_shek.json").read_text())
         assert "lml" in payload and "hyper" in payload
+
+    def test_non_finite_noise_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--kind", "heat-line", "--nodes", "4", "--t", "1:8",
+                     "--seed", "0", "--out", str(data)]) == 0
+        code = main(["fit", "--graph", str(data / "graph.csv"), "--series", str(data / "series.csv"),
+                     "--kernel", "shek", "--noise", "nan", "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: noise_variance")
 
 
 class TestUsage:

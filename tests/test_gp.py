@@ -299,6 +299,19 @@ class TestOptionalHyperparameters:
         with pytest.raises(DataError, match="mean policy"):
             GPModel(kernel=shek_spec(), mean_policy="median")
 
+    def test_non_finite_or_negative_noise_and_offset_rejected(self):
+        from graphspde import DataError
+
+        for bad in (math.nan, math.inf, -1e-3):
+            with pytest.raises(DataError, match="noise_variance"):
+                GPModel(kernel=shek_spec(), noise_variance=bad)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(DataError, match="time_offset"):
+                GPModel(kernel=shek_spec(), time_offset=bad)
+        # values in [0, floor) are held at the floor
+        assert GPModel(kernel=shek_spec(), noise_variance=0.0).noise_variance == 1e-10
+        assert GPModel(kernel=shek_spec(), noise_variance=1e-12).noise_variance == 1e-10
+
 
 def test_conditioned_sampling_through_separable_kernel():
     graph = line_graph(3)

@@ -370,14 +370,16 @@ def test_exact_dense_gradient_matches_central_differences(kind, seed, mask, opti
 
 
 def count_grams(monkeypatch) -> list:
+    """The point counts of the Grams ``gp`` builds: the dense likelihood's,
+    with its derivative map, and every other through ``assemble_gram``."""
     calls = []
-    original = graphspde.gp.assemble_gram
+    for name in ("assemble_gram", "_gram_and_derivatives"):
 
-    def counting(*args):
-        calls.append(len(args[2]))
-        return original(*args)
+        def counting(*args, original=getattr(graphspde.gp, name)):
+            calls.append(len(args[2]))
+            return original(*args)
 
-    monkeypatch.setattr(graphspde.gp, "assemble_gram", counting)
+        monkeypatch.setattr(graphspde.gp, name, counting)
     return calls
 
 
@@ -503,12 +505,20 @@ def theta_of(model: GPModel, names: list[str]) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["shek", "swek"])
-@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
+@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}, "repeated", "sparse"])
 def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, kind, drop):
+    # so do the dense path's: a repeated (vertex, time) pair, and M = 18 > N = 12
     rng = np.random.default_rng(10)
     graph = line_graph(5)
-    data = drop_cells(grid_dataset(rng, graph, 6), drop)
+    data = grid_dataset(rng, graph, 6)
+    if drop == "repeated":
+        data = replace(data, observations=data.observations + data.observations[:1])
+    elif drop == "sparse":
+        data = drop_cells(data, {(v, a) for v in range(5) for a in range(6) if (v + a) % 5 > 1})
+    else:
+        data = drop_cells(data, drop)
     model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
+    assert (_prepare(model, data).grid is None) == isinstance(drop, str)
     scalar = getattr(graphspde.kernels, f"_{kind}_eig")
     calls = []
 

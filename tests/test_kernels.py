@@ -17,6 +17,7 @@ from graphspde import (
     heat_semigroup,
     laplacian,
     laplacian_kernel,
+    line_graph,
     lyapunov_stationary,
     matern_graph_kernel,
     shek_cov,
@@ -402,6 +403,14 @@ class TestKernelSpec:
         with pytest.raises(DataError, match="spatial"):
             KernelSpec(kind="separable_product", hyper={"time_lengthscale": 1.0}, temporal_kind="rbf")
 
+    @pytest.mark.parametrize("kind", ["laplacian_spatial", "matern_spatial", "shek", "swek"])
+    def test_separable_fields_rejected_on_other_kinds(self, kind):
+        hyper = {"nu": 1.0, "kappa": 1.0, "c": 1.0, "sigma": 1.0}
+        spatial = KernelSpec(kind="laplacian_spatial", hyper={})
+        for stray in ({"temporal_kind": "rbf"}, {"spatial": spatial}):
+            with pytest.raises(DataError, match="takes no temporal_kind or spatial"):
+                KernelSpec(kind=kind, hyper=hyper, **stray)
+
     def test_brownian_separable_needs_no_lengthscale(self):
         spatial = KernelSpec(kind="laplacian_spatial", hyper={})
         spec = KernelSpec(kind="separable_product", hyper={}, temporal_kind="brownian", spatial=spatial)
@@ -439,10 +448,11 @@ class TestAssembleGram:
             assemble_gram(spec, path3, [STPoint(vertex=7, time=0.0)])
 
     def test_shek_gram_blocks_match_entrywise_covariance(self, path3):
-        # every kind and variant against its matrix-level reference, on the
-        # 3-path and on random graphs with an isolated vertex; the points are
-        # unsorted and include t = 0 and repeated times and rows, or lie at
-        # as many distinct times as there are points
+        # every kind and variant (SHEK and SWEK among them) against its
+        # matrix-level reference, on the 3-path and on random graphs with an
+        # isolated vertex; the points are unsorted and include t = 0 and
+        # repeated times and rows, or lie at as many distinct times as there
+        # are points, or read every vertex twice, each at its own time
         rng = np.random.default_rng(11)
         for g in [path3] + [_with_isolated_vertex(random_graph(rng, 6)) for _ in range(2)]:
             pairs = [(v, t) for t in (0.5, 1.0, 2.0) for v in range(g.n_vertices)]
@@ -452,8 +462,13 @@ class TestAssembleGram:
                 STPoint(int(v), float(t))
                 for v, t in zip(rng.integers(0, g.n_vertices, 12), rng.uniform(0.0, 3.0, 12))
             ]
+            n_distinct = 2 * g.n_vertices
+            distinct = [
+                STPoint(int(v) % g.n_vertices, float(t))
+                for v, t in zip(rng.permutation(n_distinct), np.append(0.0, rng.uniform(0.0, 3.0, n_distinct - 1)))
+            ]
             for spec, cov in _gram_references(g):
-                for points in (near_grid, off_grid):
+                for points in (near_grid, off_grid, distinct):
                     gram = assemble_gram(spec, g, points).matrix
                     blocks = {}
                     expected = np.empty_like(gram)
@@ -507,6 +522,29 @@ class TestAssembleGram:
         np.testing.assert_array_equal(gram, expected)
         np.testing.assert_array_equal(gram, gram.T)
         assert peak < 1.5 * expected.nbytes
+
+    @pytest.mark.parametrize("kind", ["shek", "swek"])
+    def test_process_gram_memory_at_distinct_times(self, kind):
+        # 200 points at 200 distinct times on a 21-vertex line: the rows at
+        # each time gather apart, so beside the Gram only the (n, T, T)
+        # covariance stack (21 Grams) and the temporaries of its evaluation
+        # exist, where the (T n)^2 cross-covariance alone would take 441 Grams
+        rng = np.random.default_rng(4)
+        g = line_graph(21)
+        points = [
+            STPoint(int(v), float(t)) for v, t in zip(rng.integers(0, 21, 200), rng.uniform(0.0, 5.0, 200))
+        ]
+        spec = KernelSpec(kind=kind, hyper={"c": 0.8, "sigma": 1.2, "nu": 1.5, "kappa": 1.0})
+        expected = assemble_gram(spec, g, points).matrix  # warms the spectrum cache
+        tracemalloc.start()
+        try:
+            gram = assemble_gram(spec, g, points).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(gram, expected)
+        np.testing.assert_array_equal(gram, gram.T)
+        assert peak < 100 * expected.nbytes
 
     def test_gram_symmetric_psd_randomized_all_kinds(self):
         rng = np.random.default_rng(40)
