@@ -47,8 +47,8 @@ KERNEL_NAMES = ("laplacian", "matern", "shek", "swek") + tuple(
 # setting takes a comma list or a JSON list of its default's item type, or
 # of floats where it has no default.
 _COMMON = {"out": "out", "seed": 0}
-_HYPER = {"c": 1.0, "sigma": 1.0, "nu": 1.5, "kappa": 1.0, "time_lengthscale": 5.0,
-          "variance": 1.0, "variant": "unnormalized"}
+_PROCESS = {"c": 1.0, "sigma": 1.0, "nu": 1.5, "kappa": 1.0, "variant": "unnormalized"}
+_HYPER = {**_PROCESS, "time_lengthscale": 5.0, "variance": 1.0}
 _GRAPH = {"graph": str, "nodes": 3}
 _DATA = {"graph": str, "series": str, "synth": dict}
 _SYNTH = {"kind": "heat-line", "nodes": int, "k": 1.0, "t": "1:60", "noise_sd": 0.0}  # nodes: by kind
@@ -59,7 +59,7 @@ _COMMANDS = {
         "baseline": str, "n_train": 50, "n_test": 10, "stride": 1, "rounds": 10, "task": "both",
         "max_iters": 40, "restarts": 1, "grad_tol": 1e-4, "jobs": 1,
         "mean_policy": "per_node_training_mean"}),
-    "validate-kernel": ("validate", {**_GRAPH, **_HYPER, "kernel": "shek", "dt": 1e-3,
+    "validate-kernel": ("validate", {**_GRAPH, **_PROCESS, "kernel": "shek", "dt": 1e-3,
                                      "t_end": 1.0, "n_paths": 50_000}),
     "sample": ("sample", {**_GRAPH, **_HYPER, "c": (1.0,), "kernel": "shek", "times": "0:2:0.05",
                           "n_samples": 5, "noise": 1e-8, "condition": tuple}),

@@ -15,14 +15,15 @@ cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
 inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets
 take the dense N x N path.  :func:`_factorize` makes that choice from the
-points alone and factorizes ``K + s2 I`` once per theta; the LML and its
+points alone and factorizes ``K + s2 I`` once per theta; the LML, its
 exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
-eq. 5.9), per eigenmode or over the N x N Gram, both read those factors.
-``fit`` logs the path at DEBUG on the ``graphspde`` logger, takes each
-gradient from the factorization of its line search's accepted trial, and
-ends a start once an accepted step no longer raises the LML by more than
-round-off.  The ascent is in-house rather than ``scipy.optimize``, whose
-import alone adds about 0.09 s and 18 MB of resident memory to every
+eq. 5.9), per eigenmode or over the N x N Gram, and the posterior of
+:func:`predict` and conditioned :func:`sample` (eqs. 2.25-2.26) all read
+those factors.  ``fit`` logs the path at DEBUG on the ``graphspde`` logger,
+takes each gradient from the factorization of its line search's accepted
+trial, and ends a start once an accepted step no longer raises the LML by
+more than round-off.  The ascent is in-house rather than ``scipy.optimize``,
+whose import alone adds about 0.09 s and 18 MB of resident memory to every
 process that fits a model.
 
 Two conventions applied uniformly before any Gram assembly:
@@ -41,6 +42,8 @@ kernels are defined.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -143,6 +146,10 @@ class FitOptions:
     seed: int = 0
     optimize_nu_kappa: bool = False
 
+    def __post_init__(self):
+        if self.max_iters < 1 or self.restarts < 0 or not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise DataError(f"fit needs max_iters >= 1, restarts >= 0 and a finite grad_tol >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -201,14 +208,6 @@ def _prepare(model: GPModel, data: SpatioTemporalDataset) -> _Prepared:
 # ---------------------------------------------------------------------------
 
 
-def _noisy_factor(gram: np.ndarray, noise_variance: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jittered Cholesky factor of ``gram + s2 I`` and ``a = (gram + s2 I)^-1 y``, s2 the noise variance."""
-    noisy = gram.copy()
-    noisy[np.diag_indices(y.shape[0])] += noise_variance
-    factor, _ = cholesky_jittered(noisy)
-    return factor, scipy.linalg.cho_solve((factor, True), y, check_finite=False)
-
-
 def _factorize(spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str] = ()) -> _Factorization:
     """``K + s2 I`` factorized once: on the points' lattice where they form
     one, else over the dense N x N Gram.  Its ``lml`` and, in the log of
@@ -219,6 +218,7 @@ def _factorize(spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Se
 class _Factorization:
     """``K + s2 I`` at one kernel and noise variance, factorized once.
 
+    ``solve(rhs)`` is ``(K + s2 I)^-1 rhs`` for an (N,) or (N, k) ``rhs``;
     ``lml`` is the log marginal likelihood and :meth:`gradient` its exact
     gradient in the log of each name in ``wrt`` (``"noise"`` is the noise
     variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
@@ -259,7 +259,10 @@ class _Dense(_Factorization):
         super().__init__(spec, noise_variance, prep, wrt)
         y = prep.y
         gram, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.points)
-        self.factor, self.alpha = _noisy_factor(gram, self.noise_variance, y)
+        noisy = gram.copy()  # the derivatives read the Gram
+        noisy[np.diag_indices(y.shape[0])] += self.noise_variance
+        self.factor, _ = cholesky_jittered(noisy)
+        self.alpha = self.solve(y)
         self.lml = float(-0.5 * y @ self.alpha - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
 
     def _weight(self) -> np.ndarray:
@@ -273,6 +276,9 @@ class _Dense(_Factorization):
         weight -= inv.T
         weight[np.diag_indices(self.alpha.shape[0])] += np.diag(inv)
         return weight
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
 
 
 class _Lattice(_Factorization):
@@ -309,6 +315,22 @@ class _Lattice(_Factorization):
     def inv(self) -> np.ndarray:
         """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T)."""
         return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Scatter ``rhs`` onto the lattice with zeros at the missing cells, move it into the
+        modes and apply ``A_i^-1 = L_i^-T L_i^-1``; with missing cells, take off
+        ``G_i B_mm^-1 (B rhs)_m`` as :meth:`_weight` corrects ``a``; read the result at the points."""
+        grid, n_points = self.prep.grid, rhs.shape[0]
+        padded = np.concatenate([rhs.reshape(n_points, -1), np.zeros((1, rhs.size // n_points))])
+        modes = (self.basis.T @ padded[grid.index]).swapaxes(0, 1)  # (n, T, k)
+        z = np.swapaxes(self.factor_inv, 1, 2) @ (self.factor_inv @ modes)
+        if grid.n_missing:
+            (t_m, v_m), (chol_mm, _, gain) = grid.missing, self.missing
+            by_m = np.einsum("ci,ick->ck", self.basis[v_m], z[:, t_m])
+            z -= gain @ scipy.linalg.cho_solve((chol_mm, True), by_m, check_finite=False)
+        cells = (self.basis @ z.swapaxes(0, 1)).reshape(grid.index.size, -1)
+        # point p is the cell that holds p; the missing cells hold N and sort last
+        return cells[np.argsort(grid.index, axis=None)[:n_points]].reshape(rhs.shape)
 
     def _weight(self) -> np.ndarray:
         """Per-mode weights ``a_i a_i^T - W_i``, (n, T, T).
@@ -530,6 +552,20 @@ def _maximize(
     return theta, trace
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed blocks of up to 32 MB on its heap for reuse.
+
+    Each likelihood evaluation allocates and frees the same few (n, T, T) arrays.  Under
+    glibc's adaptive thresholds the heap is trimmed after an evaluation and the next one faults
+    its pages back in, unless the process once freed a larger block: on the 10 % gappy 11 x 50
+    wave lattice, 60,000 to 80,000 page faults per backtest round and up to twice its time.
+    Other C libraries keep their own policy."""
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: smaller blocks come from the heap
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: free memory kept at the heap's top
+
+
 def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptions()) -> FitResult:
     """Maximize the LML over the kernel's optimizable hyperparameters and the noise.
 
@@ -537,7 +573,10 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
     kernels (lengthscale, variance), always plus the noise variance.  nu and
     kappa stay fixed unless ``opts.optimize_nu_kappa``.  Returns the best of
     the model's own starting point plus ``opts.restarts`` log-uniform draws.
+    For the rest of the process, glibc keeps freed heap memory for reuse
+    (:func:`_keep_freed_heap`).
     """
+    _keep_freed_heap()
     names = _optimizable_names(model.kernel, opts.optimize_nu_kappa) + ["noise"]
     evaluate = _evaluator(model, data, names)
 
@@ -578,24 +617,21 @@ def predict(
 ) -> PosteriorPrediction:
     """Standard GP posterior at the query points given the training data."""
     prep = _prepare(model, train_data)
-    query = tuple(STPoint(p.vertex, p.time + prep.shift) for p in query_points)
-    correction, cov = _condition(model, train_data.graph, prep.points, prep.y, query)
+    correction, cov = _condition(model, prep, [STPoint(p.vertex, p.time + prep.shift) for p in query_points])
     mean = prep.node_offsets[[p.vertex for p in query_points]] + correction
     variance = np.clip(np.diag(cov).copy(), 0.0, None)
     return PosteriorPrediction(mean=mean, variance=variance, covariance=cov if full_cov else None)
 
 
-def _condition(
-    model: GPModel, graph: Graph, obs: Sequence[STPoint], residual: np.ndarray, query: Sequence[STPoint]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean correction ``K_qo (K_oo + noise I)^-1 r`` and covariance
-    at ``query``, given residuals ``r`` at the points ``obs`` around the prior mean."""
-    n_obs = len(obs)
-    gram = assemble_gram(model.kernel, graph, tuple(obs) + tuple(query)).matrix
-    k_cross = gram[:n_obs, n_obs:]
-    factor, alpha = _noisy_factor(gram[:n_obs, :n_obs], model.noise_variance, residual)
-    half = scipy.linalg.solve_triangular(factor, k_cross, lower=True, check_finite=False)
-    return k_cross.T @ alpha, gram[n_obs:, n_obs:] - half.T @ half
+def _condition(model: GPModel, prep: _Prepared, query: Sequence[STPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean correction ``K_qo (K + s2 I)^-1 r`` and covariance ``K_qq - K_qo (K + s2 I)^-1 K_oq``
+    at ``query`` (Rasmussen & Williams 2006, eqs. 2.25-2.26), given residuals ``r = prep.y`` at
+    ``prep.points`` around the prior mean, solved by the factorization the likelihood reads."""
+    prior = assemble_gram(model.kernel, prep.graph, query).matrix
+    cross = _gram_and_derivatives(model.kernel, prep.graph, prep.points, query)[0]
+    weights = _factorize(model.kernel, model.noise_variance, prep).solve(np.column_stack([prep.y, cross]))
+    cov = prior - cross.T @ weights[:, 1:]
+    return cross.T @ weights[:, 0], 0.5 * (cov + cov.T)
 
 
 def sampling_moments(
@@ -641,8 +677,10 @@ def sampling_moments(
                 by_time = [swek_mean(frac, c, u0, np.zeros_like(u0), t) for t in times]
             return np.array(by_time)[t_idx, [p.vertex for p in pts]]
 
-        residual = condition_on.values - process_mean(condition_on.points)
-        correction, cov = _condition(model, graph, condition_on.points, residual, points)
+        obs = condition_on.points
+        residual = condition_on.values - process_mean(obs)  # around the process mean, at the raw times
+        prep = _Prepared(graph, obs, residual, np.zeros(graph.n_vertices), 0.0, _detect_grid(obs, graph.n_vertices))
+        correction, cov = _condition(model, prep, points)
         return process_mean(points) + correction, cov
 
     pred = predict(model, condition_on, points, full_cov=True)

@@ -72,12 +72,6 @@ class Graph:
         d.setflags(write=False)
         return d
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataError(f"unknown vertex label {label!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
@@ -89,10 +83,6 @@ class LaplacianMatrix:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +103,6 @@ class FractionalLaplacian:
 
     def __post_init__(self):
         self.shifted_eigs.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.base_decomposition.n
 
     @property
     def basis(self) -> np.ndarray:

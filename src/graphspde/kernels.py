@@ -11,9 +11,9 @@ per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
 :func:`mode_covariances` is the one place that maps a :class:`KernelSpec`
 to that eigenbasis and those covariances, on a spectrum computed once per
-(graph, variant, operator).  :func:`assemble_gram` gathers from it:
-SHEK/SWEK one distinct row time at a time, spatial-only and separable
-kernels their spatial and temporal factors apart.
+(graph, variant, operator).  Grams and blocks K(rows, columns) gather from
+it (:func:`assemble_gram`): SHEK/SWEK one distinct row time at a time,
+the other kinds their spatial and temporal factors apart.
 The matrix-level functions (``laplacian_kernel``, ``shek_cov``, ...) stay
 as the references the tests hold the gather to.
 
@@ -664,28 +664,29 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     """N x N Gram matrix of the kernel over the given (vertex, time) points.
 
     A gather from the per-mode covariances (:func:`mode_covariances`) at the
-    points' T distinct times.  SHEK/SWEK gather one distinct row time at a
-    time, in O(n T^2 + n N + N^2) memory: the (n, T, T) stack, one n x N
-    slice of it and the Gram.  Spatial-only kinds have ``covs[i] = rho_i``
-    and separable products ``rho_i k(t, s)``, so their spatial factor
-    ``Q rho Q^T`` and temporal kernel gather apart in O(n^2 + T^2 + N^2),
-    whatever the times: one N x N array, plus scratch of an eighth of it.
+    points' T distinct times; the same gathers also form a rectangular block
+    K(rows, columns).  SHEK/SWEK gather one distinct row time at a time, in
+    O(n T^2 + n N + N^2) memory: the (n, T, T) stack, one n x N slice of it
+    and the Gram.  Spatial-only kinds have ``covs[i] = rho_i`` and separable
+    products ``rho_i k(t, s)``, so their spatial factor ``Q rho Q^T`` and
+    temporal kernel gather apart in O(n^2 + T^2 + N^2), whatever the times:
+    one N x N array, plus scratch of an eighth of it.
     """
     points = tuple(points)
     return GramMatrix(matrix=_gram_and_derivatives(spec, graph, points)[0], points=points)
 
 
 def _gram_and_derivatives(
-    spec: KernelSpec, graph: Graph, points: Sequence[STPoint]
+    spec: KernelSpec, graph: Graph, points: Sequence[STPoint], columns: Sequence[STPoint] | None = None
 ) -> tuple[np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
-    """The Gram over ``points`` and the map from names (those of
-    :func:`mode_covariances`) to the Gram's derivatives in their logs, one
-    N x N array at a time, gathered from the covariances this call
-    evaluated.  The variance and sigma only scale the Gram, by 1x and 2x;
-    the others gather as the Gram does, a separable lengthscale as the
-    spatial factor times the temporal derivative."""
+    """The Gram over ``points``, or with ``columns`` the block K(points, columns), and the map
+    from names (those of :func:`mode_covariances`) to its derivatives in their logs, one array
+    at a time, gathered from the covariances this call evaluated at the distinct times of both
+    sets.  The variance and sigma only scale the Gram, by 1x and 2x; the others gather as the
+    Gram does, a separable lengthscale as the spatial factor times the temporal derivative."""
     if not points:
         raise DataError("need at least one point")
+    points, n_rows = tuple(points) + tuple(columns or ()), len(points)
     v_idx = np.array([p.vertex for p in points], dtype=int)
     t_val = np.array([p.time for p in points], dtype=float)
     if np.any(v_idx >= graph.n_vertices):
@@ -707,42 +708,45 @@ def _gram_and_derivatives(
         spatial = spec.spatial if spec.kind == "separable_product" else spec
         basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
         gather, factor = _factored_gather, (basis * rho[:, 0]) @ basis.T
-    gram = gather(factor, values, v_idx, t_idx)
-    _symmetrize(gram)
+    rows = v_idx[:n_rows], t_idx[:n_rows]
+    cols = rows if columns is None else (v_idx[n_rows:], t_idx[n_rows:])
+    gram = gather(factor, values, rows, cols)
+    if columns is None:
+        _symmetrize(gram)
 
     def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
         gathered = [name for name in wrt if name not in ("variance", "sigma")]
         by_name = dict(zip(gathered, derivs_of(gathered)))
         return (
             gram if name == "variance" else 2.0 * gram if name == "sigma"
-            else gather(factor, by_name[name], v_idx, t_idx)
+            else gather(factor, by_name[name], rows, cols)
             for name in wrt
         )
 
     return gram, derivatives
 
 
-def _row_time_gather(basis: np.ndarray, covs: np.ndarray, v_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
-    """``sum_i Q[v, i] covs[i, a, b] Q[w, i]`` at every pair of points, the rows at each distinct
-    time a as one product ``Q[V_a] @ (covs[:, a, t_idx] * Q[v_idx]^T)``: nothing larger than
-    n x N is formed beside the Gram."""
-    right = basis[v_idx].T
-    gram = np.empty((v_idx.shape[0],) * 2)
-    for a in range(covs.shape[1]):
-        rows = np.flatnonzero(t_idx == a)
-        gram[rows] = basis[v_idx[rows]] @ (covs[:, a].take(t_idx, axis=1) * right)
+def _row_time_gather(basis: np.ndarray, covs: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """``sum_i Q[v, i] covs[i, a, b] Q[w, i]`` between every (vertex v, time index a) of ``rows``
+    and (w, b) of ``cols``, the rows at each distinct time a as one product
+    ``Q[V_a] @ (covs[:, a, b] * Q[w]^T)``: nothing larger than n x len(cols) is formed beside it."""
+    (v_row, t_row), (v_col, t_col) = rows, cols
+    right = basis[v_col].T
+    gram = np.empty((v_row.shape[0], v_col.shape[0]))
+    for a in np.unique(t_row):
+        at = np.flatnonzero(t_row == a)
+        gram[at] = basis[v_row[at]] @ (covs[:, a].take(t_col, axis=1) * right)
     return gram
 
 
-def _factored_gather(
-    spatial: np.ndarray, temporal: np.ndarray | None, v_idx: np.ndarray, t_idx: np.ndarray
-) -> np.ndarray:
-    """``spatial[v, w] * temporal[a, b]`` at every pair of points, one band of
-    rows at a time; ``temporal`` None stands for ones."""
-    gram = spatial.take(v_idx, axis=0).take(v_idx, axis=1)
+def _factored_gather(spatial: np.ndarray, temporal: np.ndarray | None, rows: tuple, cols: tuple) -> np.ndarray:
+    """``spatial[v, w] * temporal[a, b]`` between every (vertex v, time index a) of ``rows`` and
+    (w, b) of ``cols``, one band of rows at a time; ``temporal`` None stands for ones."""
+    (v_row, t_row), (v_col, t_col) = rows, cols
+    gram = spatial.take(v_row, axis=0).take(v_col, axis=1)
     if temporal is not None:
-        for rows in _row_bands(gram.shape[0]):
-            gram[rows] *= temporal.take(t_idx[rows], axis=0).take(t_idx, axis=1)
+        for band in _row_bands(gram.shape[0]):
+            gram[band] *= temporal.take(t_row[band], axis=0).take(t_col, axis=1)
     return gram
 
 

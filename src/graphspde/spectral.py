@@ -34,10 +34,6 @@ class SpectralDecomposition:
         self.eigenvalues.setflags(write=False)
         self.basis.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         """basis @ diag(eigenvalues) @ basis.T."""
         return matrix_function(self, lambda lam: lam)

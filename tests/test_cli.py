@@ -111,6 +111,15 @@ class TestValidateKernel:
         rows = read_csv(out / "validate_shek.csv")
         assert {"t", "s", "node_i", "node_j", "analytic", "empirical", "se", "z"}.issubset(rows[0])
 
+    def test_settings_it_never_reads_are_not_checked(self, tmp_path, capsys):
+        # variance and time_lengthscale are no validate-kernel settings
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"validate": {"variance": "abc", "time_lengthscale": "x"}}))
+        code = main(["validate-kernel", "--config", str(path), "--kernel", "shek", "--nodes", "2",
+                     "--n-paths", "20000", "--out", str(tmp_path / "v"), "--seed", "5"])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_swek_single_vertex_passes(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = main(["validate-kernel", "--kernel", "swek", "--nodes", "1",
@@ -372,7 +381,23 @@ MALFORMED = [
 ]
 
 
+INVALID_FIT_OPTIONS = [
+    ("fit", ["--max-iters", "-3"]),
+    ("fit", ["--restarts", "-2"]),
+    ("backtest", ["--max-iters", "0"]),
+    ("backtest", ["--restarts", "-1"]),
+]
+
+
 class TestMalformedValues:
+    @pytest.mark.parametrize("command, flags", INVALID_FIT_OPTIONS)
+    def test_invalid_fit_options_are_data_errors(self, tmp_path, capsys, command, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": TINY_SYNTH, "rounds": 1, "n_train": 8, "n_test": 2}))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")] + flags)
+        assert code == 2
+        assert "max_iters >= 1, restarts >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, config", MALFORMED)
     def test_malformed_config_value_is_data_error(self, tmp_path, capsys, command, config):
         path = tmp_path / "config.json"

@@ -299,6 +299,15 @@ class TestOptionalHyperparameters:
         with pytest.raises(DataError, match="mean policy"):
             GPModel(kernel=shek_spec(), mean_policy="median")
 
+    def test_invalid_fit_options_rejected(self):
+        from graphspde import DataError
+
+        bad = [{"max_iters": 0}, {"max_iters": -1}, {"restarts": -5}]
+        for options in bad + [{"grad_tol": value} for value in (math.nan, math.inf, -1e-6)]:
+            with pytest.raises(DataError, match="max_iters >= 1, restarts >= 0 and a finite grad_tol >= 0"):
+                FitOptions(**options)
+        FitOptions(max_iters=1, restarts=0, grad_tol=0.0)
+
     def test_non_finite_or_negative_noise_and_offset_rejected(self):
         from graphspde import DataError
 

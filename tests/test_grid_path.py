@@ -13,10 +13,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import graphspde
 from graphspde import (
+    DataError,
     FactorizationError,
     FitOptions,
     GPModel,
@@ -25,8 +27,13 @@ from graphspde import (
     SpatioTemporalDataset,
     assemble_gram,
     fit,
+    fractional_from_graph,
     line_graph,
     log_marginal_likelihood,
+    predict,
+    sampling_moments,
+    shek_mean,
+    swek_mean,
 )
 from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
@@ -371,12 +378,13 @@ def test_exact_dense_gradient_matches_central_differences(kind, seed, mask, opti
 
 def count_grams(monkeypatch) -> list:
     """The point counts of the Grams ``gp`` builds: the dense likelihood's,
-    with its derivative map, and every other through ``assemble_gram``."""
+    with its derivative map, and every other through ``assemble_gram``; a
+    rectangular block K(rows, columns) counts as (rows, columns)."""
     calls = []
     for name in ("assemble_gram", "_gram_and_derivatives"):
 
         def counting(*args, original=getattr(graphspde.gp, name)):
-            calls.append(len(args[2]))
+            calls.append(len(args[2]) if len(args) < 4 else (len(args[2]), len(args[3])))
             return original(*args)
 
         monkeypatch.setattr(graphspde.gp, name, counting)
@@ -572,3 +580,118 @@ def test_fit_logs_the_likelihood_path(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "graphspde"]
     assert "fit: lattice likelihood over 4 times x 3 vertices, 2 missing cells" in messages
     assert "fit: dense likelihood over 11 points" in messages
+
+
+def query_points(rng: np.random.Generator, data: SpatioTemporalDataset) -> list:
+    """Some held-out lattice cells (where the set has any) and some cells at later times."""
+    times, n = data.times(), data.graph.n_vertices
+    read = {(p.vertex, p.time) for p in data.points}
+    held_out = [STPoint(v, float(t)) for t in times for v in range(n) if (v, t) not in read]
+    later = [STPoint(int(rng.integers(n)), float(times[-1] + dt)) for dt in (0.5, 0.5, 1.75)]
+    keep = rng.permutation(len(held_out))[:4]
+    return [held_out[k] for k in keep] + later
+
+
+def reference_posterior(model: GPModel, graph, obs, residual: np.ndarray, query) -> tuple:
+    """Mean correction and covariance from the joint Gram over obs + query and a plain Cholesky."""
+    n = len(obs)
+    gram = assemble_gram(model.kernel, graph, tuple(obs) + tuple(query)).matrix
+    factor = scipy.linalg.cholesky(gram[:n, :n] + model.noise_variance * np.eye(n), lower=True)
+    half = scipy.linalg.solve_triangular(factor, gram[:n, n:], lower=True)
+    white = scipy.linalg.solve_triangular(factor, residual, lower=True)
+    return half.T @ white, gram[n:, n:] - half.T @ half
+
+
+def assert_close_to_largest(actual: np.ndarray, reference: np.ndarray) -> None:
+    assert np.max(np.abs(actual - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(GRID_KINDS),
+    mask=st.sampled_from(MASKS + DENSE_MASKS),
+)
+def test_posterior_matches_the_joint_gram(seed, kind, mask):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    assume(mask != "sparse" or graph.n_vertices >= 3)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 7)), mask)
+    model = GPModel(
+        kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
+    )
+    prep = _prepare(model, data)
+    assert (prep.grid is None) == (mask in DENSE_MASKS)
+    query = query_points(rng, data)
+    shifted = [STPoint(p.vertex, p.time + prep.shift) for p in query]
+    mean, cov = reference_posterior(model, graph, prep.points, prep.y, shifted)
+    pred = predict(model, data, query, full_cov=True)
+    assert_close_to_largest(pred.mean, mean)
+    assert_close_to_largest(pred.covariance, cov)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(["shek", "swek"]),
+    mask=st.sampled_from(MASKS + DENSE_MASKS),
+)
+def test_conditioned_process_moments_match_the_joint_gram(seed, kind, mask):
+    # the readings at t = 0 are the initial state: they set the process mean
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    assume(mask != "sparse" or graph.n_vertices >= 3)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 7)), mask)
+    start = data.times()[0]
+    data = replace(data, observations=tuple((STPoint(p.vertex, p.time - start), y) for p, y in data.observations))
+    spec = random_spec(rng, kind)
+    model = GPModel(kernel=spec, noise_variance=float(rng.uniform(0.05, 0.5)))
+    frac = fractional_from_graph(graph, spec.laplacian_variant, spec.hyper["nu"], spec.hyper["kappa"])
+    u0 = np.zeros(graph.n_vertices)
+    for p, y in data.observations:
+        if p.time == 0.0:
+            u0[p.vertex] = y
+
+    def process_mean(points) -> np.ndarray:
+        c = spec.hyper["c"]
+        if kind == "shek":
+            return np.array([shek_mean(frac, c, u0, p.time)[p.vertex] for p in points])
+        zero = np.zeros_like(u0)
+        return np.array([swek_mean(frac, c, u0, zero, p.time)[p.vertex] for p in points])
+
+    query = query_points(rng, data)
+    correction, cov = reference_posterior(model, graph, data.points, data.values - process_mean(data.points), query)
+    mean, moments_cov = sampling_moments(model, query, condition_on=data)
+    assert_close_to_largest(mean, process_mean(query) + correction)
+    assert_close_to_largest(moments_cov, cov)
+
+
+@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
+def test_lattice_predict_gathers_no_gram_over_the_training_points(monkeypatch, drop):
+    rng = np.random.default_rng(12)
+    graph = line_graph(5)
+    data = drop_cells(grid_dataset(rng, graph, 6), drop)
+    model = GPModel(kernel=random_spec(rng, "shek"), noise_variance=0.1, mean_policy="zero")
+    query = [STPoint(v, 9.0) for v in range(5)] + [STPoint(1, 3.5)]
+    calls = count_grams(monkeypatch)
+    predict(model, data, query)
+    # the query's Gram and the training x query block
+    assert calls == [6, (len(data.observations), 6)]
+
+
+@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2)}, "repeated"])
+def test_empty_or_out_of_graph_queries_are_data_errors(drop):
+    rng = np.random.default_rng(13)
+    graph = line_graph(4)
+    data = grid_dataset(rng, graph, 5)
+    if drop == "repeated":
+        data = replace(data, observations=data.observations + data.observations[:1])
+    else:
+        data = drop_cells(data, drop)
+    model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1)
+    with pytest.raises(DataError, match="at least one point"):
+        predict(model, data, [])
+    with pytest.raises(DataError, match="vertex 4 outside the graph"):
+        predict(model, data, [STPoint(1, 2.0), STPoint(4, 2.0)])
+    with pytest.raises(DataError, match="vertex 4 outside the graph"):
+        sampling_moments(model, [STPoint(4, 2.0)], condition_on=data)
