@@ -3,8 +3,10 @@
 Subcommands: ``synth``, ``backtest``, ``validate-kernel``, ``sample``,
 ``fit``.  Every run is driven by flags plus an optional JSON config file;
 each setting is the flag if given, else its key in the subcommand's config
-section, else the top-level key, else its default.  Seeds are explicit
-everywhere, so reruns are byte-identical apart from wall-time fields.
+section, else the top-level key, else its default.  The flags are built from
+each subcommand's row of the settings table: setting ``n_train`` is flag
+``--n-train``, and the settings in ``_CONFIG_ONLY`` have no flag.  Seeds are
+explicit everywhere, so reruns are byte-identical apart from wall-time fields.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -42,10 +44,10 @@ KERNEL_NAMES = ("laplacian", "matern", "shek", "swek") + tuple(
     f"sep-{spatial}-{temporal}" for spatial in ("laplacian", "matern") for temporal in TEMPORAL_KINDS
 )
 
-# Each subcommand's config section and the defaults of its settings.  A type
-# in place of a default marks a setting with none (it reads None).  A tuple
-# setting takes a comma list or a JSON list of its default's item type, or
-# of floats where it has no default.
+# Each subcommand's config section and the defaults of its settings, in flag
+# order.  A type in place of a default marks a setting with none (it reads
+# None).  A tuple setting takes a comma list or a JSON list of its default's
+# item type, or of floats where it has no default.
 _COMMON = {"out": "out", "seed": 0}
 _PROCESS = {"c": 1.0, "sigma": 1.0, "nu": 1.5, "kappa": 1.0, "variant": "unnormalized"}
 _HYPER = {**_PROCESS, "time_lengthscale": 5.0, "variance": 1.0}
@@ -55,17 +57,19 @@ _SYNTH = {"kind": "heat-line", "nodes": int, "k": 1.0, "t": "1:60", "noise_sd": 
 _COMMANDS = {
     "synth": ("synth", _SYNTH),
     "backtest": ("backtest", {
-        **_DATA, **_HYPER, "kernels": ("shek", "sep-matern-rbf", "sep-laplacian-rbf"),
-        "baseline": str, "n_train": 50, "n_test": 10, "stride": 1, "rounds": 10, "task": "both",
-        "max_iters": 40, "restarts": 1, "grad_tol": 1e-4, "jobs": 1,
-        "mean_policy": "per_node_training_mean"}),
-    "validate-kernel": ("validate", {**_GRAPH, **_PROCESS, "kernel": "shek", "dt": 1e-3,
-                                     "t_end": 1.0, "n_paths": 50_000}),
-    "sample": ("sample", {**_GRAPH, **_HYPER, "c": (1.0,), "kernel": "shek", "times": "0:2:0.05",
-                          "n_samples": 5, "noise": 1e-8, "condition": tuple}),
-    "fit": ("fit", {**_DATA, **_HYPER, "kernel": "shek", "noise": 1e-2, "max_iters": 100,
-                    "restarts": 2}),
+        **_DATA, "kernels": ("shek", "sep-matern-rbf", "sep-laplacian-rbf"), "baseline": str,
+        "task": "both", "n_train": 50, "n_test": 10, "stride": 1, "rounds": 10, "max_iters": 40,
+        "restarts": 1, "grad_tol": 1e-4, "jobs": 1, "mean_policy": "per_node_training_mean",
+        **_HYPER}),
+    "validate-kernel": ("validate", {"kernel": "shek", **_GRAPH, "dt": 1e-3, "t_end": 1.0,
+                                     "n_paths": 50_000, **_PROCESS}),
+    "sample": ("sample", {"kernel": "shek", **_GRAPH, "times": "0:2:0.05", "condition": tuple,
+                          "n_samples": 5, "noise": 1e-8, **_HYPER, "c": (1.0,)}),
+    "fit": ("fit", {**_DATA, "kernel": "shek", "noise": 1e-2, "max_iters": 100, "restarts": 2,
+                    **_HYPER}),
 }
+# settings that only a config file sets
+_CONFIG_ONLY = {"synth", "variant", "grad_tol", "mean_policy"}
 
 
 class _UsageError(Exception):
@@ -101,9 +105,10 @@ def _settings(args) -> dict:
     """The subcommand's settings: flag > config[section] key > top-level config key > default."""
     section, defaults = _COMMANDS[args.command]
     config = _load_config(args.config)
-    scoped = config.get(section)
-    return _resolve({**_COMMON, **defaults}, vars(args), scoped if isinstance(scoped, dict) else {},
-                    config)
+    scoped = {} if config.get(section) is None else config[section]
+    if not isinstance(scoped, dict):
+        raise DataError(f"config section {section!r} must be a JSON object, got {scoped!r}")
+    return _resolve({**_COMMON, **defaults}, vars(args), scoped, config)
 
 
 def _resolve(defaults: dict, *layers: dict) -> dict:
@@ -234,9 +239,7 @@ def _load_dataset(settings: dict) -> SpatioTemporalDataset:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    settings = _settings(args)
-    out = _out_dir(settings)
+def cmd_synth(settings: dict, out: Path) -> int:
     spec, graph, dataset = _synthesize(settings)
     try:
         write_graph_csv(graph, out / "graph.csv")
@@ -258,9 +261,7 @@ def _format_cell(value, digits=4) -> str:
     return f"{value:.{digits}g}"
 
 
-def cmd_backtest(args) -> int:
-    settings = _settings(args)
-    out = _out_dir(settings)
+def cmd_backtest(settings: dict, out: Path) -> int:
     dataset = _load_dataset(settings)
 
     names = [n.strip() for n in settings["kernels"] if n.strip()]
@@ -327,9 +328,7 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def cmd_validate_kernel(args) -> int:
-    settings = _settings(args)
-    out = _out_dir(settings)
+def cmd_validate_kernel(settings: dict, out: Path) -> int:
     kernel = settings["kernel"]
     if kernel not in ("shek", "swek"):
         raise DataError(f"validate-kernel supports 'shek' and 'swek', got {kernel!r}")
@@ -384,9 +383,7 @@ def cmd_validate_kernel(args) -> int:
     return 0 if verdict == "PASS" else 3
 
 
-def cmd_sample(args) -> int:
-    settings = _settings(args)
-    out = _out_dir(settings)
+def cmd_sample(settings: dict, out: Path) -> int:
     graph = _load_graph(settings)
     n_samples, values = settings["n_samples"], settings["condition"]
     if not settings["c"]:
@@ -432,9 +429,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    settings = _settings(args)
-    out = _out_dir(settings)
+def cmd_fit(settings: dict, out: Path) -> int:
     dataset = _load_dataset(settings)
     kernel_name = settings["kernel"]
     model = GPModel(kernel=_kernel_spec(kernel_name, settings), noise_variance=settings["noise"])
@@ -460,6 +455,27 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each subcommand's handler and help, and the help or choices of some of its flags
+_SUBCOMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic line-graph dataset", {
+        "kind": {"choices": ("heat-line", "wave-line")},
+        "k": {"help": "conductivity (heat) or wave speed (wave)"},
+        "t": {"help": "timestamps, e.g. 1:50 or 1:10:0.5 or 1,2,5"}}),
+    "backtest": (cmd_backtest, "sliding-window backtest of kernels", {
+        "kernels": {"help": "comma list, e.g. shek,sep-matern-rbf"},
+        "task": {"choices": ("interpolation", "extrapolation", "both")},
+        "jobs": {"help": "worker threads for independent rounds"}}),
+    "validate-kernel": (cmd_validate_kernel,
+                        "check an analytic kernel against Euler-Maruyama simulation",
+                        {"kernel": {"choices": ("shek", "swek")}}),
+    "sample": (cmd_sample, "emit mean, 95%% band and sample paths as CSV", {
+        "times": {"help": "time grid, e.g. 0:2:0.05"},
+        "condition": {"help": "comma list of values at t=0, one per vertex"},
+        "c": {"help": "diffusivity / wave speed; accepts a comma list (one CSV per value)"}}),
+    "fit": (cmd_fit, "fit kernel hyperparameters to a dataset", {}),
+}
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its keys")
@@ -469,66 +485,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="graphspde", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic line-graph dataset")
-    p.add_argument("--kind", choices=["heat-line", "wave-line"])
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--k", type=float, help="conductivity (heat) or wave speed (wave)")
-    p.add_argument("--t", help="timestamps, e.g. 1:50 or 1:10:0.5 or 1,2,5")
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    backtest = p = sub.add_parser("backtest", parents=[common], help="sliding-window backtest of kernels")
-    p.add_argument("--graph")
-    p.add_argument("--series")
-    p.add_argument("--kernels", help="comma list, e.g. shek,sep-matern-rbf")
-    p.add_argument("--baseline")
-    p.add_argument("--task", choices=["interpolation", "extrapolation", "both"])
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--jobs", type=int, help="worker threads for independent rounds")
-    p.set_defaults(func=cmd_backtest)
-
-    validate = p = sub.add_parser("validate-kernel", parents=[common],
-                                  help="check an analytic kernel against Euler-Maruyama simulation")
-    p.add_argument("--kernel", choices=["shek", "swek"])
-    p.add_argument("--graph")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--n-paths", dest="n_paths", type=int)
-    p.set_defaults(func=cmd_validate_kernel)
-
-    sample = p = sub.add_parser("sample", parents=[common],
-                                help="emit mean, 95%% band and sample paths as CSV")
-    p.add_argument("--kernel")
-    p.add_argument("--graph")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--times", help="time grid, e.g. 0:2:0.05")
-    p.add_argument("--condition", help="comma list of values at t=0, one per vertex")
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--c", help="diffusivity / wave speed; accepts a comma list (one CSV per value)")
-    p.set_defaults(func=cmd_sample)
-
-    fit = p = sub.add_parser("fit", parents=[common], help="fit kernel hyperparameters to a dataset")
-    p.add_argument("--graph")
-    p.add_argument("--series")
-    p.add_argument("--kernel")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--restarts", type=int)
-    p.set_defaults(func=cmd_fit)
-
-    # the hyperparameter flags close each list; sample's --c, a comma list, is above
-    hyper = ("--c", "--sigma", "--nu", "--kappa", "--time-lengthscale", "--variance")
-    for p, flags in ((backtest, hyper), (validate, hyper[:4]), (sample, hyper[1:]), (fit, hyper)):
-        for flag in flags:
-            p.add_argument(flag, type=float)
+    for command, (_, help_line, extras) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_line)
+        for key, default in _COMMANDS[command][1].items():
+            if key not in _CONFIG_ONLY:
+                kind = default if isinstance(default, type) else type(default)
+                # other kinds take the string that _convert parses
+                p.add_argument("--" + key.replace("_", "-"), type=kind if kind in (int, float) else None,
+                               **extras.get(key, {}))
     return parser
 
 
@@ -540,7 +504,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        settings = _settings(args)
+        return _SUBCOMMANDS[args.command][0](settings, _out_dir(settings))
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -168,6 +168,8 @@ def run_backtest(
             raise DataError(f"unknown task {task!r}; expected subset of {TASKS}")
     if mean_policy not in MEAN_POLICIES:
         raise DataError(f"unknown mean policy {mean_policy!r}; expected one of {MEAN_POLICIES}")
+    if jobs < 1:
+        raise DataError(f"jobs must be >= 1, got {jobs}")
     if fit_opts is None:
         fit_opts = FitOptions()
 

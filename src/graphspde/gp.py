@@ -23,8 +23,9 @@ those factors.  ``fit`` logs the path at DEBUG on the ``graphspde`` logger,
 takes each gradient from the factorization of its line search's accepted
 trial, and ends a start once an accepted step no longer raises the LML by
 more than round-off.  The ascent is in-house rather than ``scipy.optimize``,
-whose import alone adds about 0.09 s and 18 MB of resident memory to every
-process that fits a model.
+whose import alone adds about 0.19 s and 18.5 MB of resident memory to every
+process that fits a model (after ``import graphspde.cli``, scipy 1.17 on a
+2-vCPU Xeon VM; the time varies with the host).
 
 Two conventions applied uniformly before any Gram assembly:
 
@@ -490,8 +491,8 @@ def _maximize(
     construction.  Each line-search trial is one evaluation; the gradient
     is asked of the accepted trial's point, so it reads the factorization
     that trial made, and no point outlives the next evaluation.  It is
-    in-house because importing ``scipy.optimize`` would add about 0.09 s
-    and 18 MB to every process that fits a model.
+    in-house because importing ``scipy.optimize`` would add about 0.19 s
+    and 18.5 MB to every process that fits a model (module docstring).
 
     A start ends when the gradient is below ``grad_tol`` (or zero, which
     a point returns where no gradient is finite), when the line

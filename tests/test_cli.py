@@ -1,9 +1,10 @@
+import argparse
 import csv
 import json
 
 import pytest
 
-from graphspde.cli import main
+from graphspde.cli import _build_parser, main
 
 
 def read_csv(path):
@@ -90,6 +91,15 @@ class TestBacktest:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "'bogus'" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_job_rejected(self, tmp_path, capsys, jobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backtest": {"synth": TINY_SYNTH}}))
+        code = main(["backtest", "--config", str(config), "--jobs", jobs, "--rounds", "1",
+                     "--n-train", "8", "--n-test", "2", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: jobs must be >= 1")
 
     def test_empty_kernel_list_lists_valid_names(self, small_dataset, tmp_path, capsys):
         code = main(["backtest", "--graph", str(small_dataset / "graph.csv"),
@@ -242,9 +252,50 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("data error: noise_variance")
 
 
+_HYPER_FLAGS = {"--c": float, "--sigma": float, "--nu": float, "--kappa": float,
+                "--time-lengthscale": float, "--variance": float}
+# every subcommand's flags, each with its type (None: the string itself) or its choices
+FLAGS = {
+    "synth": {"--kind": ("heat-line", "wave-line"), "--nodes": int, "--k": float, "--t": None,
+              "--noise-sd": float},
+    "backtest": {"--graph": None, "--series": None, "--kernels": None, "--baseline": None,
+                 "--task": ("interpolation", "extrapolation", "both"), "--n-train": int,
+                 "--n-test": int, "--stride": int, "--rounds": int, "--max-iters": int,
+                 "--restarts": int, "--jobs": int, **_HYPER_FLAGS},
+    "validate-kernel": {"--kernel": ("shek", "swek"), "--graph": None, "--nodes": int,
+                        "--dt": float, "--t-end": float, "--n-paths": int, "--c": float,
+                        "--sigma": float, "--nu": float, "--kappa": float},
+    "sample": {"--kernel": None, "--graph": None, "--nodes": int, "--times": None,
+               "--condition": None, "--n-samples": int, "--noise": float,
+               **_HYPER_FLAGS, "--c": None},
+    "fit": {"--graph": None, "--series": None, "--kernel": None, "--noise": float,
+            "--max-iters": int, "--restarts": int, **_HYPER_FLAGS},
+}
+
+
 class TestUsage:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_flag_set(self):
+        (commands,) = [a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(FLAGS)
+        for command, parser in commands.choices.items():
+            seen = {}
+            for action in parser._actions:
+                if action.dest == "help":
+                    continue
+                (flag,) = action.option_strings
+                assert action.dest == flag[2:].replace("-", "_")
+                seen[flag] = tuple(action.choices) if action.choices else action.type
+            expected = {"--config": None, "--seed": int, "--out": None, **FLAGS[command]}
+            assert seen == expected, command
+
+    @pytest.mark.parametrize("flag", ["--synth", "--variant", "--grad-tol", "--mean-policy"])
+    def test_config_only_settings_have_no_flag(self, capsys, flag):
+        assert main(["backtest", flag, "1e-3"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_jobs_belongs_to_backtest_alone(self, capsys):
         assert main(["fit", "--jobs", "2"]) == 1
@@ -378,6 +429,10 @@ MALFORMED = [
     ("sample", {"sample": {"condition": [1, "x", 3]}}),
     ("validate-kernel", {"validate": {"n_paths": 1e30}}),
     ("sample", {"sample": {"c": []}}),
+    # a command's own section must be an object
+    ("validate-kernel", {"validate": 5, "nodes": 3, "n_paths": 200}),
+    ("synth", {"synth": [1, 2], "t": "1:5"}),
+    ("fit", {"fit": 5, "synth": TINY_SYNTH}),
 ]
 
 

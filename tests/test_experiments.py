@@ -96,3 +96,14 @@ def test_unknown_task_rejected():
     plan = BacktestPlan(n_train=6, n_test=2, stride=1, rounds=1, seed=0)
     with pytest.raises(DataError, match="task"):
         run_backtest(data, KERNELS, plan, "shek", tasks=("backcast",), fit_opts=quick_opts())
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_rejected_before_any_round(monkeypatch, jobs):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("fitted a round although jobs < 1")
+
+    monkeypatch.setattr("graphspde.experiments._evaluate_round", unreachable)
+    plan = BacktestPlan(n_train=6, n_test=2, stride=1, rounds=1, seed=0)
+    with pytest.raises(DataError, match="jobs must be >= 1"):
+        run_backtest(small_dataset(), KERNELS, plan, "shek", fit_opts=quick_opts(), jobs=jobs)
