@@ -193,6 +193,8 @@ def _kernel_spec(name: str, hyper: dict) -> KernelSpec:
 
 
 def _out_dir(settings: dict) -> Path:
+    """The --out directory, created; a subcommand asks for it just before its first write, so a
+    command that fails on its inputs leaves none behind."""
     out = Path(settings["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -239,8 +241,9 @@ def _load_dataset(settings: dict) -> SpatioTemporalDataset:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(settings: dict, out: Path) -> int:
+def cmd_synth(settings: dict) -> int:
     spec, graph, dataset = _synthesize(settings)
+    out = _out_dir(settings)
     try:
         write_graph_csv(graph, out / "graph.csv")
         write_series_csv(dataset, out / "series.csv")
@@ -261,7 +264,7 @@ def _format_cell(value, digits=4) -> str:
     return f"{value:.{digits}g}"
 
 
-def cmd_backtest(settings: dict, out: Path) -> int:
+def cmd_backtest(settings: dict) -> int:
     dataset = _load_dataset(settings)
 
     names = [n.strip() for n in settings["kernels"] if n.strip()]
@@ -280,7 +283,7 @@ def cmd_backtest(settings: dict, out: Path) -> int:
     report = run_backtest(dataset, kernels, plan, baseline, tasks=tasks, fit_opts=fit_opts,
                           jobs=settings["jobs"], mean_policy=settings["mean_policy"])
 
-    rows_path = out / "results.csv"
+    rows_path = _out_dir(settings) / "results.csv"
     with open(rows_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "kernel", "split", "mae", "mape",
@@ -328,7 +331,7 @@ def cmd_backtest(settings: dict, out: Path) -> int:
     return 0
 
 
-def cmd_validate_kernel(settings: dict, out: Path) -> int:
+def cmd_validate_kernel(settings: dict) -> int:
     kernel = settings["kernel"]
     if kernel not in ("shek", "swek"):
         raise DataError(f"validate-kernel supports 'shek' and 'swek', got {kernel!r}")
@@ -370,7 +373,7 @@ def cmd_validate_kernel(settings: dict, out: Path) -> int:
                              f"{analytic[i, j]:.10g}", f"{empirical[i, j]:.10g}",
                              f"{se[i, j]:.4g}", f"{z[i, j]:.3f}"])
 
-    path = out / f"validate_{kernel}.csv"
+    path = _out_dir(settings) / f"validate_{kernel}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "s", "node_i", "node_j", "analytic", "empirical", "se", "z"])
@@ -383,7 +386,7 @@ def cmd_validate_kernel(settings: dict, out: Path) -> int:
     return 0 if verdict == "PASS" else 3
 
 
-def cmd_sample(settings: dict, out: Path) -> int:
+def cmd_sample(settings: dict) -> int:
     graph = _load_graph(settings)
     n_samples, values = settings["n_samples"], settings["condition"]
     if not settings["c"]:
@@ -412,7 +415,7 @@ def cmd_sample(settings: dict, out: Path) -> int:
         sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         draws = _draw(mean, cov, n_samples, settings["seed"])
 
-        path = out / f"samples_c{c:g}.csv"
+        path = _out_dir(settings) / f"samples_c{c:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["node", "time", "series", "value"])
@@ -429,7 +432,7 @@ def cmd_sample(settings: dict, out: Path) -> int:
     return 0
 
 
-def cmd_fit(settings: dict, out: Path) -> int:
+def cmd_fit(settings: dict) -> int:
     dataset = _load_dataset(settings)
     kernel_name = settings["kernel"]
     model = GPModel(kernel=_kernel_spec(kernel_name, settings), noise_variance=settings["noise"])
@@ -443,7 +446,7 @@ def cmd_fit(settings: dict, out: Path) -> int:
         "lml": result.lml,
         "trace_length": len(result.trace),
     }
-    with open(out / f"fit_{kernel_name}.json", "w", encoding="utf-8") as fh:
+    with open(_out_dir(settings) / f"fit_{kernel_name}.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -505,7 +508,7 @@ def main(argv=None) -> int:
         return 1
     try:
         settings = _settings(args)
-        return _SUBCOMMANDS[args.command][0](settings, _out_dir(settings))
+        return _SUBCOMMANDS[args.command][0](settings)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ factorized as one batched Cholesky over the (n, T, T) stack; each factor
 is inverted by LAPACK's triangular inverse, not a general LU.  Missing
 cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
-inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  Other point sets
+inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the
+modes applies ``(K + s2 I)^-1`` with that correction, for the likelihood
+and the posterior alike; both, and the gradient, are sums over the modes,
+so the order of the rows never enters.  Other point sets
 take the dense N x N path.  :func:`_factorize` makes that choice from the
 points alone and factorizes ``K + s2 I`` once per theta; the LML, its
 exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
@@ -33,7 +36,8 @@ Two conventions applied uniformly before any Gram assembly:
   (default 1.0): at t = 0 the process kernels have zero variance, which
   would make the first observation noise-only;
 - targets are centered per ``mean_policy`` (default: per-node training
-  mean), and the offsets are added back to predictions.
+  mean, from correctly rounded sums), and the offsets are added back to
+  predictions.
 
 For the SHEK/SWEK process kernels, :func:`sample` treats conditioning
 values at t = 0 as the deterministic initial state of the process (they
@@ -180,18 +184,16 @@ class _Prepared:
 
 
 def _node_offsets(model: GPModel, data: SpatioTemporalDataset) -> np.ndarray:
+    """Each vertex's training mean, or the overall one at a vertex with no reading; correctly
+    rounded sums (``math.fsum``), so the rows' order does not enter."""
     n = data.graph.n_vertices
     if model.mean_policy == "zero":
         return np.zeros(n)
-    sums = np.zeros(n)
-    counts = np.zeros(n)
+    by_vertex = [[] for _ in range(n)]
     for point, y in data.observations:
-        sums[point.vertex] += y
-        counts[point.vertex] += 1
-    overall = sums.sum() / counts.sum()
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), overall)
-    return means
+        by_vertex[point.vertex].append(y)
+    overall = math.fsum(data.values) / len(data.observations)
+    return np.array([math.fsum(ys) / len(ys) if ys else overall for ys in by_vertex])
 
 
 def _prepare(model: GPModel, data: SpatioTemporalDataset) -> _Prepared:
@@ -219,8 +221,10 @@ def _factorize(spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Se
 class _Factorization:
     """``K + s2 I`` at one kernel and noise variance, factorized once.
 
-    ``solve(rhs)`` is ``(K + s2 I)^-1 rhs`` for an (N,) or (N, k) ``rhs``;
-    ``lml`` is the log marginal likelihood and :meth:`gradient` its exact
+    ``condition(cross)`` gives ``cross^T (K + s2 I)^-1 y`` and
+    ``cross^T (K + s2 I)^-1 cross`` for the (N, q) covariances ``cross`` between
+    the points and q queries, the posterior's mean correction and covariance
+    reduction; ``lml`` is the log marginal likelihood and :meth:`gradient` its exact
     gradient in the log of each name in ``wrt`` (``"noise"`` is the noise
     variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
     eq. 5.9), as the ``vdot`` of the weight ``a a^T - W`` with each dK, which
@@ -281,17 +285,22 @@ class _Dense(_Factorization):
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
 
+    def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        weights = self.solve(np.column_stack([self.prep.y, cross]))
+        return cross.T @ weights[:, 0], cross.T @ weights[:, 1:]
+
 
 class _Lattice(_Factorization):
     """On the points' vertex x time lattice: eigenbasis Q, the inverses ``L_i^-1`` of the
     Cholesky factors of every mode's ``A_i = K_i + s2 I`` over all T times (one batched
-    Cholesky), and ``z_i = A_i^-1 y_i`` from the whitened mode targets ``L_i^-1 y_i`` (missing
-    cells read 0).  ``A_i^-1 = L_i^-T L_i^-1`` is formed only where it is read: for missing
-    cells, or for the gradient.  Missing cells m get the same noise, so these factors apply;
-    with ``B = A^-1`` and y zero at m, ``log|A_oo| = log|A| + log|B_mm|`` and
-    ``y^T A_oo^-1 y = y^T B y - (B y)_m^T B_mm^-1 (B y)_m``, from z, ``A_i^-1`` and
-    :func:`_missing_block`, kept for the gradient, which forms every K_i's derivatives from the
-    covariances this value evaluated."""
+    Cholesky), and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one
+    place where a right-hand side meets ``A_oo^-1``; ``A_i^-1 = L_i^-T L_i^-1`` is formed only
+    where it is read: for missing cells, or for the gradient.  Missing cells m get the same
+    noise, so these factors apply; with ``B = A^-1`` and a right-hand side zero at m,
+    ``A_oo^-1 rhs = B rhs - G B_mm^-1 (B rhs)_m`` and ``log|A_oo| = log|A| + log|B_mm|``, with
+    G and the factor of ``B_mm`` from :func:`_missing_block`.  The LML's quadratic form, the
+    gradient and the posterior are all sums over the modes, so the points' order never enters;
+    the gradient forms every K_i's derivatives from the covariances this value evaluated."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
@@ -299,67 +308,60 @@ class _Lattice(_Factorization):
         self.basis, covs, self.derivatives = mode_covariances(spec, prep.graph, grid.times)
         factor, _ = cholesky_jittered(covs + self.noise_variance * np.eye(grid.times.shape[0]))
         self.factor_inv = invert_lower_triangular(factor)
-        y_modes = (np.append(prep.y, 0.0)[grid.index] @ self.basis).T  # (n, T): row i is eigenmode i's series
-        white = np.einsum("iab,ib->ia", self.factor_inv, y_modes)
-        self.z = np.einsum("iab,ia->ib", self.factor_inv, white)
-        quad = np.sum(white**2)
         log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
         if grid.n_missing:
-            self.missing = _missing_block(self.basis, self.z, self.inv, grid)
-            chol_mm, by_m, _ = self.missing
-            r = scipy.linalg.solve_triangular(chol_mm, by_m, lower=True, check_finite=False)
-            quad -= r @ r
-            log_det += np.sum(np.log(np.diag(chol_mm)))
-        self.lml = float(-0.5 * quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
+            self.missing = _missing_block(self.basis, self.inv, grid)
+            log_det += np.sum(np.log(np.diag(self.missing[0])))
+        y_modes = self._into_modes(prep.y[:, None], grid.cells)
+        self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
+        self.lml = float(-0.5 * np.vdot(y_modes, self.alpha) - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
 
     @cached_property
     def inv(self) -> np.ndarray:
         """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T)."""
         return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Scatter ``rhs`` onto the lattice with zeros at the missing cells, move it into the
-        modes and apply ``A_i^-1 = L_i^-T L_i^-1``; with missing cells, take off
-        ``G_i B_mm^-1 (B rhs)_m`` as :meth:`_weight` corrects ``a``; read the result at the points."""
-        grid, n_points = self.prep.grid, rhs.shape[0]
-        padded = np.concatenate([rhs.reshape(n_points, -1), np.zeros((1, rhs.size // n_points))])
-        modes = (self.basis.T @ padded[grid.index]).swapaxes(0, 1)  # (n, T, k)
+    def _into_modes(self, rhs: np.ndarray, at: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The (C, k) ``rhs`` scattered onto the lattice, row c at cell c of ``at`` (time indices,
+        vertices) and zero elsewhere, and moved into the modes: (n, T, k), row i eigenmode i's
+        series."""
+        t_idx, vertices = at
+        cells = np.zeros((self.prep.grid.times.shape[0], self.basis.shape[0], rhs.shape[1]))
+        cells[t_idx, vertices] = rhs
+        return (self.basis.T @ cells).swapaxes(0, 1)
+
+    def _solve_modes(self, modes: np.ndarray) -> np.ndarray:
+        """``A_oo^-1`` applied to the lattice right-hand side ``modes`` from :meth:`_into_modes`:
+        each ``A_i^-1``, then with missing cells ``- G_i B_mm^-1 (B rhs)_m``, where
+        ``(B rhs)[c] = sum_i Q[v_c, i] (A_i^-1 rhs_i)[t_c]``.  The result is zero at the missing
+        cells."""
         z = np.swapaxes(self.factor_inv, 1, 2) @ (self.factor_inv @ modes)
-        if grid.n_missing:
-            (t_m, v_m), (chol_mm, _, gain) = grid.missing, self.missing
-            by_m = np.einsum("ci,ick->ck", self.basis[v_m], z[:, t_m])
-            z -= gain @ scipy.linalg.cho_solve((chol_mm, True), by_m, check_finite=False)
-        cells = (self.basis @ z.swapaxes(0, 1)).reshape(grid.index.size, -1)
-        # point p is the cell that holds p; the missing cells hold N and sort last
-        return cells[np.argsort(grid.index, axis=None)[:n_points]].reshape(rhs.shape)
+        if self.prep.grid.n_missing:
+            (t_m, v_m), (chol_mm, gain) = self.prep.grid.missing, self.missing
+            b_m = np.einsum("ci,ick->ck", self.basis[v_m], z[:, t_m])
+            z -= gain @ scipy.linalg.cho_solve((chol_mm, True), b_m, check_finite=False)
+        return z
+
+    def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        modes = self._into_modes(cross, self.prep.grid.cells)
+        flat = modes.reshape(-1, modes.shape[-1])
+        return flat.T @ self.alpha.ravel(), flat.T @ self._solve_modes(modes).reshape(flat.shape)
 
     def _weight(self) -> np.ndarray:
         """Per-mode weights ``a_i a_i^T - W_i``, (n, T, T).
 
-        On a complete grid a = A^-1 y and W = A^-1.  With missing cells m, both
-        are those of A_oo^-1 padded with zeros: with
-        ``G_i[:, c] = A_i^-1[:, t_c] Q[v_c, i]``, ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T``
-        and ``a_i = z_i - G_i B_mm^-1 (B y)_m``.  W and a vanish on the missing
-        cells, so the noise term is the same trace.
+        On a complete grid W = A^-1.  With missing cells m, W is A_oo^-1 padded
+        with zeros: ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T = A_i^-1 - H_i H_i^T`` with
+        ``H_i = G_i L_mm^-T`` for the Cholesky factor ``L_mm`` of ``B_mm``.  W and a
+        vanish on the missing cells, so the noise term is the same trace.
         """
-        grid = self.prep.grid
-        alpha, inv = self.z, self.inv
-        if grid.n_missing:
-            t_m, v_m = grid.missing
-            chol_mm, by_m, gain = self.missing
-            c_mm = scipy.linalg.cho_solve((chol_mm, True), np.eye(grid.n_missing), check_finite=False)
-            alpha = alpha - gain @ (c_mm @ by_m)
-            # G_i C G_i^T = A_i^-1 F_i A_i^-1 with F_i = E_i C E_i^T, C = B_mm^-1:
-            # scatter C's rows onto the lattice, move them into the modes, then
-            # sum its columns by time
-            rows = np.zeros(grid.index.shape + (grid.n_missing,))
-            rows[t_m, v_m] = c_mm
-            rows = (self.basis.T @ rows) * self.basis[v_m].T  # (T, n, M)
-            times_m, starts = np.unique(t_m, return_index=True)
-            f = np.zeros_like(inv)
-            f[:, :, times_m] = np.add.reduceat(rows, starts, axis=2).swapaxes(0, 1)
-            inv = inv - inv @ f @ inv
-        return alpha[:, :, None] * alpha[:, None, :] - inv
+        inv = self.inv
+        if self.prep.grid.n_missing:
+            # H_i = A_i^-1 E_i L_mm^-T: the rows of L_mm^-T on the missing cells, in the modes
+            chol_inv = invert_lower_triangular(self.missing[0][None])[0]
+            h = inv @ self._into_modes(chol_inv.T, self.prep.grid.missing)
+            inv = inv - h @ h.swapaxes(1, 2)
+        return self.alpha * self.alpha.swapaxes(1, 2) - inv
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -379,13 +381,12 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
 class _GridStructure:
     """Vertex x time lattice over the points' T distinct times.
 
-    ``index[a, v]`` is the position of (time a, vertex v) in the point list,
-    or the number of points for a cell with no reading.  ``missing`` holds
-    the time indices and the vertices of those M cells.
+    ``cells`` holds each point's time index and vertex, and ``missing``
+    those of the M cells with no reading.
     """
 
     times: np.ndarray  # (T,) ascending
-    index: np.ndarray  # (T, n_vertices)
+    cells: tuple[np.ndarray, np.ndarray]  # (N,) time indices, (N,) vertices
     missing: tuple[np.ndarray, np.ndarray]  # (M,) time indices, (M,) vertices
 
     @property
@@ -396,34 +397,28 @@ class _GridStructure:
 def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure | None:
     """The lattice of ``points``; None if a (vertex, time) pair repeats or
     more cells are missing than read, where the dense path is cheaper."""
-    n_points = len(points)
     times, t_idx = np.unique([p.time for p in points], return_inverse=True)
-    index = np.full((times.shape[0], n_vertices), n_points)
-    index[t_idx, [p.vertex for p in points]] = np.arange(n_points)
-    empty = index == n_points
-    if index.size - np.count_nonzero(empty) < n_points or 2 * n_points < index.size:
+    vertices = np.array([p.vertex for p in points], dtype=int)
+    read = np.zeros((times.shape[0], n_vertices), dtype=bool)
+    read[t_idx, vertices] = True
+    if np.count_nonzero(read) < len(points) or 2 * len(points) < read.size:
         return None
-    return _GridStructure(times=times, index=index, missing=np.nonzero(empty))
+    return _GridStructure(times=times, cells=(t_idx, vertices), missing=np.nonzero(~read))
 
 
-def _missing_block(
-    basis: np.ndarray, z: np.ndarray, inv: np.ndarray, grid: _GridStructure
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cholesky factor of B_mm and (B y)_m, where B = A^-1 over the lattice,
-    read at the missing cells m, and the per-mode ``G_i = A_i^-1 E_i``.  An
+def _missing_block(basis: np.ndarray, inv: np.ndarray, grid: _GridStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of B_mm, where B = A^-1 over the lattice, read at the
+    missing cells m, and the per-mode ``G_i = A_i^-1 E_i``, (n, T, M).  An
     indefinite B_mm raises :class:`FactorizationError`; it is never jittered.
 
     ``E_i[:, c] = e_{t_c} Q[v_c, i]`` moves cell c into mode i, so
-    ``B[(a, v), c] = sum_i Q[v, i] G_i[a, c]`` and
-    ``(B y)[c] = sum_i Q[v_c, i] z_i[t_c]``.
+    ``B[(a, v), c] = sum_i Q[v, i] G_i[a, c]``.
     """
     t_m, v_m = grid.missing
-    q_m = basis[v_m]  # (M, n)
-    gain = inv[:, :, t_m] * q_m.T[:, None, :]  # (n, T, M)
+    gain = inv[:, :, t_m] * basis[v_m].T[:, None, :]  # (n, T, M)
     b_mm = (basis @ gain.swapaxes(0, 1))[t_m, v_m]
-    by_m = np.einsum("ci,ic->c", q_m, z[:, t_m])
     try:
-        return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), by_m, gain
+        return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), gain
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"missing-cell block B_mm is not positive definite: {exc}") from exc
 
@@ -630,9 +625,9 @@ def _condition(model: GPModel, prep: _Prepared, query: Sequence[STPoint]) -> tup
     ``prep.points`` around the prior mean, solved by the factorization the likelihood reads."""
     prior = assemble_gram(model.kernel, prep.graph, query).matrix
     cross = _gram_and_derivatives(model.kernel, prep.graph, prep.points, query)[0]
-    weights = _factorize(model.kernel, model.noise_variance, prep).solve(np.column_stack([prep.y, cross]))
-    cov = prior - cross.T @ weights[:, 1:]
-    return cross.T @ weights[:, 0], 0.5 * (cov + cov.T)
+    correction, reduction = _factorize(model.kernel, model.noise_variance, prep).condition(cross)
+    cov = prior - reduction
+    return correction, 0.5 * (cov + cov.T)
 
 
 def sampling_moments(

@@ -434,6 +434,12 @@ def _swek_series_terms(m, big, gap):
     return correction, correction2
 
 
+def _at_small(small: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each of ``arrays`` broadcast to ``small``'s shape and read where ``small`` holds, so the
+    series is evaluated only where it is used; a scalar stays a scalar."""
+    return [np.broadcast_to(a, small.shape)[small] if np.ndim(a) else a for a in arrays]
+
+
 def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     """Scalar SWEK covariance per eigenvalue of the operator.
 
@@ -453,15 +459,16 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     small = theta * big < _SWEK_SERIES
     theta_safe = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
-        direct = (
+        out = (
             sigma**2
             / (2.0 * theta_safe**2)
             * (m * np.cos(theta_safe * gap) - np.cos(theta_safe * big) * np.sin(theta_safe * m) / theta_safe)
         )
+    theta, m, big, gap = _at_small(small, theta, m, big, gap)
     lead = m**3 / 6.0 + big**2 * m / 2.0 - m * gap**2 / 2.0
     correction, correction2 = _swek_series_terms(m, big, gap)
-    series = sigma**2 / 2.0 * (lead + theta**2 * (correction + theta**2 * correction2))
-    return np.where(small, series, direct)
+    out[small] = sigma**2 / 2.0 * (lead + theta**2 * (correction + theta**2 * correction2))
+    return out
 
 
 def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
@@ -485,9 +492,11 @@ def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, 
             - m * cos_big * np.cos(th * m)
             + cos_big * sin_m / th
         )
-        direct = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
+        out = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
+    theta, m, big, gap = _at_small(small, theta, m, big, gap)
     correction, correction2 = _swek_series_terms(m, big, gap)
-    return np.where(small, sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2), direct)
+    out[small] = sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2)
+    return out
 
 
 def swek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: float) -> np.ndarray:

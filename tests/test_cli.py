@@ -301,6 +301,19 @@ class TestUsage:
         assert main(["fit", "--jobs", "2"]) == 1
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--nodes", "1", "--t", "1:5"],
+        ["backtest", "--kernels", "shek"],
+        ["validate-kernel", "--n-paths", "1"],
+        ["sample", "--nodes", "0"],
+        ["fit", "--kernel", "shek"],
+    ], ids=lambda argv: argv[0])
+    def test_data_error_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "fresh"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_runs(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -220,6 +220,25 @@ class TestPredict:
         )
         assert np.all(pred.variance <= prior + 1e-8)
 
+    def test_fit_and_predict_ignore_row_order(self):
+        # per-node means are correctly rounded sums, and the lattice sums over its modes
+        rng = np.random.default_rng(4)
+        graph = line_graph(4)
+        observations = tuple(
+            (STPoint(v, float(t)), float(3.0 + v + rng.standard_normal()))
+            for t in range(1, 13) for v in range(4)
+        )
+        forward = SpatioTemporalDataset(graph=graph, observations=observations)
+        backward = SpatioTemporalDataset(graph=graph, observations=observations[::-1])
+        model = GPModel(kernel=shek_spec(), noise_variance=0.1)
+        opts = FitOptions(max_iters=15, restarts=1)
+        fitted = [fit(model, data, opts) for data in (forward, backward)]
+        assert fitted[0] == fitted[1]
+        query = [STPoint(v, t) for v in range(4) for t in (4.5, 9.0)]
+        preds = [predict(fitted[0].model, data, query, full_cov=True) for data in (forward, backward)]
+        for name in ("mean", "variance", "covariance"):
+            np.testing.assert_array_equal(getattr(preds[0], name), getattr(preds[1], name))
+
 
 class TestSample:
     def test_bit_identical_for_fixed_seed(self):

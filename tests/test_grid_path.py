@@ -479,11 +479,11 @@ def test_kept_factorization_gives_the_gradient_of_a_fresh_one(kind, seed, mask, 
 
 
 def failing_correction(how: str):
-    def patched(basis, z, inv, grid):
+    def patched(basis, inv, grid):
         if how == "raise":  # -A^-1 makes B_mm negative definite
-            return _missing_block(basis, z, -inv, grid)
-        chol_mm, by_m, gain = _missing_block(basis, z, inv, grid)
-        return chol_mm, np.full_like(by_m, np.nan), gain
+            return _missing_block(basis, -inv, grid)
+        chol_mm, gain = _missing_block(basis, inv, grid)
+        return chol_mm, np.full_like(gain, np.nan)
 
     return patched
 
@@ -664,6 +664,27 @@ def test_conditioned_process_moments_match_the_joint_gram(seed, kind, mask):
     mean, moments_cov = sampling_moments(model, query, condition_on=data)
     assert_close_to_largest(mean, process_mean(query) + correction)
     assert_close_to_largest(moments_cov, cov)
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+@pytest.mark.parametrize("mask", ["none", "random"])
+def test_lattice_ignores_row_order(kind, mask):
+    # the lattice sums over its modes, never in the order of the rows
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, 6)
+        data = gappy_dataset(rng, graph, int(rng.integers(3, 7)), mask)
+        backward = replace(data, observations=data.observations[::-1])
+        model = GPModel(kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)))
+        assert _prepare(model, data).grid is not None
+        names = _optimizable_names(model.kernel, True) + ["noise"]
+        forward_point, backward_point = (_evaluator(model, d, names)(theta_of(model, names)) for d in (data, backward))
+        assert forward_point.lml == backward_point.lml
+        np.testing.assert_array_equal(forward_point.gradient(), backward_point.gradient())
+        query = query_points(rng, data)
+        forward_pred, backward_pred = (predict(model, d, query, full_cov=True) for d in (data, backward))
+        np.testing.assert_array_equal(forward_pred.mean, backward_pred.mean)
+        np.testing.assert_array_equal(forward_pred.covariance, backward_pred.covariance)
 
 
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])

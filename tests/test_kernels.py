@@ -666,3 +666,26 @@ def test_swek_series_derivative_is_twice_its_theta_part():
     np.testing.assert_allclose(
         _swek_eig_dlog_theta(k, mu, c, sigma, t, s), 2.0 * (k - limit), rtol=1e-5
     )
+
+
+def test_swek_series_is_evaluated_only_where_it_is_used(monkeypatch):
+    # the series takes over below theta * max(t, s) = _SWEK_SERIES; the
+    # direct form covers every other entry, so only those below see it
+    from graphspde import kernels
+
+    series_terms = kernels._swek_series_terms
+    seen = []
+
+    def recording(m, big, gap):
+        seen.append((np.shape(m), np.shape(big), np.shape(gap)))
+        return series_terms(m, big, gap)
+
+    monkeypatch.setattr(kernels, "_swek_series_terms", recording)
+    mu = np.array([1e-8, 1e-6, 0.5, 2.0, 7.0])[:, None]
+    t, s = (a.ravel()[None] for a in np.meshgrid([0.5, 1.0, 2.5, 4.0], [0.5, 1.0, 2.5, 4.0]))
+    c, sigma = 1.0, 1.5
+    below = np.count_nonzero(c * np.sqrt(mu) * np.maximum(t, s) < kernels._SWEK_SERIES)
+    assert 0 < below < mu.shape[0] * t.shape[1]
+    k = kernels._swek_eig(mu, c, sigma, t, s)
+    kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s)
+    assert seen == [((below,),) * 3] * 2
