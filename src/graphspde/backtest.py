@@ -39,7 +39,8 @@ class BacktestPlan:
 class RoundResult:
     """Per-round evaluation of one model: errors, metrics and wall time.
 
-    ``mape`` is None when any test target is zero (undefined there).
+    ``mape`` is None when any test target is zero (undefined there).  ``starts`` and
+    ``skipped_starts`` are the fit's per-start record (``gp.FitResult``).
     """
 
     round_index: int
@@ -47,6 +48,8 @@ class RoundResult:
     mae: float
     mape: float | None
     wall_time: float
+    starts: tuple[tuple[float | None, int], ...] = ()
+    skipped_starts: int = 0
 
     def __post_init__(self):
         if self.mae < 0 or (self.mape is not None and self.mape < 0):

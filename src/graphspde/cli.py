@@ -445,6 +445,8 @@ def cmd_fit(settings: dict) -> int:
         "noise_variance": result.model.noise_variance,
         "lml": result.lml,
         "trace_length": len(result.trace),
+        "starts": [{"lml": lml, "iterations": iterations} for lml, iterations in result.starts],
+        "skipped_starts": result.skipped_starts,
     }
     with open(_out_dir(settings) / f"fit_{kernel_name}.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -467,7 +469,10 @@ _SUBCOMMANDS = {
     "backtest": (cmd_backtest, "sliding-window backtest of kernels", {
         "kernels": {"help": "comma list, e.g. shek,sep-matern-rbf"},
         "task": {"choices": ("interpolation", "extrapolation", "both")},
-        "jobs": {"help": "worker threads for independent rounds"}}),
+        "jobs": {"help": "worker threads for independent rounds"},
+        "restarts": {"help": "up to this many random starts after a round's own; a start that "
+                             "ties the best LML ends the search (shek/swek rounds start from a c grid "
+                             "instead)"}}),
     "validate-kernel": (cmd_validate_kernel,
                         "check an analytic kernel against Euler-Maruyama simulation",
                         {"kernel": {"choices": ("shek", "swek")}}),
@@ -475,7 +480,9 @@ _SUBCOMMANDS = {
         "times": {"help": "time grid, e.g. 0:2:0.05"},
         "condition": {"help": "comma list of values at t=0, one per vertex"},
         "c": {"help": "diffusivity / wave speed; accepts a comma list (one CSV per value)"}}),
-    "fit": (cmd_fit, "fit kernel hyperparameters to a dataset", {}),
+    "fit": (cmd_fit, "fit kernel hyperparameters to a dataset", {
+        "restarts": {"help": "up to this many random starts after the model's own; a start that "
+                             "ties the best LML ends the search"}}),
 }
 
 

@@ -9,6 +9,7 @@ Diebold-Mariano test against a named baseline kernel.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,7 +26,7 @@ from .backtest import (
 )
 from .exceptions import DataError, NumericError
 from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, fit, predict
-from .gp import _prepare
+from .gp import _fit_names, _fit_starts, _log_theta, _prepare
 from .kernels import KernelSpec, mode_covariances
 
 TASKS = ("interpolation", "extrapolation")
@@ -78,18 +79,21 @@ def _data_scaled_spec(
     magnitude off (e.g. the Laplacian kernel's raw scale vs. small targets)
     wastes the iteration budget or strands the fit in a degenerate basin.
     A point's prior variance is ``sum_i Q[v, i]^2 k_i(t, t)``, read from the
-    per-mode variances without assembling the Gram.
+    per-mode variances without assembling the Gram.  Both means are correctly
+    rounded sums (``math.fsum``), so the order of the rows does not enter.
     """
     probe = GPModel(kernel=spec, mean_policy=mean_policy)
     prep = _prepare(probe, train)
-    target_var = max(float(np.var(prep.y)), 1e-12)
+    count = prep.y.shape[0]
+    y_mean = math.fsum(prep.y) / count
+    target_var = max(math.fsum((prep.y - y_mean) ** 2) / count, 1e-12)
     # the hyperparameter that only rescales the Gram, and the power it enters with
     scale_name, power = ("sigma", 2) if spec.kind in ("shek", "swek") else ("variance", 1)
     unit = spec.with_hyper(**{scale_name: 1.0})
     times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
     basis, variances, _ = mode_covariances(unit, train.graph, times, diagonal=True)
     prior_var = basis**2 @ variances  # (n, T)
-    diag_mean = float(np.mean(prior_var[[p.vertex for p in prep.points], t_idx]))
+    diag_mean = math.fsum(prior_var[[p.vertex for p in prep.points], t_idx]) / count
     if diag_mean <= 0 or not np.isfinite(diag_mean):
         return spec, target_var
     scale = (target_var / diag_mean) ** (1.0 / power)
@@ -105,6 +109,14 @@ def _evaluate_round(
     fit_opts: FitOptions,
     mean_policy: str,
 ) -> RoundResult:
+    """Fit ``spec`` on the training times, from its data-scaled start, and score the posterior
+    mean on the test times.
+
+    SHEK/SWEK fit from one start per distinct ``c`` in the spec's own value and
+    ``_C_START_GRID``, in that order and with no random draws; other kinds from the spec's
+    start plus up to ``fit_opts.restarts`` draws.  Either way a start that ties the best LML so
+    far ends the search (:func:`gp._fit_starts`).
+    """
     train = dataset.restrict_to_times(train_times)
     test = dataset.restrict_to_times(test_times)
     test_obs = _sorted_obs(test)
@@ -114,18 +126,13 @@ def _evaluate_round(
     spec, target_var = _data_scaled_spec(spec, train, mean_policy)
     noise = max(1e-2 * target_var, 1e-8)
     started = time.perf_counter()
+    model = GPModel(kernel=spec, noise_variance=noise, mean_policy=mean_policy)
     if spec.kind in ("shek", "swek"):
-        starts = dict.fromkeys((float(spec.hyper["c"]),) + _C_START_GRID)
-        single = replace(fit_opts, restarts=0)
-        fitted = None
-        for c_start in starts:
-            model = GPModel(kernel=spec.with_hyper(c=c_start), noise_variance=noise,
-                            mean_policy=mean_policy)
-            candidate = fit(model, train, single)
-            if fitted is None or candidate.lml > fitted.lml:
-                fitted = candidate
+        names = _fit_names(spec, fit_opts)
+        c_starts = dict.fromkeys((float(spec.hyper["c"]),) + _C_START_GRID)
+        starts = [_log_theta(replace(model, kernel=spec.with_hyper(c=c)), names) for c in c_starts]
+        fitted = _fit_starts(model, train, fit_opts, starts)
     else:
-        model = GPModel(kernel=spec, noise_variance=noise, mean_policy=mean_policy)
         fitted = fit(model, train, fit_opts)
     prediction = predict(fitted.model, train, test_points)
     wall = time.perf_counter() - started
@@ -140,6 +147,8 @@ def _evaluate_round(
         mae=float(abs_errors.mean()),
         mape=mape_value,
         wall_time=wall,
+        starts=fitted.starts,
+        skipped_starts=fitted.skipped_starts,
     )
 
 
@@ -159,7 +168,10 @@ def run_backtest(
     on the trailing ones; interpolation rounds hold out a random
     ``_INTERP_FRACTION`` of the whole window's timepoints (seeded per round).
     Every round starts from the data-scaled kernel (:func:`_data_scaled_spec`)
-    with a noise variance of 1 % of the training targets' variance.
+    with a noise variance of 1 % of the training targets' variance, and runs
+    its starts until one ties the best LML so far (:func:`_evaluate_round`):
+    ``fit_opts.restarts`` is the most random draws a separable or spatial
+    round adds, and SHEK/SWEK rounds draw none.
     """
     if baseline not in kernels:
         raise DataError(f"baseline kernel {baseline!r} is not among the kernels {sorted(kernels)}")

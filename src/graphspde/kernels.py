@@ -459,11 +459,19 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     small = theta * big < _SWEK_SERIES
     theta_safe = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
-        out = (
-            sigma**2
-            / (2.0 * theta_safe**2)
-            * (m * np.cos(theta_safe * gap) - np.cos(theta_safe * big) * np.sin(theta_safe * m) / theta_safe)
-        )
+        # the direct form, in place and in its written order, so the bits stay those of the formula
+        out = np.multiply(theta_safe, gap)
+        np.cos(out, out=out)
+        out *= m
+        term = np.multiply(theta_safe, big)
+        np.cos(term, out=term)
+        sin_m = np.multiply(theta_safe, m)
+        term *= np.sin(sin_m, out=sin_m)
+        term /= theta_safe
+        out -= term
+        np.square(theta_safe, out=term)
+        term *= 2.0
+        out *= np.divide(sigma**2, term, out=term)
     theta, m, big, gap = _at_small(small, theta, m, big, gap)
     lead = m**3 / 6.0 + big**2 * m / 2.0 - m * gap**2 / 2.0
     correction, correction2 = _swek_series_terms(m, big, gap)
@@ -484,15 +492,33 @@ def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, 
     small = theta * big < _SWEK_SERIES
     th = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
-        # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta
-        cos_big, sin_m = np.cos(th * big), np.sin(th * m)
-        theta_dh = (
-            -m * gap * th * np.sin(th * gap)
-            + big * np.sin(th * big) * sin_m
-            - m * cos_big * np.cos(th * m)
-            + cos_big * sin_m / th
-        )
-        out = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
+        # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta:
+        #   -m gap th sin(th gap) + big sin(th big) sin_m - m cos_big cos(th m) + cos_big sin_m / th,
+        # summed left to right in place, so the bits stay those of the formula
+        cos_big = np.multiply(th, big)
+        np.cos(cos_big, out=cos_big)
+        sin_m = np.multiply(th, m)
+        np.sin(sin_m, out=sin_m)
+        out = -m * gap * th
+        term = np.multiply(th, gap)
+        out *= np.sin(term, out=term)
+        np.multiply(th, big, out=term)
+        np.sin(term, out=term)
+        term *= big
+        term *= sin_m
+        out += term
+        sin_m *= cos_big  # the last term, cos_big sin_m / th
+        sin_m /= th
+        cos_big *= m
+        np.multiply(th, m, out=term)
+        cos_big *= np.cos(term, out=term)
+        out -= cos_big
+        out += sin_m
+        # sigma^2 / (2 th^2) theta_dh - 2 k
+        np.square(th, out=term)
+        term *= 2.0
+        out *= np.divide(sigma**2, term, out=term)
+        out -= np.multiply(k, 2.0, out=term)
     theta, m, big, gap = _at_small(small, theta, m, big, gap)
     correction, correction2 = _swek_series_terms(m, big, gap)
     out[small] = sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2)
@@ -738,12 +764,15 @@ def _gram_and_derivatives(
 def _row_time_gather(basis: np.ndarray, covs: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     """``sum_i Q[v, i] covs[i, a, b] Q[w, i]`` between every (vertex v, time index a) of ``rows``
     and (w, b) of ``cols``, the rows at each distinct time a as one product
-    ``Q[V_a] @ (covs[:, a, b] * Q[w]^T)``: nothing larger than n x len(cols) is formed beside it."""
+    ``Q[V_a] @ (covs[:, a, b] * Q[w]^T)``: nothing larger than n x len(cols) is formed beside it.
+    The rows at a enter the product in vertex order, so a row's bits do not depend on the order
+    of the rows (BLAS may sum a row at the edge of a tile in another order)."""
     (v_row, t_row), (v_col, t_col) = rows, cols
     right = basis[v_col].T
     gram = np.empty((v_row.shape[0], v_col.shape[0]))
     for a in np.unique(t_row):
         at = np.flatnonzero(t_row == a)
+        at = at[np.argsort(v_row[at], kind="stable")]
         gram[at] = basis[v_row[at]] @ (covs[:, a].take(t_col, axis=1) * right)
     return gram
 

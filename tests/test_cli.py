@@ -237,10 +237,15 @@ class TestFitCommand:
         out = tmp_path / "f"
         code = main(["fit", "--graph", str(data / "graph.csv"),
                      "--series", str(data / "series.csv"), "--kernel", "shek",
-                     "--max-iters", "5", "--restarts", "0", "--out", str(out)])
+                     "--max-iters", "5", "--restarts", "2", "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "fit_shek.json").read_text())
         assert "lml" in payload and "hyper" in payload
+        # every start that ran, in order, and the starts a repeated optimum left unrun
+        starts = payload["starts"]
+        assert 1 <= len(starts) and len(starts) + payload["skipped_starts"] == 3
+        assert all(start["iterations"] >= 1 for start in starts)
+        assert max(start["lml"] for start in starts) == payload["lml"]
 
     def test_non_finite_noise_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d"

@@ -1,19 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import graphspde.gp
 from graphspde import (
     BacktestPlan,
     DataError,
     FitOptions,
+    GPModel,
     KernelSpec,
     NumericError,
     STPoint,
     SpatioTemporalDataset,
     SyntheticSpec,
     build_graph,
+    fit,
     gen_heat_line,
+    gen_wave_line,
     run_backtest,
 )
+from graphspde.experiments import _C_START_GRID, _data_scaled_spec, _evaluate_round
 
 
 def small_dataset():
@@ -48,6 +55,73 @@ def test_jobs_do_not_change_results():
         np.testing.assert_allclose(a.mae_mean, b.mae_mean)
         if a.dm_p_value is not None:
             np.testing.assert_allclose(a.dm_p_value, b.dm_p_value)
+    assert [(k, t, r.starts, r.skipped_starts) for k, t, r in serial.rounds] == [
+        (k, t, r.starts, r.skipped_starts) for k, t, r in threaded.rounds
+    ]
+
+
+SWEK = KernelSpec(kind="swek", hyper={"c": 1.0, "sigma": 1.0, "nu": 1.0, "kappa": 1.0})
+
+
+def wave_dataset():
+    # 5 x 20: large enough that summing in row order rounds differently once the rows are reversed
+    spec = SyntheticSpec(kind="wave_line", n_nodes=5, coefficient=0.5,
+                         timestamps=tuple(float(t) for t in range(1, 21)), noise_sd=0.02, seed=5)
+    return gen_wave_line(spec)[1]
+
+
+def test_round_ignores_row_order():
+    data = wave_dataset()
+    backward = replace(data, observations=data.observations[::-1])
+    times = data.times()
+    train_t, test_t = times[:13], times[13:15]
+    policy = "per_node_training_mean"
+    starts = [_data_scaled_spec(SWEK, d.restrict_to_times(train_t), policy) for d in (data, backward)]
+    assert starts[0] == starts[1]
+    rounds = [_evaluate_round(d, train_t, test_t, SWEK, 0, quick_opts(), policy) for d in (data, backward)]
+    assert rounds[0].abs_errors == rounds[1].abs_errors
+    assert rounds[0].mae == rounds[1].mae
+    assert rounds[0].starts == rounds[1].starts
+
+
+@pytest.mark.parametrize("kind", ["shek", "swek"])
+def test_process_round_runs_each_c_start_as_its_own_fit_would(kind):
+    # each start that runs ends at the bits of a separate single-start fit at its c
+    data = wave_dataset()
+    times = data.times()
+    train_t, test_t = times[:13], times[13:15]
+    spec = replace(SWEK, kind=kind)
+    opts = FitOptions(max_iters=40, restarts=2, grad_tol=1e-5, seed=0)
+    policy = "per_node_training_mean"
+    result = _evaluate_round(data, train_t, test_t, spec, 0, opts, policy)
+
+    train = data.restrict_to_times(train_t)
+    scaled, target_var = _data_scaled_spec(spec, train, policy)
+    own = []
+    for c in dict.fromkeys((float(scaled.hyper["c"]),) + _C_START_GRID):
+        model = GPModel(kernel=scaled.with_hyper(c=c), noise_variance=max(1e-2 * target_var, 1e-8),
+                        mean_policy=policy)
+        single = fit(model, train, replace(opts, restarts=0))
+        own.append((single.lml, len(single.trace)))
+    assert len(result.starts) >= 2
+    assert result.starts == tuple(own[: len(result.starts)])
+    assert len(result.starts) + result.skipped_starts == len(own)
+
+
+def test_process_round_prepares_its_data_once_for_every_start(monkeypatch):
+    calls = {"_prepare": 0, "_evaluator": 0, "_keep_freed_heap": 0}
+    for name in calls:
+
+        def counting(*args, name=name, original=getattr(graphspde.gp, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(graphspde.gp, name, counting)
+    data = wave_dataset()
+    times = data.times()
+    _evaluate_round(data, times[:13], times[13:15], SWEK, 0, quick_opts(), "per_node_training_mean")
+    # one preparation for the fit's starts and one for the posterior
+    assert calls == {"_prepare": 2, "_evaluator": 1, "_keep_freed_heap": 1}
 
 
 def test_per_round_failures_are_recorded_and_run_continues():

@@ -8,6 +8,7 @@ from graphspde import (
     FitOptions,
     GPModel,
     KernelSpec,
+    NumericError,
     STPoint,
     SpatioTemporalDataset,
     assemble_gram,
@@ -19,6 +20,7 @@ from graphspde import (
     sample,
     sampling_moments,
 )
+import graphspde.gp
 from graphspde.gp import _maximize, _prepare
 
 from conftest import mvn_logpdf_bruteforce, random_graph
@@ -170,6 +172,73 @@ class TestMaximizeStopRule:
         _, trace = _maximize(points(value, gradient), np.array([3.0, -2.0]), max_iters=200, grad_tol=0.0)
         flat = trace.index(5.0)
         assert len(trace) - 1 <= flat + 2
+
+
+class TestStartRule:
+    """``fit`` runs its starts in order and stops once one ties the best LML so far."""
+
+    @staticmethod
+    def scripted(monkeypatch, lmls):
+        """Replace ``_maximize`` with one that ends start k at LML ``lmls[k]`` (None: fails)
+        after k + 1 accepted iterates; returns the starts it was given."""
+        calls = []
+
+        def maximize(evaluate, theta0, max_iters, grad_tol):
+            calls.append(theta0)
+            lml = lmls[len(calls) - 1]
+            return None if lml is None else (theta0, [lml - 1.0] * (len(calls) - 1) + [lml])
+
+        monkeypatch.setattr(graphspde.gp, "_maximize", maximize)
+        return calls
+
+    def fit_with(self, lmls, monkeypatch):
+        calls = self.scripted(monkeypatch, lmls)
+        model = GPModel(kernel=shek_spec(c=0.7), noise_variance=0.1)
+        return fit(model, TestFit()._prior_dataset(0), FitOptions(restarts=len(lmls) - 1)), calls
+
+    def test_one_repeated_optimum_runs_two_starts(self, monkeypatch):
+        result, calls = self.fit_with([12.5] * 4, monkeypatch)
+        assert len(calls) == 2
+        assert result.starts == ((12.5, 1), (12.5, 2))
+        assert result.skipped_starts == 2
+        # the first of two equal starts is kept: the model's own
+        np.testing.assert_allclose(result.model.kernel.hyper["c"], 0.7)
+
+    def test_the_higher_of_two_tied_starts_is_kept(self, monkeypatch):
+        result, calls = self.fit_with([-3.0, 100.0, 100.0 + 5e-9, 200.0], monkeypatch)
+        assert len(calls) == 3
+        assert result.lml == 100.0 + 5e-9
+        assert result.starts == ((-3.0, 1), (100.0, 2), (100.0 + 5e-9, 3))
+        assert result.skipped_starts == 1
+
+    def test_distinct_optima_run_every_start_and_failures_are_skipped(self, monkeypatch):
+        result, calls = self.fit_with([None, 4.0, 4.001, None, 3.0], monkeypatch)
+        assert len(calls) == 5
+        assert result.lml == 4.001
+        assert result.starts == ((None, 0), (4.0, 2), (4.001, 3), (None, 0), (3.0, 5))
+        assert result.skipped_starts == 0
+
+    def test_every_start_failing_raises(self, monkeypatch):
+        with pytest.raises(NumericError, match="every optimization start failed"):
+            self.fit_with([None, None], monkeypatch)
+
+    def test_one_optimum_reached_twice_on_a_real_fit(self, monkeypatch):
+        calls = []
+        original = graphspde.gp._maximize
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(graphspde.gp, "_maximize", counting)
+        # the graph Matern kernel's LML in (log variance, log noise) has one maximum
+        data = TestFit()._prior_dataset(1)
+        model = GPModel(kernel=KernelSpec(kind="matern_spatial", hyper={"nu": 1.0, "kappa": 1.0}),
+                        noise_variance=0.1)
+        result = fit(model, data, FitOptions(max_iters=200, restarts=3, grad_tol=1e-9, seed=2))
+        assert len(calls) == 2
+        assert [iterations > 1 for _, iterations in result.starts] == [True, True]
+        assert result.skipped_starts == 2
 
 
 class TestPredict:

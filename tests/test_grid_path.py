@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import graphspde
 from graphspde import (
@@ -159,7 +159,7 @@ def central_difference(fun, theta: np.ndarray, step: float = 1e-3) -> np.ndarray
     return grad
 
 
-def check_gradient(model: GPModel, data: SpatioTemporalDataset, optimize_nu_kappa: bool) -> None:
+def check_gradient(model: GPModel, data: SpatioTemporalDataset, optimize_nu_kappa: bool, step: float = 1e-3) -> None:
     names = _optimizable_names(model.kernel, optimize_nu_kappa) + ["noise"]
     evaluate = _evaluator(model, data, names)
     theta = np.log(
@@ -168,7 +168,7 @@ def check_gradient(model: GPModel, data: SpatioTemporalDataset, optimize_nu_kapp
     point = evaluate(theta)
     assert math.isfinite(point.lml)
     exact = point.gradient()
-    reference = central_difference(lambda th: evaluate(th).lml, theta)
+    reference = central_difference(lambda th: evaluate(th).lml, theta, step)
     assert np.max(np.abs(exact - reference)) <= 1e-5 * np.max(np.abs(reference)) + 1e-8, (
         names,
         exact,
@@ -362,6 +362,8 @@ def test_exact_lattice_gradient_with_missing_cells_matches_central_differences(
     optimize_nu_kappa=st.booleans(),
     large_kappa=st.booleans(),
 )
+# at a step of 1e-3 the five-point nu derivative of this swek draw is off by 5.5e-5 relative
+@example(seed=480, mask="repeated", optimize_nu_kappa=True, large_kappa=False)
 def test_exact_dense_gradient_matches_central_differences(kind, seed, mask, optimize_nu_kappa, large_kappa):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, 5)
@@ -373,7 +375,7 @@ def test_exact_dense_gradient_matches_central_differences(kind, seed, mask, opti
         mean_policy="zero",
     )
     assert _detect_grid(_prepare(model, data).points, graph.n_vertices) is None
-    check_gradient(model, data, optimize_nu_kappa)
+    check_gradient(model, data, optimize_nu_kappa, step=1e-4)
 
 
 def count_grams(monkeypatch) -> list:
@@ -685,6 +687,20 @@ def test_lattice_ignores_row_order(kind, mask):
         forward_pred, backward_pred = (predict(model, d, query, full_cov=True) for d in (data, backward))
         np.testing.assert_array_equal(forward_pred.mean, backward_pred.mean)
         np.testing.assert_array_equal(forward_pred.covariance, backward_pred.covariance)
+
+
+@pytest.mark.parametrize("kind", ["shek", "swek"])
+def test_lattice_posterior_ignores_row_order_on_a_wide_graph(kind):
+    # 21 vertices per time: the training x query rows at one time are one BLAS
+    # product, where a row at the edge of a tile may round by its position
+    rng = np.random.default_rng(3)
+    data = grid_dataset(rng, line_graph(21), 8)
+    shuffled = replace(data, observations=tuple(data.observations[k] for k in rng.permutation(168)))
+    model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1)
+    query = [STPoint(v, t) for v in range(21) for t in (2.1, 9.0)]
+    forward, backward = (predict(model, d, query, full_cov=True) for d in (data, shuffled))
+    np.testing.assert_array_equal(forward.mean, backward.mean)
+    np.testing.assert_array_equal(forward.covariance, backward.covariance)
 
 
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])

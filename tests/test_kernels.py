@@ -528,7 +528,9 @@ class TestAssembleGram:
         # 200 points at 200 distinct times on a 21-vertex line: the rows at
         # each time gather apart, so beside the Gram only the (n, T, T)
         # covariance stack (21 Grams) and the temporaries of its evaluation
-        # exist, where the (T n)^2 cross-covariance alone would take 441 Grams
+        # exist, where the (T n)^2 cross-covariance alone would take 441 Grams.
+        # SHEK peaks near 35 Grams; SWEK's direct form is evaluated in place,
+        # near 47 (68 with a temporary per operation)
         rng = np.random.default_rng(4)
         g = line_graph(21)
         points = [
@@ -544,7 +546,7 @@ class TestAssembleGram:
             tracemalloc.stop()
         np.testing.assert_array_equal(gram, expected)
         np.testing.assert_array_equal(gram, gram.T)
-        assert peak < 100 * expected.nbytes
+        assert peak < {"shek": 40, "swek": 55}[kind] * expected.nbytes
 
     def test_gram_symmetric_psd_randomized_all_kinds(self):
         rng = np.random.default_rng(40)
@@ -689,3 +691,31 @@ def test_swek_series_is_evaluated_only_where_it_is_used(monkeypatch):
     k = kernels._swek_eig(mu, c, sigma, t, s)
     kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s)
     assert seen == [((below,),) * 3] * 2
+
+
+def test_swek_direct_form_keeps_the_bits_of_its_formula():
+    # the direct form is evaluated in place, operation by operation in the
+    # formula's order, so it must give the bits of the one-line expressions
+    from graphspde import kernels
+
+    rng = np.random.default_rng(11)
+    mu = np.exp(rng.uniform(-2.0, 3.0, 9))[:, None]
+    times = np.sort(rng.uniform(0.1, 6.0, 12))
+    rows, cols = np.triu_indices(12)
+    t, s = times[rows][None], times[cols][None]
+    c, sigma = 0.9, 1.3
+    th = c * np.sqrt(mu)
+    assert np.all(th * np.maximum(t, s) >= kernels._SWEK_SERIES)
+    m, big, gap = np.minimum(t, s), np.maximum(t, s), np.abs(t - s)
+    value = sigma**2 / (2.0 * th**2) * (m * np.cos(th * gap) - np.cos(th * big) * np.sin(th * m) / th)
+    cos_big, sin_m = np.cos(th * big), np.sin(th * m)
+    theta_dh = (
+        -m * gap * th * np.sin(th * gap)
+        + big * np.sin(th * big) * sin_m
+        - m * cos_big * np.cos(th * m)
+        + cos_big * sin_m / th
+    )
+    k = kernels._swek_eig(mu, c, sigma, t, s)
+    assert k.tobytes() == np.broadcast_to(value, k.shape).tobytes()
+    derivative = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
+    assert kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s).tobytes() == derivative.tobytes()
