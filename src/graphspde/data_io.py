@@ -164,6 +164,7 @@ def load_series_csv(path: str | Path, graph: Graph) -> SpatioTemporalDataset:
     """
     observations: list[tuple[STPoint, float]] = []
     seen: set[tuple[int, float]] = set()
+    vertex_of = {label: vertex for vertex, label in enumerate(graph.labels)}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -175,11 +176,11 @@ def load_series_csv(path: str | Path, graph: Graph) -> SpatioTemporalDataset:
             if len(row) != 3:
                 raise DataError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
             node = row[0].strip()
-            if node not in graph.labels:
+            vertex = vertex_of.get(node)
+            if vertex is None:
                 raise DataError(f"{path}:{line_no}: unknown node {node!r}")
             t = _parse_float(row[1], path, line_no)
             y = _parse_float(row[2], path, line_no)
-            vertex = graph.labels.index(node)
             key = (vertex, t)
             if key in seen:
                 raise DataError(f"{path}:{line_no}: duplicate observation for ({node!r}, {t})")

@@ -27,7 +27,7 @@ from .backtest import (
 from .exceptions import DataError, NumericError
 from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, fit, predict
 from .gp import _fit_names, _fit_starts, _log_theta, _prepare
-from .kernels import KernelSpec, mode_covariances
+from .kernels import KernelSpec, _scale, mode_covariances
 
 TASKS = ("interpolation", "extrapolation")
 
@@ -79,20 +79,20 @@ def _data_scaled_spec(
     magnitude off (e.g. the Laplacian kernel's raw scale vs. small targets)
     wastes the iteration budget or strands the fit in a degenerate basin.
     A point's prior variance is ``sum_i Q[v, i]^2 k_i(t, t)``, read from the
-    per-mode variances without assembling the Gram.  Both means are correctly
-    rounded sums (``math.fsum``), so the order of the rows does not enter.
+    diagonals of the per-mode covariances without assembling the Gram.  Both
+    means are correctly rounded sums (``math.fsum``), so the order of the rows
+    does not enter.
     """
     probe = GPModel(kernel=spec, mean_policy=mean_policy)
     prep = _prepare(probe, train)
     count = prep.y.shape[0]
     y_mean = math.fsum(prep.y) / count
     target_var = max(math.fsum((prep.y - y_mean) ** 2) / count, 1e-12)
-    # the hyperparameter that only rescales the Gram, and the power it enters with
-    scale_name, power = ("sigma", 2) if spec.kind in ("shek", "swek") else ("variance", 1)
+    scale_name, power = _scale(spec.kind)
     unit = spec.with_hyper(**{scale_name: 1.0})
     times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
-    basis, variances, _ = mode_covariances(unit, train.graph, times, diagonal=True)
-    prior_var = basis**2 @ variances  # (n, T)
+    basis, covs, _ = mode_covariances(unit, train.graph, times)
+    prior_var = basis**2 @ np.diagonal(covs, axis1=1, axis2=2)  # (n, T)
     diag_mean = math.fsum(prior_var[[p.vertex for p in prep.points], t_idx]) / count
     if diag_mean <= 0 or not np.isfinite(diag_mean):
         return spec, target_var

@@ -9,11 +9,11 @@ wave equation (SWEK) driven by the shifted fractional Laplacian.
 Every kernel has one representation (Nikitin et al., arXiv:2111.08524):
 per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
-:func:`mode_covariances` is the one place that maps a :class:`KernelSpec`
-to that eigenbasis and those covariances, on a spectrum computed once per
-(graph, variant, operator).  Grams and blocks K(rows, columns) gather from
-it (:func:`assemble_gram`): SHEK/SWEK one distinct row time at a time,
-the other kinds their spatial and temporal factors apart.
+:func:`mode_covariances` maps a :class:`KernelSpec` to that eigenbasis and
+those covariances, on a spectrum computed once per (graph, variant, operator).
+The spatial-only and separable kinds are ``rho_i K_t(t, s)``, stated once by
+``_factors``; ``_scale`` names each kind's scale.  Grams and blocks K(rows,
+columns) gather from the same evaluations (:func:`assemble_gram`).
 The matrix-level functions (``laplacian_kernel``, ``shek_cov``, ...) stay
 as the references the tests hold the gather to.
 
@@ -95,9 +95,12 @@ class KernelSpec:
     - ``laplacian_spatial``: optional ``variance``
     - ``matern_spatial``: ``nu``, ``kappa``, optional ``variance``
     - ``separable_product``: a ``spatial`` sub-spec plus ``temporal_kind`` and
-      ``time_lengthscale`` (not used by the brownian temporal kernel) and
-      optional ``variance``
+      ``time_lengthscale`` (optional, and not used, for the brownian temporal
+      kernel), optional ``variance``, and for the cosine kernel an optional
+      ``omega`` that fixes its frequency
     - ``shek`` / ``swek``: ``c``, ``sigma``, ``nu``, ``kappa``
+
+    Any other hyperparameter name is rejected.
 
     ``laplacian_variant`` picks which Laplacian backs the spatial operator.
     Every kind except ``laplacian_spatial`` needs a symmetric variant (for a
@@ -133,10 +136,11 @@ class KernelSpec:
             raise DataError(f"kernel kind {self.kind!r} takes no temporal_kind or spatial sub-spec")
 
         required: tuple[str, ...] = ()
+        optional: tuple[str, ...] = ("variance",)
         if self.kind == "matern_spatial":
             required = ("nu", "kappa")
         elif self.kind in ("shek", "swek"):
-            required = ("c", "sigma", "nu", "kappa")
+            required, optional = ("c", "sigma", "nu", "kappa"), ()
         elif self.kind == "separable_product":
             if self.spatial is None or self.spatial.kind not in ("laplacian_spatial", "matern_spatial"):
                 raise DataError("separable_product needs a spatial sub-spec (laplacian or matern)")
@@ -149,11 +153,15 @@ class KernelSpec:
                 raise DataError(
                     f"separable_product needs temporal_kind in {TEMPORAL_KINDS}, got {self.temporal_kind!r}"
                 )
+            optional += ("time_lengthscale",) + (("omega",) if self.temporal_kind == "cosine" else ())
             if self.temporal_kind != "brownian":
                 required = ("time_lengthscale",)
         missing = [name for name in required if name not in hyper]
         if missing:
             raise DataError(f"kernel kind {self.kind!r} is missing hyperparameters {missing}")
+        foreign = sorted(set(hyper) - set(required) - set(optional))
+        if foreign:
+            raise DataError(f"kernel kind {self.kind!r} takes no hyperparameters {foreign}")
 
     def with_hyper(self, **updates: float) -> "KernelSpec":
         """Copy of the spec with some hyperparameters replaced."""
@@ -605,30 +613,30 @@ def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, 
     return np.zeros_like(k)
 
 
-def mode_covariances(
-    spec: KernelSpec, graph: Graph, times: np.ndarray, diagonal: bool = False
-) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], list[np.ndarray]]]:
-    """Eigenbasis Q, per-mode temporal covariances (n, T, T), and the map from
-    kernel hyperparameter names to the covariances' derivatives in their logs.
+def _scale(kind: str) -> tuple[str, int]:
+    """The hyperparameter that only rescales a kind's covariances, and the power it enters with
+    (sigma^2 for SHEK/SWEK, variance^1 for the rest): their derivative in its log is power x them."""
+    return ("sigma", 2) if kind in ("shek", "swek") else ("variance", 1)
 
-    Every kernel kind is a function of one symmetric operator, so
-    ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``.  The
-    modes are those of ``L`` (graph Matern, SHEK, SWEK) or of ``L^T L``
-    (Laplacian kernel), from the memoized per-graph spectrum.  Spatial-only
-    kinds have ``covs[i] = rho_i`` at every time pair.  Derivatives cover
-    the hyperparameters a fit varies: c, sigma, nu and kappa for SHEK/SWEK,
-    time_lengthscale and variance for separable products, variance for
-    spatial kinds.  The map forms them from the covariances this call holds
-    and never evaluates those again: the variance and sigma derivatives are
-    the covariances and twice them, and SHEK/SWEK's take the evaluated upper
-    triangle as their value ``k``.  With ``diagonal``, only the per-mode
-    variances ``k_i(t_a, t_a)`` are computed, shape (n, T), in O(n T) memory.
-    """
-    times = np.asarray(times, dtype=float)
-    if spec.kind in ("shek", "swek"):
-        return _process_covariances(spec, graph, times, diagonal)
-    t, s = (times[None], times[None]) if diagonal else (times[None, :, None], times[None, None, :])
-    column = (-1,) + (1,) * (t.ndim - 1)  # one mode per leading index
+
+def _with_scale(kind: str, value: Callable, others: Callable) -> Callable[[Sequence[str]], Iterator]:
+    """The map from names to the derivatives in their logs of the array ``value()``, one array at a
+    time: the scale's is ``value()`` times its power (:func:`_scale`), the others' come from one
+    call of ``others`` with their names."""
+    scale, power = _scale(kind)
+
+    def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
+        rest = iter(others([name for name in wrt if name != scale]))
+        return ((value() if power == 1 else power * value()) if name == scale else next(rest) for name in wrt)
+
+    return derivatives
+
+
+def _factors(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple:
+    """A spatial-only or separable kind as ``covs[i] = rho_i K_t``: the eigenbasis Q (of ``L^T L``
+    for the Laplacian kernel, of ``L`` for the graph Matern), the spatial variances rho (n,), K_t
+    (T, T) at ``times``, all ones for the spatial-only kinds, and a thunk for
+    ``dK_t / d log time_lengthscale``."""
     spatial = spec.spatial if spec.kind == "separable_product" else spec
     if spatial.kind == "matern_spatial":
         frac = fractional_from_graph(
@@ -642,25 +650,42 @@ def mode_covariances(
         rho = np.zeros_like(dec.eigenvalues)
         rho[keep] = spatial.variance / dec.eigenvalues[keep]
         basis = dec.basis
-    rho = rho.reshape(column)
+    t, s = times[:, None], times[None, :]
     if spec.kind != "separable_product":
-        covs = rho * np.ones(np.broadcast(t, s).shape)
-        return basis, covs, lambda wrt: [covs for _ in wrt]
-    covs = rho * temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
-    return basis, covs, lambda wrt: [
-        covs if name == "variance"
-        else rho * temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s)
-        for name in wrt
-    ]
+        return basis, rho, np.ones((t.size, t.size)), lambda: np.zeros((t.size, t.size))
+    args = (spec.temporal_kind, spec.hyper, t, s)
+    return basis, rho, temporal_kernel(*args), lambda: temporal_kernel_dlog_lengthscale(*args)
+
+
+def mode_covariances(
+    spec: KernelSpec, graph: Graph, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
+    """Eigenbasis Q, per-mode temporal covariances (n, T, T), and the map from
+    kernel hyperparameter names to the covariances' derivatives in their logs.
+
+    Every kernel kind is a function of one symmetric operator, so
+    ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``: SHEK/SWEK per mode
+    of ``L``, the other kinds ``rho_i K_t`` (:func:`_factors`).  Derivatives cover the
+    hyperparameters a fit varies and come from the covariances this call holds, never
+    evaluated again: the scale's is them times its power (:func:`_scale`), and SHEK/SWEK's
+    take the evaluated upper triangle as their value ``k``.
+    """
+    times = np.asarray(times, dtype=float)
+    if spec.kind in ("shek", "swek"):
+        return _process_covariances(spec, graph, times)
+    basis, rho, temporal, d_temporal = _factors(spec, graph, times)
+    rho = rho[:, None, None]  # one mode per leading index
+    covs = rho * temporal
+    return basis, covs, _with_scale(spec.kind, lambda: covs, lambda wrt: [rho * d_temporal() for _ in wrt])
 
 
 def _process_covariances(
-    spec: KernelSpec, graph: Graph, times: np.ndarray, diagonal: bool
-) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], list[np.ndarray]]]:
+    spec: KernelSpec, graph: Graph, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
     """:func:`mode_covariances` of SHEK/SWEK.  Their entries cost exponentials or trigonometric
     functions and are symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
     n_times = times.shape[0]
-    pairs = (np.arange(n_times),) * 2 if diagonal else np.triu_indices(n_times)
+    pairs = np.triu_indices(n_times)
     t, s = times[pairs[0]][None], times[pairs[1]][None]
     c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
     frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
@@ -671,28 +696,25 @@ def _process_covariances(
         scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
     else:
         scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
-    covs = scalar(mu, c, sigma, t, s)
 
     def mirrored(packed: np.ndarray) -> np.ndarray:
-        if diagonal:
-            return packed
         full = np.empty((packed.shape[0], n_times, n_times))
         full[:, pairs[0], pairs[1]] = full[:, pairs[1], pairs[0]] = packed
         return full
 
+    packed = scalar(mu, c, sigma, t, s)
+
     def derivatives(wrt: Sequence[str]) -> list[np.ndarray]:
-        if not wrt:
-            return []
-        d_log_c = d_scalar(covs, mu, c, sigma, t, s)
+        d_log_c = d_scalar(packed, mu, c, sigma, t, s)
         d_log_mu = mu_power * d_log_c
         # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
         shift = 2.0 * nu / kappa**2
         shifted = mu ** (2.0 / nu)
         log_mu_by = {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
-        return [mirrored(d_log_c if name == "c" else 2.0 * covs if name == "sigma"
-                         else d_log_mu * log_mu_by[name]) for name in wrt]
+        return [mirrored(d_log_c if name == "c" else d_log_mu * log_mu_by[name]) for name in wrt]
 
-    return frac.basis, mirrored(covs), derivatives
+    # the mirrored stack is made again for the scale, so that only the upper triangle is held
+    return frac.basis, mirrored(packed), _with_scale(spec.kind, lambda: mirrored(packed), derivatives)
 
 
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
@@ -702,10 +724,10 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     points' T distinct times; the same gathers also form a rectangular block
     K(rows, columns).  SHEK/SWEK gather one distinct row time at a time, in
     O(n T^2 + n N + N^2) memory: the (n, T, T) stack, one n x N slice of it
-    and the Gram.  Spatial-only kinds have ``covs[i] = rho_i`` and separable
-    products ``rho_i k(t, s)``, so their spatial factor ``Q rho Q^T`` and
-    temporal kernel gather apart in O(n^2 + T^2 + N^2), whatever the times:
-    one N x N array, plus scratch of an eighth of it.
+    and the Gram.  The other kinds are ``covs[i] = rho_i K_t`` (:func:`_factors`;
+    K_t all ones for the spatial-only kinds), so their spatial factor
+    ``Q rho Q^T`` and K_t gather apart in O(n^2 + T^2 + N^2), whatever the
+    times: one N x N array, plus scratch of an eighth of it.
     """
     points = tuple(points)
     return GramMatrix(matrix=_gram_and_derivatives(spec, graph, points)[0], points=points)
@@ -717,7 +739,7 @@ def _gram_and_derivatives(
     """The Gram over ``points``, or with ``columns`` the block K(points, columns), and the map
     from names (those of :func:`mode_covariances`) to its derivatives in their logs, one array
     at a time, gathered from the covariances this call evaluated at the distinct times of both
-    sets.  The variance and sigma only scale the Gram, by 1x and 2x; the others gather as the
+    sets.  The scale's is the Gram times its power (:func:`_scale`); the others gather as the
     Gram does, a separable lengthscale as the spatial factor times the temporal derivative."""
     if not points:
         raise DataError("need at least one point")
@@ -732,33 +754,18 @@ def _gram_and_derivatives(
         factor, values, derivs_of = mode_covariances(spec, graph, times)
         gather = _row_time_gather
     else:
-        values, derivs_of = None, lambda wrt: []
-        if spec.kind == "separable_product":
-            # before the Gram exists, so that its T x T temporaries never coexist with it
-            t, s = times[:, None], times[None, :]
-            values = temporal_kernel(spec.temporal_kind, spec.hyper, t, s)
-            derivs_of = lambda wrt: [
-                temporal_kernel_dlog_lengthscale(spec.temporal_kind, spec.hyper, t, s) for _ in wrt
-            ]
-        spatial = spec.spatial if spec.kind == "separable_product" else spec
-        basis, rho, _ = mode_covariances(spatial, graph, times[:1], diagonal=True)
-        gather, factor = _factored_gather, (basis * rho[:, 0]) @ basis.T
+        # before the Gram exists, so that the T x T temporaries of K_t never coexist with it
+        basis, rho, values, d_values = _factors(spec, graph, times)
+        derivs_of = lambda wrt: [d_values() for _ in wrt]
+        gather, factor = _factored_gather, (basis * rho) @ basis.T
     rows = v_idx[:n_rows], t_idx[:n_rows]
     cols = rows if columns is None else (v_idx[n_rows:], t_idx[n_rows:])
     gram = gather(factor, values, rows, cols)
     if columns is None:
         _symmetrize(gram)
-
-    def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
-        gathered = [name for name in wrt if name not in ("variance", "sigma")]
-        by_name = dict(zip(gathered, derivs_of(gathered)))
-        return (
-            gram if name == "variance" else 2.0 * gram if name == "sigma"
-            else gather(factor, by_name[name], rows, cols)
-            for name in wrt
-        )
-
-    return gram, derivatives
+    return gram, _with_scale(
+        spec.kind, lambda: gram, lambda wrt: (gather(factor, d, rows, cols) for d in derivs_of(wrt))
+    )
 
 
 def _row_time_gather(basis: np.ndarray, covs: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
@@ -777,14 +784,13 @@ def _row_time_gather(basis: np.ndarray, covs: np.ndarray, rows: tuple, cols: tup
     return gram
 
 
-def _factored_gather(spatial: np.ndarray, temporal: np.ndarray | None, rows: tuple, cols: tuple) -> np.ndarray:
+def _factored_gather(spatial: np.ndarray, temporal: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     """``spatial[v, w] * temporal[a, b]`` between every (vertex v, time index a) of ``rows`` and
-    (w, b) of ``cols``, one band of rows at a time; ``temporal`` None stands for ones."""
+    (w, b) of ``cols``, one band of rows at a time."""
     (v_row, t_row), (v_col, t_col) = rows, cols
     gram = spatial.take(v_row, axis=0).take(v_col, axis=1)
-    if temporal is not None:
-        for band in _row_bands(gram.shape[0]):
-            gram[band] *= temporal.take(t_row[band], axis=0).take(t_col, axis=1)
+    for band in _row_bands(gram.shape[0]):
+        gram[band] *= temporal.take(t_row[band], axis=0).take(t_col, axis=1)
     return gram
 
 

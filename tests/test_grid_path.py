@@ -2,9 +2,10 @@
 
 On a vertex x time lattice the likelihood splits into one temporal problem
 per Laplacian eigenmode; missing cells are corrected for by a Schur
-complement.  These tests hold that path to the dense N x N likelihood, the
-exact gradient of both paths to finite differences, and check which
-points take which path: a lattice input is answered on the lattice alone.
+complement.  These tests hold that path to the dense N x N likelihood and
+its exact gradient, the exact gradient of both paths to finite differences,
+and check which points take which path: a lattice input is answered on the
+lattice alone.
 """
 
 import logging
@@ -36,7 +37,9 @@ from graphspde import (
     swek_mean,
 )
 from graphspde.experiments import _data_scaled_spec
-from graphspde.gp import _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
+from graphspde.gp import (
+    _Dense, _Lattice, _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
+)
 
 from conftest import random_graph
 
@@ -112,6 +115,17 @@ def dense_lml(model: GPModel, data: SpatioTemporalDataset) -> float:
     return _factorize(model.kernel, model.noise_variance, replace(_prepare(model, data), grid=None)).lml
 
 
+def check_lattice_gradient_matches_dense(model: GPModel, data: SpatioTemporalDataset) -> None:
+    """The lattice's exact gradient equals the dense path's on the same prep, in every name a fit
+    varies (nu and kappa included) and the noise, to 1e-10 of the largest entry."""
+    prep = _prepare(model, data)
+    names = _optimizable_names(model.kernel, True) + ["noise"]
+    lattice = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()
+    dense = _Dense(model.kernel, model.noise_variance, replace(prep, grid=None), names).gradient()
+    assert np.any(dense), names  # a failed gradient reads all zeros
+    assert np.max(np.abs(lattice - dense)) <= 1e-10 * np.max(np.abs(dense)), (names, lattice, dense)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(GRID_KINDS))
 def test_grid_lml_matches_dense_lml(seed, kind):
@@ -123,6 +137,7 @@ def test_grid_lml_matches_dense_lml(seed, kind):
     )
     assert _detect_grid(_prepare(model, data).points, graph.n_vertices) is not None
     np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
+    check_lattice_gradient_matches_dense(model, data)
 
 
 def test_grid_path_reads_the_spatial_sub_spec_variant():
@@ -328,6 +343,7 @@ def test_lattice_lml_with_missing_cells_matches_dense_lml(seed, kind, mask):
     if mask == "half":
         assert grid.n_missing == len(data.observations)
     np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
+    check_lattice_gradient_matches_dense(model, data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -416,6 +416,34 @@ class TestKernelSpec:
         spec = KernelSpec(kind="separable_product", hyper={}, temporal_kind="brownian", spatial=spatial)
         assert spec.temporal_kind == "brownian"
 
+    @pytest.mark.parametrize(
+        "kind, hyper, temporal_kind",
+        [
+            ("shek", {"c": 1.0, "sigma": 1.0, "nu": 1.0, "kappa": 1.0, "variance": 4.0}, None),
+            ("shek", {"c": 1.0, "sigmaa": 1.0, "sigma": 1.0, "nu": 1.0, "kappa": 1.0}, None),
+            ("separable_product", {"time_lengthscale": 1.0, "c": 1.0}, "rbf"),
+            ("separable_product", {"time_lengthscale": 1.0, "omega": 2.0}, "exponential"),
+            ("laplacian_spatial", {"variance": 1.0, "time_lengthscale": 1.0}, None),
+            ("matern_spatial", {"nu": 1.0, "kappa": 1.0, "sigma": 1.0}, None),
+        ],
+        ids=["variance-shek", "sigmaa-shek", "c-separable", "omega-exponential", "lengthscale-laplacian",
+             "sigma-matern"],
+    )
+    def test_foreign_hyperparameter_rejected(self, kind, hyper, temporal_kind):
+        # a name the kind never reads would otherwise be ignored: the Gram is the same without it
+        spatial = KernelSpec(kind="laplacian_spatial", hyper={}) if temporal_kind else None
+        with pytest.raises(DataError, match="takes no hyperparameters"):
+            KernelSpec(kind=kind, hyper=hyper, temporal_kind=temporal_kind, spatial=spatial)
+
+    @pytest.mark.parametrize(
+        "temporal_kind, hyper",
+        [("brownian", {"time_lengthscale": 1.0}), ("cosine", {"time_lengthscale": 1.0, "omega": 2.0})],
+    )
+    def test_lengthscale_on_brownian_and_omega_on_cosine_accepted(self, temporal_kind, hyper):
+        spatial = KernelSpec(kind="laplacian_spatial", hyper={})
+        spec = KernelSpec(kind="separable_product", hyper=hyper, temporal_kind=temporal_kind, spatial=spatial)
+        assert dict(spec.hyper) == hyper
+
 
 class TestAssembleGram:
     def test_single_point_is_variance(self, path3):
