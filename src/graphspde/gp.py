@@ -62,7 +62,8 @@ import scipy.linalg
 from .exceptions import DataError, FactorizationError, NumericError
 from .graphs import Graph, fractional_from_graph
 from .kernels import (
-    KernelSpec, STPoint, _gram_and_derivatives, assemble_gram, mode_covariances, shek_mean, swek_mean
+    KernelSpec, STPoint, _gram_and_derivatives, _reads_time_lengthscale, _scale, assemble_gram, mode_covariances,
+    shek_mean, swek_mean,
 )
 from .spectral import cholesky_jittered, invert_lower_triangular
 
@@ -238,13 +239,14 @@ class _Factorization:
     ``condition(cross)`` gives ``cross^T (K + s2 I)^-1 y`` and
     ``cross^T (K + s2 I)^-1 cross`` for the (N, q) covariances ``cross`` between
     the points and q queries, the posterior's mean correction and covariance
-    reduction; ``lml`` is the log marginal likelihood and :meth:`gradient` its exact
-    gradient in the log of each name in ``wrt`` (``"noise"`` is the noise
-    variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
-    eq. 5.9), as the ``vdot`` of the weight ``a a^T - W`` with each dK, which
-    ``derivatives`` forms from the covariances the value evaluated.  The
-    noise's dK is ``s2 I``, so its term is the weight's trace.  A noise
-    variance below the floor is held at the floor.
+    reduction; ``lml`` is the log marginal likelihood, ``quad = y^T a`` its quadratic form,
+    and :meth:`gradient` its exact gradient in the log of each name in ``wrt`` (``"noise"``
+    is the noise variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006, eq. 5.9):
+    the ``vdot`` of the weight ``a a^T - W`` with each dK that ``derivatives`` forms from the
+    covariances the value evaluated.  The noise's dK is ``s2 I``, so its term g is ``s2 / 2``
+    times the weight's trace.  The scale's dK is ``power K = power ((K + s2 I) - s2 I)``
+    (:func:`kernels._scale`), so its term is ``power (1/2 (y^T a - N) - g)``, and no
+    factorization keeps K.  A noise variance below the floor is held at the floor.
     """
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
@@ -254,12 +256,14 @@ class _Factorization:
 
     def gradient(self) -> np.ndarray:
         """The exact gradient; zeros where it fails or is not finite, which ends a start."""
-        kernel_names = [name for name in self.wrt if name != "noise"]
+        scale, power = _scale(self.spec.kind)
+        shaped = [name for name in self.wrt if name not in ("noise", scale)]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                weight, derivs = self._weight(), self.derivatives(kernel_names)
-                by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(kernel_names, derivs)}
-                by_name["noise"] = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
+                weight, derivs = self._weight(), self.derivatives(shaped)
+                by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(shaped, derivs)}
+                by_name["noise"] = noise = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
+                by_name[scale] = power * (0.5 * (self.quad - self.prep.y.shape[0]) - noise)
                 grad = np.array([by_name[name] for name in self.wrt])
         except _EVAL_FAILURES:
             grad = None
@@ -272,17 +276,18 @@ class _Factorization:
 
 
 class _Dense(_Factorization):
-    """Over the N x N Gram K: the jittered factor L of ``K + s2 I``, ``a = (K + s2 I)^-1 y`` and K's ``derivatives``."""
+    """Over the N x N Gram K: the jittered factor L of ``K + s2 I``, with the noise added in place
+    on the Gram, ``a = (K + s2 I)^-1 y`` and K's ``derivatives``."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         y = prep.y
-        gram, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.points)
-        noisy = gram.copy()  # the derivatives read the Gram
+        noisy, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.points)
         noisy[np.diag_indices(y.shape[0])] += self.noise_variance
         self.factor, _ = cholesky_jittered(noisy)
         self.alpha = self.solve(y)
-        self.lml = float(-0.5 * y @ self.alpha - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
+        self.quad = float(y @ self.alpha)
+        self.lml = float(-0.5 * self.quad - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
 
     def _weight(self) -> np.ndarray:
         """``a a^T - W`` with ``W = (K + s2 I)^-1`` from L."""
@@ -307,9 +312,10 @@ class _Dense(_Factorization):
 class _Lattice(_Factorization):
     """On the points' vertex x time lattice: eigenbasis Q, the inverses ``L_i^-1`` of the
     Cholesky factors of every mode's ``A_i = K_i + s2 I`` over all T times (one batched
-    Cholesky), and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one
-    place where a right-hand side meets ``A_oo^-1``; ``A_i^-1 = L_i^-T L_i^-1`` is formed only
-    where it is read: for missing cells, or for the gradient.  Missing cells m get the same
+    Cholesky, the noise added in place on the stack :func:`kernels.mode_covariances` returned),
+    and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one place where
+    a right-hand side meets ``A_oo^-1``; ``A_i^-1 = L_i^-T L_i^-1`` is formed only where it is
+    read: for missing cells, or for the gradient.  Missing cells m get the same
     noise, so these factors apply; with ``B = A^-1`` and a right-hand side zero at m,
     ``A_oo^-1 rhs = B rhs - G B_mm^-1 (B rhs)_m`` and ``log|A_oo| = log|A| + log|B_mm|``, with
     G and the factor of ``B_mm`` from :func:`_missing_block`.  The LML's quadratic form, the
@@ -319,8 +325,11 @@ class _Lattice(_Factorization):
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         grid = prep.grid
-        self.basis, covs, self.derivatives = mode_covariances(spec, prep.graph, grid.times)
-        factor, _ = cholesky_jittered(covs + self.noise_variance * np.eye(grid.times.shape[0]))
+        self.basis, noisy, self.derivatives = mode_covariances(spec, prep.graph, grid.times)
+        diag = np.arange(grid.times.shape[0])
+        noisy[:, diag, diag] += self.noise_variance
+        factor, _ = cholesky_jittered(noisy)
+        del noisy  # nothing reads it again: it goes before the inverses are made
         self.factor_inv = invert_lower_triangular(factor)
         log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
         if grid.n_missing:
@@ -328,7 +337,8 @@ class _Lattice(_Factorization):
             log_det += np.sum(np.log(np.diag(self.missing[0])))
         y_modes = self._into_modes(prep.y[:, None], grid.cells)
         self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
-        self.lml = float(-0.5 * np.vdot(y_modes, self.alpha) - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
+        self.quad = float(np.vdot(y_modes, self.alpha))
+        self.lml = float(-0.5 * self.quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -448,12 +458,8 @@ def _optimizable_names(spec: KernelSpec, optimize_nu_kappa: bool) -> list[str]:
         if optimize_nu_kappa:
             names += ["nu", "kappa"]
         return names
-    if spec.kind == "separable_product":
-        names = []
-        if "time_lengthscale" in spec.hyper:
-            names.append("time_lengthscale")
-        names.append("variance")
-        return names
+    if spec.kind == "separable_product" and _reads_time_lengthscale(spec.temporal_kind, spec.hyper):
+        return ["time_lengthscale", "variance"]
     return ["variance"]
 
 
@@ -633,7 +639,8 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
     """Maximize the LML over the kernel's optimizable hyperparameters and the noise.
 
     Optimization runs in log-space; SHEK/SWEK optimize (c, sigma), separable
-    kernels (lengthscale, variance), always plus the noise variance.  nu and
+    kernels (lengthscale where the temporal kernel reads it, variance), the
+    others the variance, always plus the noise variance.  nu and
     kappa stay fixed unless ``opts.optimize_nu_kappa``.  Starts from the
     model's own point, then up to ``opts.restarts`` log-uniform draws, and
     returns the best; a start that ends within ``_STALL_RTOL`` of the best LML

@@ -95,9 +95,9 @@ class KernelSpec:
     - ``laplacian_spatial``: optional ``variance``
     - ``matern_spatial``: ``nu``, ``kappa``, optional ``variance``
     - ``separable_product``: a ``spatial`` sub-spec plus ``temporal_kind`` and
-      ``time_lengthscale`` (optional, and not used, for the brownian temporal
-      kernel), optional ``variance``, and for the cosine kernel an optional
-      ``omega`` that fixes its frequency
+      ``time_lengthscale`` (optional, and not used, for the brownian kernel and
+      a cosine one with ``omega``), optional ``variance``, and for the cosine
+      kernel an optional ``omega`` that fixes its frequency
     - ``shek`` / ``swek``: ``c``, ``sigma``, ``nu``, ``kappa``
 
     Any other hyperparameter name is rejected.
@@ -154,7 +154,7 @@ class KernelSpec:
                     f"separable_product needs temporal_kind in {TEMPORAL_KINDS}, got {self.temporal_kind!r}"
                 )
             optional += ("time_lengthscale",) + (("omega",) if self.temporal_kind == "cosine" else ())
-            if self.temporal_kind != "brownian":
+            if _reads_time_lengthscale(self.temporal_kind, hyper):
                 required = ("time_lengthscale",)
         missing = [name for name in required if name not in hyper]
         if missing:
@@ -595,6 +595,12 @@ def temporal_kernel(kind: str, params: Mapping[str, float], t, s):
     return out if out.ndim else float(out)
 
 
+def _reads_time_lengthscale(temporal_kind: str, params: Mapping[str, float]) -> bool:
+    """Whether the temporal kernel reads ``time_lengthscale``: rbf and exponential do, and cosine
+    does unless ``omega`` fixes its frequency."""
+    return temporal_kind in ("rbf", "exponential") or (temporal_kind == "cosine" and "omega" not in params)
+
+
 def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, s):
     """Derivative of :func:`temporal_kernel` in log ``time_lengthscale``.
 
@@ -617,19 +623,6 @@ def _scale(kind: str) -> tuple[str, int]:
     """The hyperparameter that only rescales a kind's covariances, and the power it enters with
     (sigma^2 for SHEK/SWEK, variance^1 for the rest): their derivative in its log is power x them."""
     return ("sigma", 2) if kind in ("shek", "swek") else ("variance", 1)
-
-
-def _with_scale(kind: str, value: Callable, others: Callable) -> Callable[[Sequence[str]], Iterator]:
-    """The map from names to the derivatives in their logs of the array ``value()``, one array at a
-    time: the scale's is ``value()`` times its power (:func:`_scale`), the others' come from one
-    call of ``others`` with their names."""
-    scale, power = _scale(kind)
-
-    def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
-        rest = iter(others([name for name in wrt if name != scale]))
-        return ((value() if power == 1 else power * value()) if name == scale else next(rest) for name in wrt)
-
-    return derivatives
 
 
 def _factors(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple:
@@ -665,10 +658,11 @@ def mode_covariances(
 
     Every kernel kind is a function of one symmetric operator, so
     ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``: SHEK/SWEK per mode
-    of ``L``, the other kinds ``rho_i K_t`` (:func:`_factors`).  Derivatives cover the
-    hyperparameters a fit varies and come from the covariances this call holds, never
-    evaluated again: the scale's is them times its power (:func:`_scale`), and SHEK/SWEK's
-    take the evaluated upper triangle as their value ``k``.
+    of ``L``, the other kinds ``rho_i K_t`` (:func:`_factors`).  The stack is a new array
+    that the caller owns and may overwrite; nothing here reads it again.  Derivatives cover
+    the names that change the covariances' shape (``c``, ``nu`` and ``kappa`` of SHEK/SWEK,
+    a separable ``time_lengthscale``), not the scale (:func:`_scale`); SHEK/SWEK's take the
+    evaluated upper triangle as their value ``k``.
     """
     times = np.asarray(times, dtype=float)
     if spec.kind in ("shek", "swek"):
@@ -676,7 +670,7 @@ def mode_covariances(
     basis, rho, temporal, d_temporal = _factors(spec, graph, times)
     rho = rho[:, None, None]  # one mode per leading index
     covs = rho * temporal
-    return basis, covs, _with_scale(spec.kind, lambda: covs, lambda wrt: [rho * d_temporal() for _ in wrt])
+    return basis, covs, lambda wrt: [rho * d_temporal() for _ in wrt]
 
 
 def _process_covariances(
@@ -713,8 +707,7 @@ def _process_covariances(
         log_mu_by = {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
         return [mirrored(d_log_c if name == "c" else d_log_mu * log_mu_by[name]) for name in wrt]
 
-    # the mirrored stack is made again for the scale, so that only the upper triangle is held
-    return frac.basis, mirrored(packed), _with_scale(spec.kind, lambda: mirrored(packed), derivatives)
+    return frac.basis, mirrored(packed), derivatives
 
 
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
@@ -737,10 +730,10 @@ def _gram_and_derivatives(
     spec: KernelSpec, graph: Graph, points: Sequence[STPoint], columns: Sequence[STPoint] | None = None
 ) -> tuple[np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
     """The Gram over ``points``, or with ``columns`` the block K(points, columns), and the map
-    from names (those of :func:`mode_covariances`) to its derivatives in their logs, one array
-    at a time, gathered from the covariances this call evaluated at the distinct times of both
-    sets.  The scale's is the Gram times its power (:func:`_scale`); the others gather as the
-    Gram does, a separable lengthscale as the spatial factor times the temporal derivative."""
+    from names (those of :func:`mode_covariances`, so not the scale) to its derivatives in their
+    logs, one array at a time, gathered from the covariances this call evaluated at the distinct
+    times of both sets as the Gram is, a separable lengthscale as the spatial factor times the
+    temporal derivative.  The Gram is a new array that the caller owns; the map does not read it."""
     if not points:
         raise DataError("need at least one point")
     points, n_rows = tuple(points) + tuple(columns or ()), len(points)
@@ -763,9 +756,7 @@ def _gram_and_derivatives(
     gram = gather(factor, values, rows, cols)
     if columns is None:
         _symmetrize(gram)
-    return gram, _with_scale(
-        spec.kind, lambda: gram, lambda wrt: (gather(factor, d, rows, cols) for d in derivs_of(wrt))
-    )
+    return gram, lambda wrt: (gather(factor, d, rows, cols) for d in derivs_of(wrt))
 
 
 def _row_time_gather(basis: np.ndarray, covs: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:

@@ -10,6 +10,7 @@ lattice alone.
 
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,9 +27,11 @@ from graphspde import (
     KernelSpec,
     STPoint,
     SpatioTemporalDataset,
+    SyntheticSpec,
     assemble_gram,
     fit,
     fractional_from_graph,
+    gen_heat_line,
     line_graph,
     log_marginal_likelihood,
     predict,
@@ -40,6 +43,7 @@ from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
     _Dense, _Lattice, _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
 )
+from graphspde.kernels import _scale, mode_covariances
 
 from conftest import random_graph
 
@@ -126,6 +130,25 @@ def check_lattice_gradient_matches_dense(model: GPModel, data: SpatioTemporalDat
     assert np.max(np.abs(lattice - dense)) <= 1e-10 * np.max(np.abs(dense)), (names, lattice, dense)
 
 
+def check_scale_entry_is_the_array_formula(model: GPModel, data: SpatioTemporalDataset) -> None:
+    """On both paths, the gradient's scale entry, taken from ``y^T a``, N and the noise term,
+    equals ``1/2 power vdot(a a^T - W, K)`` over the K that path factorizes (the lattice's
+    per-mode stack, the dense Gram), to 1e-10 of the gradient's largest entry."""
+    spec, prep = model.kernel, _prepare(model, data)
+    scale, power = _scale(spec.kind)
+    names = _optimizable_names(spec, True) + ["noise"]
+    paths = (
+        (_Lattice(spec, model.noise_variance, prep, names), mode_covariances(spec, prep.graph, prep.grid.times)[1]),
+        (_Dense(spec, model.noise_variance, replace(prep, grid=None), names),
+         assemble_gram(spec, prep.graph, prep.points).matrix),
+    )
+    for factorization, cov in paths:
+        grad = factorization.gradient()
+        reference = 0.5 * power * np.vdot(factorization._weight(), cov)
+        assert np.any(grad), names
+        assert abs(grad[names.index(scale)] - reference) <= 1e-10 * np.max(np.abs(grad)), (grad, reference)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(GRID_KINDS))
 def test_grid_lml_matches_dense_lml(seed, kind):
@@ -138,6 +161,7 @@ def test_grid_lml_matches_dense_lml(seed, kind):
     assert _detect_grid(_prepare(model, data).points, graph.n_vertices) is not None
     np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
     check_lattice_gradient_matches_dense(model, data)
+    check_scale_entry_is_the_array_formula(model, data)
 
 
 def test_grid_path_reads_the_spatial_sub_spec_variant():
@@ -251,6 +275,33 @@ def test_scale_probe_reads_the_gram_diagonal(seed, kind, complete):
     np.testing.assert_allclose(diag_mean, target_var, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "temporal_kind, hyper, names",
+    [
+        ("rbf", {"time_lengthscale": 2.0}, ["time_lengthscale", "variance"]),
+        ("exponential", {"time_lengthscale": 2.0}, ["time_lengthscale", "variance"]),
+        ("cosine", {"time_lengthscale": 2.0}, ["time_lengthscale", "variance"]),
+        ("cosine", {"time_lengthscale": 2.0, "omega": 3.0}, ["variance"]),
+        ("cosine", {"omega": 3.0}, ["variance"]),
+        ("brownian", {"time_lengthscale": 2.0}, ["variance"]),
+        ("brownian", {}, ["variance"]),
+    ],
+    ids=["rbf", "exponential", "cosine", "cosine-omega-lengthscale", "cosine-omega", "brownian-lengthscale",
+         "brownian"],
+)
+def test_fit_varies_time_lengthscale_only_where_the_kernel_reads_it(temporal_kind, hyper, names):
+    # an unread lengthscale is accepted on the spec, but its gradient is always 0
+    spatial = KernelSpec(kind="laplacian_spatial", hyper={})
+    spec = KernelSpec(kind="separable_product", hyper={**hyper, "variance": 1.5}, temporal_kind=temporal_kind,
+                      spatial=spatial)
+    assert _optimizable_names(spec, True) == names
+    rng = np.random.default_rng(6)
+    data = grid_dataset(rng, line_graph(4), 5)
+    model = GPModel(kernel=spec, noise_variance=0.1, mean_policy="zero")
+    grad = _evaluator(model, data, names + ["noise"])(theta_of(model, names + ["noise"])).gradient()
+    assert np.all(grad != 0.0), grad
+
+
 @pytest.mark.parametrize("kind, optimize_nu_kappa", [("matern-rbf", False), ("shek", True)])
 def test_fit_decomposes_each_operator_once(monkeypatch, kind, optimize_nu_kappa):
     original = graphspde.spectral.eigendecompose_symmetric
@@ -344,6 +395,7 @@ def test_lattice_lml_with_missing_cells_matches_dense_lml(seed, kind, mask):
         assert grid.n_missing == len(data.observations)
     np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
     check_lattice_gradient_matches_dense(model, data)
+    check_scale_entry_is_the_array_formula(model, data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -557,6 +609,33 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
     grad = _evaluator(model, data, names)(theta_of(model, names)).gradient()
     assert np.all(np.isfinite(grad)) and np.all(grad[:-1] != 0.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["shek", "matern-rbf"])
+@pytest.mark.parametrize("path", ["lattice", "dense"])
+def test_factorization_copies_no_covariances(kind, path):
+    # one value on the 21 x 50 heat grid: the noise goes onto the covariances in place and no
+    # factorization keeps them, so the peak is the covariances and their factor (dense 2.0 Grams;
+    # lattice 2.1 stacks, shek 2.7 with its evaluation's temporaries); one more copy of the
+    # covariances beside them would take at least 3.0 Grams or 3.1 stacks
+    _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
+                                          timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.01)
+    prep = _prepare(model, data)
+    assert prep.grid is not None and prep.grid.n_missing == 0
+    if path == "dense":
+        prep, unit, bound = replace(prep, grid=None), 8 * 1050**2, 2.5
+    else:
+        unit, bound = 8 * 21 * 50 * 50, 3.0
+    expected = _factorize(model.kernel, model.noise_variance, prep).lml  # warms the spectrum cache
+    tracemalloc.start()
+    try:
+        lml = _factorize(model.kernel, model.noise_variance, prep).lml
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lml == expected
+    assert peak < bound * unit, peak / unit
 
 
 def test_non_finite_lattice_gradient_ends_the_start_without_a_gram(monkeypatch):

@@ -416,6 +416,17 @@ class TestKernelSpec:
         spec = KernelSpec(kind="separable_product", hyper={}, temporal_kind="brownian", spatial=spatial)
         assert spec.temporal_kind == "brownian"
 
+    def test_cosine_with_omega_needs_no_lengthscale(self, path3):
+        # omega fixes the frequency, so a lengthscale would go unread: the Gram is the same with one
+        spatial = KernelSpec(kind="laplacian_spatial", hyper={})
+        spec = KernelSpec(kind="separable_product", hyper={"omega": 2.0}, temporal_kind="cosine", spatial=spatial)
+        points = [STPoint(v, t) for v in range(3) for t in (0.5, 1.0, 2.5)]
+        gram = assemble_gram(spec, path3, points).matrix
+        unread = assemble_gram(spec.with_hyper(time_lengthscale=50.0), path3, points).matrix
+        np.testing.assert_array_equal(gram, unread)
+        with pytest.raises(DataError, match="missing hyperparameters"):
+            KernelSpec(kind="separable_product", hyper={}, temporal_kind="cosine", spatial=spatial)
+
     @pytest.mark.parametrize(
         "kind, hyper, temporal_kind",
         [
