@@ -315,12 +315,13 @@ class _Lattice(_Factorization):
     Cholesky, the noise added in place on the stack :func:`kernels.mode_covariances` returned),
     and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one place where
     a right-hand side meets ``A_oo^-1``; ``A_i^-1 = L_i^-T L_i^-1`` is formed only where it is
-    read: for missing cells, or for the gradient.  Missing cells m get the same
-    noise, so these factors apply; with ``B = A^-1`` and a right-hand side zero at m,
-    ``A_oo^-1 rhs = B rhs - G B_mm^-1 (B rhs)_m`` and ``log|A_oo| = log|A| + log|B_mm|``, with
-    G and the factor of ``B_mm`` from :func:`_missing_block`.  The LML's quadratic form, the
-    gradient and the posterior are all sums over the modes, so the points' order never enters;
-    the gradient forms every K_i's derivatives from the covariances this value evaluated."""
+    read: for missing cells, or for the gradient.  Missing cells m get the same noise, so these
+    factors apply, and every missing-cell term reads A^-1 through the gain ``G_i = A_i^-1 E_i`` of
+    :func:`_missing_block` alone: ``B_mm = E^T G``, ``log|A_oo| = log|A| + log|B_mm|``,
+    ``A_oo^-1 rhs = A^-1 rhs - G B_mm^-1 E^T (A^-1 rhs)`` for a right-hand side zero at m, and the
+    gradient's ``H_i = G_i L_mm^-T``.  The LML's quadratic form, the gradient and the posterior
+    are all sums over the modes, so the points' order never enters; the gradient forms every
+    K_i's derivatives from the covariances this value evaluated."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
@@ -335,39 +336,37 @@ class _Lattice(_Factorization):
         if grid.n_missing:
             self.missing = _missing_block(self.basis, self.inv, grid)
             log_det += np.sum(np.log(np.diag(self.missing[0])))
-        y_modes = self._into_modes(prep.y[:, None], grid.cells)
+        y_modes = self._into_modes(prep.y[:, None])
         self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
         self.quad = float(np.vdot(y_modes, self.alpha))
         self.lml = float(-0.5 * self.quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
 
     @cached_property
     def inv(self) -> np.ndarray:
-        """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T)."""
+        """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T); :meth:`_weight`, its last reader, drops it."""
         return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
 
-    def _into_modes(self, rhs: np.ndarray, at: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The (C, k) ``rhs`` scattered onto the lattice, row c at cell c of ``at`` (time indices,
-        vertices) and zero elsewhere, and moved into the modes: (n, T, k), row i eigenmode i's
-        series."""
-        t_idx, vertices = at
+    def _into_modes(self, rhs: np.ndarray) -> np.ndarray:
+        """The (N, k) ``rhs`` scattered onto the lattice, row c at the cell of point c and zero at
+        the missing cells, and moved into the modes: (n, T, k), row i eigenmode i's series."""
+        t_idx, vertices = self.prep.grid.cells
         cells = np.zeros((self.prep.grid.times.shape[0], self.basis.shape[0], rhs.shape[1]))
         cells[t_idx, vertices] = rhs
         return (self.basis.T @ cells).swapaxes(0, 1)
 
     def _solve_modes(self, modes: np.ndarray) -> np.ndarray:
         """``A_oo^-1`` applied to the lattice right-hand side ``modes`` from :meth:`_into_modes`:
-        each ``A_i^-1``, then with missing cells ``- G_i B_mm^-1 (B rhs)_m``, where
-        ``(B rhs)[c] = sum_i Q[v_c, i] (A_i^-1 rhs_i)[t_c]``.  The result is zero at the missing
-        cells."""
+        each ``A_i^-1``, then with missing cells ``- G B_mm^-1 E^T (A^-1 rhs)``.  The result is zero
+        at the missing cells."""
         z = np.swapaxes(self.factor_inv, 1, 2) @ (self.factor_inv @ modes)
         if self.prep.grid.n_missing:
-            (t_m, v_m), (chol_mm, gain) = self.prep.grid.missing, self.missing
-            b_m = np.einsum("ci,ick->ck", self.basis[v_m], z[:, t_m])
+            chol_mm, gain = self.missing
+            b_m = _at_missing(self.basis, z, self.prep.grid)
             z -= gain @ scipy.linalg.cho_solve((chol_mm, True), b_m, check_finite=False)
         return z
 
     def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        modes = self._into_modes(cross, self.prep.grid.cells)
+        modes = self._into_modes(cross)
         flat = modes.reshape(-1, modes.shape[-1])
         return flat.T @ self.alpha.ravel(), flat.T @ self._solve_modes(modes).reshape(flat.shape)
 
@@ -376,16 +375,18 @@ class _Lattice(_Factorization):
 
         On a complete grid W = A^-1.  With missing cells m, W is A_oo^-1 padded
         with zeros: ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T = A_i^-1 - H_i H_i^T`` with
-        ``H_i = G_i L_mm^-T`` for the Cholesky factor ``L_mm`` of ``B_mm``.  W and a
-        vanish on the missing cells, so the noise term is the same trace.
+        ``H_i = G_i L_mm^-T`` for the Cholesky factor ``L_mm`` of ``B_mm``; the weight is one product
+        ``[a_i H_i] [a_i H_i]^T - A_i^-1``.  W and a vanish on the missing cells, so the noise term is
+        the same trace.
         """
-        inv = self.inv
+        columns = self.alpha
         if self.prep.grid.n_missing:
-            # H_i = A_i^-1 E_i L_mm^-T: the rows of L_mm^-T on the missing cells, in the modes
-            chol_inv = invert_lower_triangular(self.missing[0][None])[0]
-            h = inv @ self._into_modes(chol_inv.T, self.prep.grid.missing)
-            inv = inv - h @ h.swapaxes(1, 2)
-        return self.alpha * self.alpha.swapaxes(1, 2) - inv
+            chol_mm, gain = self.missing
+            columns = np.concatenate([columns, gain @ invert_lower_triangular(chol_mm[None])[0].T], axis=2)
+        weight = columns @ columns.swapaxes(1, 2)
+        weight -= self.inv
+        del self.inv  # the derivatives go without it; a second gradient makes it again
+        return weight
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -431,20 +432,22 @@ def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure |
 
 
 def _missing_block(basis: np.ndarray, inv: np.ndarray, grid: _GridStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of B_mm, where B = A^-1 over the lattice, read at the
-    missing cells m, and the per-mode ``G_i = A_i^-1 E_i``, (n, T, M).  An
-    indefinite B_mm raises :class:`FactorizationError`; it is never jittered.
-
-    ``E_i[:, c] = e_{t_c} Q[v_c, i]`` moves cell c into mode i, so
-    ``B[(a, v), c] = sum_i Q[v, i] G_i[a, c]``.
-    """
+    """Cholesky factor of ``B_mm = E^T G``, where B = A^-1 over the lattice is read at the
+    missing cells m, and the gain ``G_i = A_i^-1 E_i``, (n, T, M), where ``E_i[:, c] = e_{t_c}
+    Q[v_c, i]`` moves cell c into mode i.  An indefinite B_mm raises
+    :class:`FactorizationError`; it is never jittered."""
     t_m, v_m = grid.missing
-    gain = inv[:, :, t_m] * basis[v_m].T[:, None, :]  # (n, T, M)
-    b_mm = (basis @ gain.swapaxes(0, 1))[t_m, v_m]
+    gain = inv[:, :, t_m] * basis[v_m].T[:, None, :]
     try:
-        return scipy.linalg.cholesky(b_mm, lower=True, check_finite=False), gain
+        return scipy.linalg.cholesky(_at_missing(basis, gain, grid), lower=True, check_finite=False), gain
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"missing-cell block B_mm is not positive definite: {exc}") from exc
+
+
+def _at_missing(basis: np.ndarray, modes: np.ndarray, grid: _GridStructure) -> np.ndarray:
+    """``E^T modes``, the (n, T, k) stack ``modes`` at the M missing cells: ``sum_i Q[v_c, i] modes[i, t_c]``."""
+    t_m, v_m = grid.missing
+    return np.einsum("ci,ick->ck", basis[v_m], modes[:, t_m])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import DataError
-from .spectral import SpectralDecomposition, eigendecompose_symmetric
+from .spectral import SpectralDecomposition, _lift, eigendecompose_symmetric
 
 LAPLACIAN_VARIANTS = ("unnormalized", "sym_normalized", "random_walk")
 
@@ -110,9 +110,7 @@ class FractionalLaplacian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        q = self.basis
-        out = (q * self.shifted_eigs) @ q.T
-        return (out + out.T) / 2.0
+        return _lift(self.basis, self.shifted_eigs)
 
 
 def build_graph(

@@ -25,6 +25,7 @@ process kernels vanish identically when min(t, s) = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
@@ -42,7 +43,7 @@ from .graphs import (
     fractional_laplacian,
     laplacian_spectrum,
 )
-from .spectral import NULL_SPACE_RTOL, eigendecompose_symmetric, matrix_function, pseudoinverse
+from .spectral import NULL_SPACE_RTOL, _lift, eigendecompose_symmetric, matrix_function, pseudoinverse
 
 KERNEL_KINDS = ("laplacian_spatial", "matern_spatial", "separable_product", "shek", "swek")
 TEMPORAL_KINDS = ("rbf", "exponential", "brownian", "cosine")
@@ -66,8 +67,8 @@ class STPoint:
     time: float
 
     def __post_init__(self):
-        if self.vertex < 0:
-            raise DataError(f"vertex index must be non-negative, got {self.vertex}")
+        if not isinstance(self.vertex, numbers.Integral) or self.vertex < 0:
+            raise DataError(f"vertex index must be a non-negative integer, got {self.vertex!r}")
         if not np.isfinite(self.time) or self.time < 0:
             raise DataError(f"time must be finite and >= 0, got {self.time}")
 
@@ -122,8 +123,8 @@ class KernelSpec:
             raise DataError(f"unknown Laplacian variant {self.laplacian_variant!r}")
         hyper = dict(self.hyper)
         for name, value in hyper.items():
-            if not (np.isfinite(value) and value > 0):
-                raise DataError(f"hyperparameter {name!r} must be strictly positive, got {value}")
+            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
+                raise DataError(f"hyperparameter {name!r} must be a strictly positive number, got {value!r}")
         object.__setattr__(self, "hyper", MappingProxyType(hyper))
 
         if self.laplacian_variant == "random_walk" and self.kind in _SYMMETRIC_KINDS:
@@ -188,9 +189,7 @@ def laplacian_kernel(lap: LaplacianMatrix | np.ndarray) -> np.ndarray:
 def matern_graph_kernel(lap: LaplacianMatrix | np.ndarray, nu: float, kappa: float) -> np.ndarray:
     """Graph Matern covariance ``(2 nu / kappa^2 I + L)^(-nu)``; strictly PD."""
     frac = fractional_laplacian(lap, nu, kappa)
-    q = frac.basis
-    out = (q * frac.shifted_eigs**-2.0) @ q.T
-    return (out + out.T) / 2.0
+    return _lift(frac.basis, frac.shifted_eigs**-2.0)
 
 
 def heat_semigroup(lap: LaplacianMatrix | np.ndarray, c: float, t: float) -> np.ndarray:
@@ -276,10 +275,7 @@ def shek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: flo
     """
     _check_times(t, s)
     _check_positive(c=c, sigma=sigma)
-    vals = _shek_eig(frac.shifted_eigs, c, sigma, t, s)
-    q = frac.basis
-    out = (q * vals) @ q.T
-    return (out + out.T) / 2.0
+    return _lift(frac.basis, _shek_eig(frac.shifted_eigs, c, sigma, t, s))
 
 
 def shek_mean(frac: FractionalLaplacian, c: float, u0: np.ndarray, t: float) -> np.ndarray:
@@ -541,10 +537,7 @@ def swek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: flo
     """
     _check_times(t, s)
     _check_positive(c=c, sigma=sigma)
-    vals = _swek_eig(frac.shifted_eigs, c, sigma, t, s)
-    q = frac.basis
-    out = (q * vals) @ q.T
-    return (out + out.T) / 2.0
+    return _lift(frac.basis, _swek_eig(frac.shifted_eigs, c, sigma, t, s))
 
 
 def swek_mean(
@@ -601,13 +594,12 @@ def _reads_time_lengthscale(temporal_kind: str, params: Mapping[str, float]) -> 
     return temporal_kind in ("rbf", "exponential") or (temporal_kind == "cosine" and "omega" not in params)
 
 
-def temporal_kernel_dlog_lengthscale(kind: str, params: Mapping[str, float], t, s):
-    """Derivative of :func:`temporal_kernel` in log ``time_lengthscale``.
+def temporal_kernel_dlog_lengthscale(k, kind: str, params: Mapping[str, float], t, s):
+    """Derivative of :func:`temporal_kernel` (value ``k`` at the same arguments) in log ``time_lengthscale``.
 
     Zero for the brownian kernel, and for the cosine kernel when ``omega``
     fixes its frequency.
     """
-    k = temporal_kernel(kind, params, t, s)
     gap = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
     if kind == "rbf":
         return k * (gap / _param(params, "time_lengthscale")) ** 2
@@ -647,14 +639,15 @@ def _factors(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple:
     if spec.kind != "separable_product":
         return basis, rho, np.ones((t.size, t.size)), lambda: np.zeros((t.size, t.size))
     args = (spec.temporal_kind, spec.hyper, t, s)
-    return basis, rho, temporal_kernel(*args), lambda: temporal_kernel_dlog_lengthscale(*args)
+    temporal = temporal_kernel(*args)
+    return basis, rho, temporal, lambda: temporal_kernel_dlog_lengthscale(temporal, *args)
 
 
 def mode_covariances(
     spec: KernelSpec, graph: Graph, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
     """Eigenbasis Q, per-mode temporal covariances (n, T, T), and the map from
-    kernel hyperparameter names to the covariances' derivatives in their logs.
+    kernel hyperparameter names to the covariances' derivatives in their logs, one at a time.
 
     Every kernel kind is a function of one symmetric operator, so
     ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``: SHEK/SWEK per mode
@@ -670,7 +663,7 @@ def mode_covariances(
     basis, rho, temporal, d_temporal = _factors(spec, graph, times)
     rho = rho[:, None, None]  # one mode per leading index
     covs = rho * temporal
-    return basis, covs, lambda wrt: [rho * d_temporal() for _ in wrt]
+    return basis, covs, lambda wrt: (rho * d_temporal() for _ in wrt)
 
 
 def _process_covariances(
@@ -698,14 +691,14 @@ def _process_covariances(
 
     packed = scalar(mu, c, sigma, t, s)
 
-    def derivatives(wrt: Sequence[str]) -> list[np.ndarray]:
+    def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
         d_log_c = d_scalar(packed, mu, c, sigma, t, s)
         d_log_mu = mu_power * d_log_c
         # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
         shift = 2.0 * nu / kappa**2
         shifted = mu ** (2.0 / nu)
         log_mu_by = {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
-        return [mirrored(d_log_c if name == "c" else d_log_mu * log_mu_by[name]) for name in wrt]
+        return (mirrored(d_log_c if name == "c" else d_log_mu * log_mu_by[name]) for name in wrt)
 
     return frac.basis, mirrored(packed), derivatives
 

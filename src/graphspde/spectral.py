@@ -73,7 +73,12 @@ def matrix_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
     if not np.all(np.isfinite(vals)):
         bad = dec.eigenvalues[~np.isfinite(vals)]
         raise NumericError(f"matrix function undefined at eigenvalue(s) {bad}")
-    out = (dec.basis * vals) @ dec.basis.T
+    return _lift(dec.basis, vals)
+
+
+def _lift(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``basis @ diag(values) @ basis.T``, symmetrized as ``(out + out.T) / 2``."""
+    out = (basis * values) @ basis.T
     return (out + out.T) / 2.0
 
 

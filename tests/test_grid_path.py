@@ -638,6 +638,72 @@ def test_factorization_copies_no_covariances(kind, path):
     assert peak < bound * unit, peak / unit
 
 
+def value_and_gradient_peak(model: GPModel, data: SpatioTemporalDataset, names: list[str]) -> float:
+    """The ``tracemalloc`` peak of one lattice value plus its gradient in ``names``, in (n, T, T)
+    stacks, after a first one that warms the spectrum cache and gives the expected bits."""
+    prep = _prepare(model, data)
+    unit = 8 * data.graph.n_vertices * prep.grid.times.shape[0] ** 2
+    expected = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()
+    tracemalloc.start()
+    try:
+        grad = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(grad, expected)
+    return peak / unit
+
+
+def test_lattice_gradient_holds_one_derivative_at_a_time():
+    # 21 x 50 SHEK grid, every shaped name: the derivative maps yield one mirrored derivative at a
+    # time and the weight drops the inverse it read, so the peak is 6.2 stacks; all four
+    # derivatives at once took 8.2
+    _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
+                                          timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), "shek"), noise_variance=0.01)
+    peak = value_and_gradient_peak(model, data, ["c", "sigma", "nu", "kappa", "noise"])
+    assert peak < 7.0, peak
+
+
+@pytest.mark.parametrize("kind, bound", [("shek", 7.0), ("swek", 7.5), ("matern-rbf", 6.3)])
+def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
+    # an 11 x 50 line, every tenth cell missing (M = 55): the weight takes H = G L_mm^-T from the
+    # gain and is one product in one array, so the peaks are 6.2 (shek), 7.0 (swek) and 5.6
+    # (matern-rbf) stacks; scattering L_mm^-T back into the modes and applying A^-1 again, beside
+    # a second copy of the weight, took 8.2, 8.2 and 7.5
+    rng = np.random.default_rng(3)
+    cells = [(v, 0.2 * a) for a in range(1, 51) for v in range(11)]
+    data = SpatioTemporalDataset(graph=line_graph(11), observations=tuple(
+        (STPoint(v, t), float(rng.standard_normal())) for k, (v, t) in enumerate(cells) if k % 10
+    ))
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.05)
+    assert _prepare(model, data).grid.n_missing == 55
+    peak = value_and_gradient_peak(model, data, _optimizable_names(model.kernel, False) + ["noise"])
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("path", ["lattice", "dense"])
+def test_separable_value_and_gradient_evaluate_the_temporal_kernel_once(monkeypatch, path):
+    # the lengthscale's derivative takes the K_t its value made
+    rng = np.random.default_rng(10)
+    data = grid_dataset(rng, line_graph(5), 6)
+    if path == "dense":
+        data = replace(data, observations=data.observations + data.observations[:1])
+    model = GPModel(kernel=random_spec(rng, "matern-rbf"), noise_variance=0.1, mean_policy="zero")
+    assert (_prepare(model, data).grid is None) == (path == "dense")
+    calls = []
+
+    def counting(*args, original=graphspde.kernels.temporal_kernel):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(graphspde.kernels, "temporal_kernel", counting)
+    names = _optimizable_names(model.kernel, True) + ["noise"]
+    grad = _evaluator(model, data, names)(theta_of(model, names)).gradient()
+    assert np.all(np.isfinite(grad)) and np.all(grad != 0.0)
+    assert calls == ["rbf"]
+
+
 def test_non_finite_lattice_gradient_ends_the_start_without_a_gram(monkeypatch):
     rng = np.random.default_rng(11)
     graph = line_graph(4)

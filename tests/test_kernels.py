@@ -446,6 +446,15 @@ class TestKernelSpec:
         with pytest.raises(DataError, match="takes no hyperparameters"):
             KernelSpec(kind=kind, hyper=hyper, temporal_kind=temporal_kind, spatial=spatial)
 
+    @pytest.mark.parametrize("value", ["1", None, [1.0]])
+    def test_non_numeric_hyper_rejected(self, value):
+        with pytest.raises(DataError, match="strictly positive number"):
+            KernelSpec(kind="matern_spatial", hyper={"nu": value, "kappa": 1.0})
+
+    def test_numpy_integers_and_floats_accepted_as_hyper(self):
+        spec = KernelSpec(kind="matern_spatial", hyper={"nu": np.float32(1.5), "kappa": np.int64(2)})
+        assert dict(spec.hyper) == {"nu": 1.5, "kappa": 2}
+
     @pytest.mark.parametrize(
         "temporal_kind, hyper",
         [("brownian", {"time_lengthscale": 1.0}), ("cosine", {"time_lengthscale": 1.0, "omega": 2.0})],
@@ -454,6 +463,18 @@ class TestKernelSpec:
         spatial = KernelSpec(kind="laplacian_spatial", hyper={})
         spec = KernelSpec(kind="separable_product", hyper=hyper, temporal_kind=temporal_kind, spatial=spatial)
         assert dict(spec.hyper) == hyper
+
+
+class TestSTPoint:
+    @pytest.mark.parametrize("vertex", [1.5, 2.0, "1", None])
+    def test_non_integer_vertex_rejected(self, vertex):
+        # a float vertex would build, and fail later as a list index inside the likelihood
+        with pytest.raises(DataError, match="non-negative integer"):
+            STPoint(vertex, 1.0)
+
+    def test_numpy_integers_and_floats_accepted(self):
+        point = STPoint(np.int64(2), np.float32(1.5))
+        assert (point.vertex, point.time) == (2, 1.5)
 
 
 class TestAssembleGram:
