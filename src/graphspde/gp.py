@@ -53,7 +53,6 @@ import ctypes
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -314,14 +313,15 @@ class _Lattice(_Factorization):
     Cholesky factors of every mode's ``A_i = K_i + s2 I`` over all T times (one batched
     Cholesky, the noise added in place on the stack :func:`kernels.mode_covariances` returned),
     and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one place where
-    a right-hand side meets ``A_oo^-1``; ``A_i^-1 = L_i^-T L_i^-1`` is formed only where it is
-    read: for missing cells, or for the gradient.  Missing cells m get the same noise, so these
-    factors apply, and every missing-cell term reads A^-1 through the gain ``G_i = A_i^-1 E_i`` of
-    :func:`_missing_block` alone: ``B_mm = E^T G``, ``log|A_oo| = log|A| + log|B_mm|``,
-    ``A_oo^-1 rhs = A^-1 rhs - G B_mm^-1 E^T (A^-1 rhs)`` for a right-hand side zero at m, and the
-    gradient's ``H_i = G_i L_mm^-T``.  The LML's quadratic form, the gradient and the posterior
-    are all sums over the modes, so the points' order never enters; the gradient forms every
-    K_i's derivatives from the covariances this value evaluated."""
+    a right-hand side meets ``A_oo^-1``.  Missing cells m get the same noise, so these factors
+    apply.  They lie at U distinct times, picked by S (T x U), and ``E_i = S P_i`` moves them into
+    mode i, where ``P_i`` (U x M) puts cell c at its time with weight ``Q[v_c, i]``.  Every
+    missing-cell term reads ``A_i^-1 = L_i^-T L_i^-1`` through the gain ``G_i = A_i^-1 S`` of
+    :func:`_missing_block` alone: ``log|A_oo| = log|A| + log|B_mm|``, ``A_oo^-1 rhs = A^-1 rhs -
+    G P B_mm^-1 E^T A^-1 rhs`` for a right-hand side zero at m, and the gradient's
+    ``H_i = G_i P_i L_mm^-T``.  The LML's quadratic form, the gradient and the posterior are sums
+    over the modes, so the points' order never enters; the gradient forms every K_i's
+    derivatives from the covariances this value evaluated."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
@@ -331,38 +331,31 @@ class _Lattice(_Factorization):
         noisy[:, diag, diag] += self.noise_variance
         factor, _ = cholesky_jittered(noisy)
         del noisy  # nothing reads it again: it goes before the inverses are made
-        self.factor_inv = invert_lower_triangular(factor)
         log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
+        self.factor_inv = invert_lower_triangular(factor)
+        del factor  # nor the factor, once inverted
         if grid.n_missing:
-            self.missing = _missing_block(self.basis, self.inv, grid)
+            gain = np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv[:, :, grid.gaps[0]]  # A^-1 S, (n, T, U)
+            self.missing = _missing_block(self.basis, gain, grid)
             log_det += np.sum(np.log(np.diag(self.missing[0])))
         y_modes = self._into_modes(prep.y[:, None])
         self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
         self.quad = float(np.vdot(y_modes, self.alpha))
         self.lml = float(-0.5 * self.quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
 
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """Every mode's ``A_i^-1 = L_i^-T L_i^-1``, (n, T, T); :meth:`_weight`, its last reader, drops it."""
-        return np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
-
     def _into_modes(self, rhs: np.ndarray) -> np.ndarray:
-        """The (N, k) ``rhs`` scattered onto the lattice, row c at the cell of point c and zero at
-        the missing cells, and moved into the modes: (n, T, k), row i eigenmode i's series."""
-        t_idx, vertices = self.prep.grid.cells
-        cells = np.zeros((self.prep.grid.times.shape[0], self.basis.shape[0], rhs.shape[1]))
-        cells[t_idx, vertices] = rhs
-        return (self.basis.T @ cells).swapaxes(0, 1)
+        """:func:`_to_modes` of the (N, k) ``rhs`` at the points' cells: (n, T, k), zero at the gaps."""
+        return _to_modes(self.basis, rhs, self.prep.grid.cells, self.prep.grid.times.shape[0])
 
     def _solve_modes(self, modes: np.ndarray) -> np.ndarray:
-        """``A_oo^-1`` applied to the lattice right-hand side ``modes`` from :meth:`_into_modes`:
-        each ``A_i^-1``, then with missing cells ``- G B_mm^-1 E^T (A^-1 rhs)``.  The result is zero
-        at the missing cells."""
+        """``A_oo^-1`` on the right-hand side ``modes`` from :meth:`_into_modes`: each ``A_i^-1``, then
+        with missing cells ``- G P B_mm^-1 E^T (A^-1 rhs)``, which leaves zeros at the missing cells."""
         z = np.swapaxes(self.factor_inv, 1, 2) @ (self.factor_inv @ modes)
         if self.prep.grid.n_missing:
-            chol_mm, gain = self.missing
-            b_m = _at_missing(self.basis, z, self.prep.grid)
-            z -= gain @ scipy.linalg.cho_solve((chol_mm, True), b_m, check_finite=False)
+            (chol_mm, gain), (times, cells) = self.missing, self.prep.grid.gaps
+            b_m = _at_cells(self.basis, z[:, times], cells)  # E^T (A^-1 rhs)
+            b_m = scipy.linalg.cho_solve((chol_mm, True), b_m, check_finite=False)
+            z -= gain @ _to_modes(self.basis, b_m, cells, len(times))
         return z
 
     def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,18 +367,17 @@ class _Lattice(_Factorization):
         """Per-mode weights ``a_i a_i^T - W_i``, (n, T, T).
 
         On a complete grid W = A^-1.  With missing cells m, W is A_oo^-1 padded
-        with zeros: ``W_i = A_i^-1 - G_i B_mm^-1 G_i^T = A_i^-1 - H_i H_i^T`` with
-        ``H_i = G_i L_mm^-T`` for the Cholesky factor ``L_mm`` of ``B_mm``; the weight is one product
-        ``[a_i H_i] [a_i H_i]^T - A_i^-1``.  W and a vanish on the missing cells, so the noise term is
-        the same trace.
+        with zeros: ``W_i = A_i^-1 - H_i H_i^T`` with ``H_i = G_i P_i L_mm^-T`` for the Cholesky
+        factor ``L_mm`` of ``B_mm``; the weight is one product ``[a_i H_i] [a_i H_i]^T`` less
+        ``A_i^-1``.  W and a vanish on the missing cells, so the noise term is the same trace.
         """
-        columns = self.alpha
+        weight = self.alpha
         if self.prep.grid.n_missing:
-            chol_mm, gain = self.missing
-            columns = np.concatenate([columns, gain @ invert_lower_triangular(chol_mm[None])[0].T], axis=2)
-        weight = columns @ columns.swapaxes(1, 2)
-        weight -= self.inv
-        del self.inv  # the derivatives go without it; a second gradient makes it again
+            (chol_mm, gain), (times, cells) = self.missing, self.prep.grid.gaps
+            chol_inv = invert_lower_triangular(chol_mm[None])[0]
+            weight = np.concatenate([weight, gain @ _to_modes(self.basis, chol_inv.T, cells, len(times))], axis=2)
+        weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
+        weight -= np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
         return weight
 
 
@@ -406,17 +398,17 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
 class _GridStructure:
     """Vertex x time lattice over the points' T distinct times.
 
-    ``cells`` holds each point's time index and vertex, and ``missing``
-    those of the M cells with no reading.
+    ``cells`` holds each point's time index and vertex, and ``gaps`` the U distinct
+    times of the M cells with no reading and, on that U-time lattice, those cells.
     """
 
     times: np.ndarray  # (T,) ascending
     cells: tuple[np.ndarray, np.ndarray]  # (N,) time indices, (N,) vertices
-    missing: tuple[np.ndarray, np.ndarray]  # (M,) time indices, (M,) vertices
+    gaps: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # (U,) time indices; (M,) indices to them, vertices
 
     @property
     def n_missing(self) -> int:
-        return self.missing[0].shape[0]
+        return self.gaps[1][0].shape[0]
 
 
 def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure | None:
@@ -428,26 +420,35 @@ def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure |
     read[t_idx, vertices] = True
     if np.count_nonzero(read) < len(points) or 2 * len(points) < read.size:
         return None
-    return _GridStructure(times=times, cells=(t_idx, vertices), missing=np.nonzero(~read))
+    t_m, v_m = np.nonzero(~read)
+    gap_times, at = np.unique(t_m, return_inverse=True)
+    return _GridStructure(times=times, cells=(t_idx, vertices), gaps=(gap_times, (at, v_m)))
 
 
 def _missing_block(basis: np.ndarray, inv: np.ndarray, grid: _GridStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of ``B_mm = E^T G``, where B = A^-1 over the lattice is read at the
-    missing cells m, and the gain ``G_i = A_i^-1 E_i``, (n, T, M), where ``E_i[:, c] = e_{t_c}
-    Q[v_c, i]`` moves cell c into mode i.  An indefinite B_mm raises
-    :class:`FactorizationError`; it is never jittered."""
-    t_m, v_m = grid.missing
-    gain = inv[:, :, t_m] * basis[v_m].T[:, None, :]
+    """Cholesky factor of ``B_mm = E^T A^-1 E = sum_i P_i^T (S^T G_i) P_i`` over the M missing cells,
+    and the gain ``G = A^-1 S``, ``inv``: A^-1's columns at their U times, (n, T, U).  An
+    indefinite B_mm raises :class:`FactorizationError`; it is never jittered."""
+    times, (at, vertices) = grid.gaps
+    spread = inv[:, times][:, :, at]  # (S^T G) P, (n, U, M)
+    spread *= basis[vertices].T[:, None, :]
     try:
-        return scipy.linalg.cholesky(_at_missing(basis, gain, grid), lower=True, check_finite=False), gain
+        return scipy.linalg.cholesky(_at_cells(basis, spread, (at, vertices)), lower=True, check_finite=False), inv
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"missing-cell block B_mm is not positive definite: {exc}") from exc
 
 
-def _at_missing(basis: np.ndarray, modes: np.ndarray, grid: _GridStructure) -> np.ndarray:
-    """``E^T modes``, the (n, T, k) stack ``modes`` at the M missing cells: ``sum_i Q[v_c, i] modes[i, t_c]``."""
-    t_m, v_m = grid.missing
-    return np.einsum("ci,ick->ck", basis[v_m], modes[:, t_m])
+def _to_modes(basis: np.ndarray, rhs: np.ndarray, cells: tuple[np.ndarray, np.ndarray], n_times: int) -> np.ndarray:
+    """The (C, k) ``rhs`` scattered onto a lattice of ``n_times`` times, row c at cell c of ``cells``
+    (time indices, vertices) and zero elsewhere, and moved into the modes: (n, n_times, k)."""
+    lattice = np.zeros((n_times, basis.shape[0], rhs.shape[1]))
+    lattice[cells] = rhs
+    return (basis.T @ lattice).swapaxes(0, 1)
+
+
+def _at_cells(basis: np.ndarray, modes: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (n, T', k) ``modes`` on their lattice, read at ``cells``: (C, k), :func:`_to_modes` transposed."""
+    return (basis @ modes.swapaxes(0, 1))[cells]
 
 
 # ---------------------------------------------------------------------------

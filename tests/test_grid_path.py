@@ -582,10 +582,11 @@ def theta_of(model: GPModel, names: list[str]) -> np.ndarray:
     return np.log([model.noise_variance if name == "noise" else model.kernel.hyper[name] for name in names])
 
 
-@pytest.mark.parametrize("kind", ["shek", "swek"])
+@pytest.mark.parametrize("kind", ["shek", "swek", "matern-rbf"])
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}, "repeated", "sparse"])
 def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, kind, drop):
-    # so do the dense path's: a repeated (vertex, time) pair, and M = 18 > N = 12
+    # so do the dense path's: a repeated (vertex, time) pair, and M = 18 > N = 12; a separable
+    # kind's lengthscale derivative takes the K_t its value made
     rng = np.random.default_rng(10)
     graph = line_graph(5)
     data = grid_dataset(rng, graph, 6)
@@ -597,14 +598,15 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
         data = drop_cells(data, drop)
     model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
     assert (_prepare(model, data).grid is None) == isinstance(drop, str)
-    scalar = getattr(graphspde.kernels, f"_{kind}_eig")
+    name = "temporal_kernel" if kind == "matern-rbf" else f"_{kind}_eig"
+    scalar = getattr(graphspde.kernels, name)
     calls = []
 
     def counting(*args):
-        calls.append(args[0].shape)
+        calls.append(args[0])
         return scalar(*args)
 
-    monkeypatch.setattr(graphspde.kernels, f"_{kind}_eig", counting)
+    monkeypatch.setattr(graphspde.kernels, name, counting)
     names = _optimizable_names(model.kernel, True) + ["noise"]
     grad = _evaluator(model, data, names)(theta_of(model, names)).gradient()
     assert np.all(np.isfinite(grad)) and np.all(grad[:-1] != 0.0)
@@ -667,8 +669,8 @@ def test_lattice_gradient_holds_one_derivative_at_a_time():
 
 @pytest.mark.parametrize("kind, bound", [("shek", 7.0), ("swek", 7.5), ("matern-rbf", 6.3)])
 def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
-    # an 11 x 50 line, every tenth cell missing (M = 55): the weight takes H = G L_mm^-T from the
-    # gain and is one product in one array, so the peaks are 6.2 (shek), 7.0 (swek) and 5.6
+    # an 11 x 50 line, every tenth cell missing (M = 55): the weight takes H = G P L_mm^-T from the
+    # gain and is one product in one array, so the peaks are 5.9 (shek), 6.9 (swek) and 4.9
     # (matern-rbf) stacks; scattering L_mm^-T back into the modes and applying A^-1 again, beside
     # a second copy of the weight, took 8.2, 8.2 and 7.5
     rng = np.random.default_rng(3)
@@ -682,26 +684,20 @@ def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
     assert peak < bound, peak
 
 
-@pytest.mark.parametrize("path", ["lattice", "dense"])
-def test_separable_value_and_gradient_evaluate_the_temporal_kernel_once(monkeypatch, path):
-    # the lengthscale's derivative takes the K_t its value made
-    rng = np.random.default_rng(10)
-    data = grid_dataset(rng, line_graph(5), 6)
-    if path == "dense":
-        data = replace(data, observations=data.observations + data.observations[:1])
-    model = GPModel(kernel=random_spec(rng, "matern-rbf"), noise_variance=0.1, mean_policy="zero")
-    assert (_prepare(model, data).grid is None) == (path == "dense")
-    calls = []
-
-    def counting(*args, original=graphspde.kernels.temporal_kernel):
-        calls.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(graphspde.kernels, "temporal_kernel", counting)
-    names = _optimizable_names(model.kernel, True) + ["noise"]
-    grad = _evaluator(model, data, names)(theta_of(model, names)).gradient()
-    assert np.all(np.isfinite(grad)) and np.all(grad != 0.0)
-    assert calls == ["rbf"]
+def test_half_missing_lattice_holds_no_cell_by_cell_block_per_mode():
+    # a 21 x 50 line with half its cells missing (M = 525 >> T): B_mm and the weight's H read
+    # the gain at the missing cells' times, so the peak of a value plus its gradient is 3.3
+    # (n, T, M) arrays, against 4.2 for a rotation of the whole lattice; one (n, M, M) gather of
+    # the gain would alone take 10.5
+    rng = np.random.default_rng(4)
+    cells = [(v, 0.2 * a) for a in range(1, 51) for v in range(21)]
+    data = SpatioTemporalDataset(graph=line_graph(21), observations=tuple(
+        (STPoint(v, t), float(rng.standard_normal())) for v, t in cells if round(t / 0.2 + v) % 2
+    ))
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), "shek"), noise_variance=0.05)
+    assert _prepare(model, data).grid.n_missing == 525
+    peak = value_and_gradient_peak(model, data, ["c", "sigma", "noise"])
+    assert peak * 50 / 525 < 6.0, peak * 50 / 525
 
 
 def test_non_finite_lattice_gradient_ends_the_start_without_a_gram(monkeypatch):
