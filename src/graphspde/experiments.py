@@ -91,7 +91,7 @@ def _data_scaled_spec(
     scale_name, power = _scale(spec.kind)
     unit = spec.with_hyper(**{scale_name: 1.0})
     times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
-    basis, covs, _ = mode_covariances(unit, train.graph, times)
+    basis, covs = mode_covariances(unit, train.graph, times)
     prior_var = basis**2 @ np.diagonal(covs, axis1=1, axis2=2)  # (n, T)
     diag_mean = math.fsum(prior_var[[p.vertex for p in prep.points], t_idx]) / count
     if diag_mean <= 0 or not np.isfinite(diag_mean):

@@ -1,16 +1,16 @@
 """Exact Gaussian-process regression over (vertex, time) points.
 
-Gaussian likelihood throughout: log marginal likelihood via jittered
-Cholesky, hyperparameter fitting by a quasi-Newton (BFGS) ascent in
-log-space, standard posterior prediction, and seeded prior/posterior
-sampling.
+Gaussian likelihood throughout: log marginal likelihood from one factorization
+of ``K + s2 I`` per theta, hyperparameter fitting by a quasi-Newton (BFGS) ascent
+in log-space, standard posterior prediction, and seeded prior/posterior sampling.
 
 Points with no repeated (vertex, time) pair form a vertex x time lattice
 over their T distinct times, with M cells missing.  Up to M = N readings,
 the likelihood of every kernel kind splits into one T x T problem per
-eigenmode of the kernel's operator (:func:`kernels.mode_covariances`),
-factorized as one batched Cholesky over the (n, T, T) stack; each factor
-is inverted by LAPACK's triangular inverse, not a general LU.  Missing
+eigenmode of the kernel's operator (:func:`kernels.mode_covariances`), each
+held as an inverse root (:func:`_mode_roots`): SHEK/SWEK's by one batched
+Cholesky over the (n, T, T) stack and LAPACK's triangular inverse, the other
+kinds' ``rho_i K_t + s2 I`` by one eigendecomposition of K_t.  Missing
 cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
 inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the
@@ -61,8 +61,8 @@ import scipy.linalg
 from .exceptions import DataError, FactorizationError, NumericError
 from .graphs import Graph, fractional_from_graph
 from .kernels import (
-    KernelSpec, STPoint, _gram_and_derivatives, _reads_time_lengthscale, _scale, assemble_gram, mode_covariances,
-    shek_mean, swek_mean,
+    KernelSpec, STPoint, _factors, _gram_and_derivatives, _process_covariances, _reads_time_lengthscale, _scale,
+    assemble_gram, shek_mean, swek_mean,
 )
 from .spectral import cholesky_jittered, invert_lower_triangular
 
@@ -283,7 +283,9 @@ class _Dense(_Factorization):
         y = prep.y
         noisy, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.points)
         noisy[np.diag_indices(y.shape[0])] += self.noise_variance
-        self.factor, _ = cholesky_jittered(noisy)
+        self.factor, jitter = cholesky_jittered(noisy)
+        if jitter:
+            _LOG.debug("dense likelihood over %d points: Cholesky jitter %.3g", y.shape[0], jitter)
         self.alpha = self.solve(y)
         self.quad = float(y @ self.alpha)
         self.lml = float(-0.5 * self.quad - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
@@ -309,31 +311,25 @@ class _Dense(_Factorization):
 
 
 class _Lattice(_Factorization):
-    """On the points' vertex x time lattice: eigenbasis Q, the inverses ``L_i^-1`` of the
-    Cholesky factors of every mode's ``A_i = K_i + s2 I`` over all T times (one batched
-    Cholesky, the noise added in place on the stack :func:`kernels.mode_covariances` returned),
+    """On the points' vertex x time lattice: eigenbasis Q, inverse roots ``R_i`` of every mode's
+    ``A_i = K_i + s2 I`` over all T times, ``R_i^T R_i = A_i^-1`` (``factor_inv``, from
+    :func:`_mode_roots`: ``L_i^-1`` for SHEK/SWEK, ``diag(d_i)^-1/2 U^T`` for the other kinds),
     and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one place where
     a right-hand side meets ``A_oo^-1``.  Missing cells m get the same noise, so these factors
     apply.  They lie at U distinct times, picked by S (T x U), and ``E_i = S P_i`` moves them into
     mode i, where ``P_i`` (U x M) puts cell c at its time with weight ``Q[v_c, i]``.  Every
-    missing-cell term reads ``A_i^-1 = L_i^-T L_i^-1`` through the gain ``G_i = A_i^-1 S`` of
+    missing-cell term reads ``A_i^-1 = R_i^T R_i`` through the gain ``G_i = A_i^-1 S`` of
     :func:`_missing_block` alone: ``log|A_oo| = log|A| + log|B_mm|``, ``A_oo^-1 rhs = A^-1 rhs -
     G P B_mm^-1 E^T A^-1 rhs`` for a right-hand side zero at m, and the gradient's
     ``H_i = G_i P_i L_mm^-T``.  The LML's quadratic form, the gradient and the posterior are sums
     over the modes, so the points' order never enters; the gradient forms every K_i's
-    derivatives from the covariances this value evaluated."""
+    derivatives from the covariances (or the K_t) this value evaluated."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         grid = prep.grid
-        self.basis, noisy, self.derivatives = mode_covariances(spec, prep.graph, grid.times)
-        diag = np.arange(grid.times.shape[0])
-        noisy[:, diag, diag] += self.noise_variance
-        factor, _ = cholesky_jittered(noisy)
-        del noisy  # nothing reads it again: it goes before the inverses are made
-        log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
-        self.factor_inv = invert_lower_triangular(factor)
-        del factor  # nor the factor, once inverted
+        self.basis, self.factor_inv, log_det, self.derivatives = _mode_roots(
+            spec, self.noise_variance, prep.graph, grid.times)
         if grid.n_missing:
             gain = np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv[:, :, grid.gaps[0]]  # A^-1 S, (n, T, U)
             self.missing = _missing_block(self.basis, gain, grid)
@@ -379,6 +375,28 @@ class _Lattice(_Factorization):
         weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
         weight -= np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
         return weight
+
+
+def _mode_roots(spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray) -> tuple:
+    """Q, inverse roots R (n, T, T) with ``R_i^T R_i = A_i^-1`` for every mode's ``A_i = K_i + s2 I``,
+    ``log|A|`` and the K_i's derivative map.  SHEK/SWEK: ``L_i^-1`` from one batched Cholesky of their
+    stack.  The other kinds' ``K_i = rho_i K_t`` (:func:`kernels._factors`) share one ``K_t = U diag(lam)
+    U^T`` (Saatci 2012, ch. 5): ``R_i = diag(d_i)^-1/2 U^T``, ``d_i = rho_i max(lam, 0) + s2 >= s2 > 0``."""
+    if spec.kind in ("shek", "swek"):
+        basis, noisy, derivatives = _process_covariances(spec, graph, times)
+        diag = np.arange(times.shape[0])
+        noisy[:, diag, diag] += noise_variance
+        factor, jitter = cholesky_jittered(noisy)
+        del noisy  # nothing reads it again: it goes before the inverses are made
+        if jitter:
+            _LOG.debug("lattice likelihood over %d modes: Cholesky jitter %.3g", basis.shape[1], jitter)
+        log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
+        return basis, invert_lower_triangular(factor), log_det, derivatives
+    basis, rho, temporal, d_temporal = _factors(spec, graph, times)
+    lam, vecs = np.linalg.eigh(temporal)
+    scaled = rho[:, None] * np.maximum(lam, 0.0) + noise_variance  # d_i, (n, T)
+    return basis, scaled[:, :, None] ** -0.5 * vecs.T, 0.5 * np.sum(np.log(scaled)), (
+        lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt))
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -604,9 +622,9 @@ def _fit_starts(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions,
     and keep the highest LML.
 
     Once a start ends within ``_STALL_RTOL`` (relative, as :func:`_maximize` stalls) of the best
-    LML so far, the higher of the two is kept and no further start runs: the repeated optimum is
-    taken as the one the remaining starts would find too.  A start that fails to evaluate is
-    skipped.  One preparation of the data serves every start.
+    LML so far, the earlier of the two is kept, whichever is higher in its last bits, and no further
+    start runs: the repeated optimum is taken as the one the remaining starts would find too.  A
+    start that fails to evaluate is skipped.  One preparation of the data serves every start.
     """
     _keep_freed_heap()
     names = _fit_names(model.kernel, opts)
@@ -624,10 +642,10 @@ def _fit_starts(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions,
             best = result
             continue
         best_lml = best[1][-1]
+        if abs(lml - best_lml) <= _STALL_RTOL * max(abs(lml), abs(best_lml), 1.0):
+            break  # a tie keeps the earlier start, so the LML's last bits pick no hyperparameters
         if lml > best_lml:
             best = result
-        if abs(lml - best_lml) <= _STALL_RTOL * max(abs(lml), abs(best_lml), 1.0):
-            break
     if best is None:
         raise NumericError("every optimization start failed to evaluate")
 
@@ -648,7 +666,8 @@ def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptio
     kappa stay fixed unless ``opts.optimize_nu_kappa``.  Starts from the
     model's own point, then up to ``opts.restarts`` log-uniform draws, and
     returns the best; a start that ends within ``_STALL_RTOL`` of the best LML
-    so far ends the search (:func:`_fit_starts`), and ``FitResult.starts`` records
+    so far ends the search, keeping the earlier of the two (:func:`_fit_starts`),
+    and ``FitResult.starts`` records
     each start that ran.  For the rest of the process, glibc keeps freed heap
     memory for reuse (:func:`_keep_freed_heap`).
     """

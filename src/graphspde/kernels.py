@@ -643,34 +643,30 @@ def _factors(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple:
     return basis, rho, temporal, lambda: temporal_kernel_dlog_lengthscale(temporal, *args)
 
 
-def mode_covariances(
-    spec: KernelSpec, graph: Graph, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
-    """Eigenbasis Q, per-mode temporal covariances (n, T, T), and the map from
-    kernel hyperparameter names to the covariances' derivatives in their logs, one at a time.
+def mode_covariances(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis Q and per-mode temporal covariances (n, T, T).
 
     Every kernel kind is a function of one symmetric operator, so
     ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``: SHEK/SWEK per mode
-    of ``L``, the other kinds ``rho_i K_t`` (:func:`_factors`).  The stack is a new array
-    that the caller owns and may overwrite; nothing here reads it again.  Derivatives cover
-    the names that change the covariances' shape (``c``, ``nu`` and ``kappa`` of SHEK/SWEK,
-    a separable ``time_lengthscale``), not the scale (:func:`_scale`); SHEK/SWEK's take the
-    evaluated upper triangle as their value ``k``.
+    of ``L`` (:func:`_process_covariances`, which also maps names to their derivatives), the
+    other kinds ``rho_i K_t`` (:func:`_factors`, whose K_t the lattice diagonalizes once
+    without forming this stack).  The stack is a new array that the caller owns and may
+    overwrite.
     """
     times = np.asarray(times, dtype=float)
     if spec.kind in ("shek", "swek"):
-        return _process_covariances(spec, graph, times)
-    basis, rho, temporal, d_temporal = _factors(spec, graph, times)
-    rho = rho[:, None, None]  # one mode per leading index
-    covs = rho * temporal
-    return basis, covs, lambda wrt: (rho * d_temporal() for _ in wrt)
+        return _process_covariances(spec, graph, times)[:2]
+    basis, rho, temporal, _ = _factors(spec, graph, times)
+    return basis, rho[:, None, None] * temporal
 
 
 def _process_covariances(
     spec: KernelSpec, graph: Graph, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
-    """:func:`mode_covariances` of SHEK/SWEK.  Their entries cost exponentials or trigonometric
-    functions and are symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
+    """:func:`mode_covariances` of SHEK/SWEK, and the map from ``c``, ``nu`` and ``kappa`` (not the scale,
+    :func:`_scale`) to the covariances' derivatives in their logs, one at a time, with the evaluated upper
+    triangle as their value ``k``.  The entries cost exponentials or trigonometric functions and are
+    symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
     n_times = times.shape[0]
     pairs = np.triu_indices(n_times)
     t, s = times[pairs[0]][None], times[pairs[1]][None]
@@ -722,10 +718,10 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
 def _gram_and_derivatives(
     spec: KernelSpec, graph: Graph, points: Sequence[STPoint], columns: Sequence[STPoint] | None = None
 ) -> tuple[np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
-    """The Gram over ``points``, or with ``columns`` the block K(points, columns), and the map
-    from names (those of :func:`mode_covariances`, so not the scale) to its derivatives in their
-    logs, one array at a time, gathered from the covariances this call evaluated at the distinct
-    times of both sets as the Gram is, a separable lengthscale as the spatial factor times the
+    """The Gram over ``points``, or with ``columns`` the block K(points, columns), and the map from names
+    (those of :func:`_process_covariances`, or a separable ``time_lengthscale``; not the scale) to its
+    derivatives in their logs, one array at a time, gathered from the covariances this call evaluated at the
+    distinct times of both sets as the Gram is, a separable lengthscale as the spatial factor times the
     temporal derivative.  The Gram is a new array that the caller owns; the map does not read it."""
     if not points:
         raise DataError("need at least one point")
@@ -737,7 +733,7 @@ def _gram_and_derivatives(
         raise DataError(f"point references vertex {bad} outside the graph")
     times, t_idx = np.unique(t_val, return_inverse=True)
     if spec.kind in ("shek", "swek"):
-        factor, values, derivs_of = mode_covariances(spec, graph, times)
+        factor, values, derivs_of = _process_covariances(spec, graph, times)
         gather = _row_time_gather
     else:
         # before the Gram exists, so that the T x T temporaries of K_t never coexist with it

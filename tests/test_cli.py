@@ -1,9 +1,14 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphspde
 from graphspde.cli import _build_parser, main
 
 
@@ -490,3 +495,24 @@ class TestMalformedValues:
             main(["--help"])
         assert exc.value.code == 0
         assert "95% band" in capsys.readouterr().out
+
+
+# The public scipy subpackages a fresh ``import graphspde.cli`` has loaded.
+SCIPY_PACKAGES_PROBE = """
+import sys
+import graphspde.cli
+print(" ".join(sorted(
+    name for name, module in list(sys.modules.items())
+    if name.count(".") == 1 and name.startswith("scipy.") and not name.split(".")[1].startswith("_")
+    and hasattr(module, "__path__")
+)))
+"""
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage_but_linalg():
+    # every command pays for its imports first; importing scipy.optimize alone adds about 0.19 s
+    src = str(Path(graphspde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SCIPY_PACKAGES_PROBE], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == ["scipy.linalg"]

@@ -43,7 +43,8 @@ from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
     _Dense, _Lattice, _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
 )
-from graphspde.kernels import _scale, mode_covariances
+from graphspde.graphs import build_graph
+from graphspde.kernels import _factors, _scale, mode_covariances
 
 from conftest import random_graph
 
@@ -739,6 +740,120 @@ def test_fit_logs_the_likelihood_path(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "graphspde"]
     assert "fit: lattice likelihood over 4 times x 3 vertices, 2 missing cells" in messages
     assert "fit: dense likelihood over 11 points" in messages
+
+
+def test_jittered_cholesky_is_logged_with_its_path(caplog):
+    # sigma 1e6 over the 1e-10 noise floor: eight times within round-off of each other make
+    # the SHEK modes singular to round-off, and a second reading of one cell does the same to
+    # the dense Gram
+    graph = line_graph(3)
+    times = [1.0 + k * np.spacing(1.0) for k in range(8)]
+    observations = tuple((STPoint(v, t), float(v + k)) for k, t in enumerate(times) for v in range(3))
+    lattice = SpatioTemporalDataset(graph=graph, observations=observations)
+    dense = replace(lattice, observations=observations + observations[:1])
+    spec = KernelSpec(kind="shek", hyper={"c": 1.0, "sigma": 1e6, "nu": 1.0, "kappa": 1.0})
+    model = GPModel(kernel=spec, noise_variance=1e-10, mean_policy="zero")
+    with caplog.at_level(logging.DEBUG, logger="graphspde"):
+        log_marginal_likelihood(replace(model, noise_variance=0.1), lattice)
+        assert caplog.records == []  # no jitter, no message
+        assert math.isfinite(log_marginal_likelihood(model, lattice))
+        assert math.isfinite(log_marginal_likelihood(model, dense))
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphspde"]
+    assert len(messages) == 2, messages
+    assert messages[0].startswith("lattice likelihood over 3 modes: Cholesky jitter ")
+    assert messages[1].startswith("dense likelihood over 25 points: Cholesky jitter ")
+    assert all(float(message.rsplit(" ", 1)[1]) > 0 for message in messages)
+
+
+SEPARABLE_GRID_KINDS = [kind for kind in GRID_KINDS if kind not in ("shek", "swek")]
+
+
+def cholesky_roots(spec: KernelSpec, noise_variance: float, graph, times: np.ndarray) -> tuple:
+    """The per-mode operator of ``gp._mode_roots`` by the route of SHEK/SWEK: the
+    ``mode_covariances`` stack plus the noise, each mode's plain Cholesky factor L_i and its
+    inverse as ``R_i``, ``log|A|`` from the factors' diagonals, and ``rho_i dK_t`` as the
+    derivatives."""
+    basis, covs = mode_covariances(spec, graph, times)
+    eye = np.eye(times.shape[0])
+    factors = [scipy.linalg.cholesky(cov + noise_variance * eye, lower=True) for cov in covs]
+    roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
+    log_det = sum(np.sum(np.log(np.diag(factor))) for factor in factors)
+    _, rho, _, d_temporal = _factors(spec, graph, times)
+    return basis, roots, log_det, lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
+
+
+def lattice_answers(model: GPModel, data: SpatioTemporalDataset, query: list) -> tuple:
+    """The lattice LML, its gradient in every name a fit varies and the noise, and the posterior
+    mean and covariance at ``query``."""
+    prep = _prepare(model, data)
+    assert prep.grid is not None
+    point = _Lattice(model.kernel, model.noise_variance, prep, _optimizable_names(model.kernel, True) + ["noise"])
+    pred = predict(model, data, query, full_cov=True)
+    return point.lml, point.gradient(), pred.mean, pred.covariance
+
+
+def check_matches_per_mode_cholesky(model: GPModel, data: SpatioTemporalDataset, query: list) -> None:
+    """The lattice's answers equal those of :func:`cholesky_roots` in its place: the LML to 1e-9
+    relative, the gradient and posterior to 1e-9 of their largest entry."""
+    lml, grad, mean, cov = lattice_answers(model, data, query)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphspde.gp, "_mode_roots", cholesky_roots)
+        ref_lml, ref_grad, ref_mean, ref_cov = lattice_answers(model, data, query)
+    assert math.isfinite(lml) and np.any(ref_grad)
+    np.testing.assert_allclose(lml, ref_lml, rtol=1e-9)
+    for actual, reference in ((grad, ref_grad), (mean, ref_mean), (cov, ref_cov)):
+        assert_close_to_largest(actual, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(SEPARABLE_GRID_KINDS), mask=st.sampled_from(MASKS))
+def test_separable_lattice_matches_a_per_mode_cholesky(seed, kind, mask):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    data = gappy_dataset(rng, graph, int(rng.integers(2, 7)), mask)
+    model = GPModel(
+        kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
+    )
+    check_matches_per_mode_cholesky(model, data, query_points(rng, data))
+
+
+def edge_spec(edge: str) -> KernelSpec:
+    spatial = KernelSpec(kind="laplacian_spatial", hyper={"variance": 1.3}, laplacian_variant="unnormalized")
+    if edge in ("null-modes", "isolated-vertex"):
+        return spatial
+    if edge == "all-ones":
+        return KernelSpec(kind="matern_spatial", hyper={"nu": 1.5, "kappa": 2.0, "variance": 0.8})
+    return KernelSpec(kind="separable_product", hyper={"variance": 0.7, "time_lengthscale": 1e5},
+                      temporal_kind="rbf", spatial=replace(spatial, hyper={}))
+
+
+@pytest.mark.parametrize("edge", ["null-modes", "isolated-vertex", "all-ones", "singular-rbf"])
+@pytest.mark.parametrize("mask", ["none", "random"])
+def test_separable_lattice_edge_cases_match_a_per_mode_cholesky(monkeypatch, edge, mask):
+    # the Laplacian kernel's zero-rho null modes (two with an isolated vertex), the spatial-only
+    # K_t = 1 1^T, and an RBF lengthscale so long that K_t is singular to round-off: the one
+    # eigendecomposition of K_t needs no Cholesky and no jitter for any of them
+    rng = np.random.default_rng(14)
+    graph = line_graph(5)
+    if edge == "isolated-vertex":
+        graph = build_graph(["a", "b", "c", "d", "e"], [("a", "b", 1.0), ("b", "c", 0.5), ("c", "d", 2.0)])
+    data = gappy_dataset(rng, graph, 7, mask)
+    spec = edge_spec(edge)
+    times = _prepare(GPModel(kernel=spec), data).grid.times
+    _, rho, temporal, _ = _factors(spec, graph, times)
+    if edge in ("null-modes", "isolated-vertex"):
+        assert np.count_nonzero(rho == 0.0) == (2 if edge == "isolated-vertex" else 1)
+    if edge == "all-ones":
+        np.testing.assert_array_equal(temporal, np.ones((7, 7)))
+    if edge == "singular-rbf":
+        eigenvalues = np.linalg.eigvalsh(temporal)  # K_t = v (1 - D / 2 l^2 + O(l^-4)), D of rank 3
+        assert np.max(np.abs(eigenvalues[:3])) <= 1e-14 * eigenvalues[-1], eigenvalues
+    model = GPModel(kernel=spec, noise_variance=0.07, mean_policy="zero")
+    calls = []
+    monkeypatch.setattr(graphspde.gp, "cholesky_jittered", lambda a: calls.append(a.shape))
+    assert math.isfinite(log_marginal_likelihood(model, data))
+    check_matches_per_mode_cholesky(model, data, query_points(rng, data))
+    assert calls == []
 
 
 def query_points(rng: np.random.Generator, data: SpatioTemporalDataset) -> list:
