@@ -8,7 +8,8 @@ each subcommand's row of the settings table: setting ``n_train`` is flag
 ``--n-train``, and the settings in ``_CONFIG_ONLY`` have no flag.  Seeds are
 explicit everywhere, so reruns are byte-identical apart from wall-time fields.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be read or
+written included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -196,10 +195,7 @@ def _out_dir(settings: dict) -> Path:
     """The --out directory, created; a subcommand asks for it just before its first write, so a
     command that fails on its inputs leaves none behind."""
     out = Path(settings["out"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -244,15 +240,12 @@ def _load_dataset(settings: dict) -> SpatioTemporalDataset:
 def cmd_synth(settings: dict) -> int:
     spec, graph, dataset = _synthesize(settings)
     out = _out_dir(settings)
-    try:
-        write_graph_csv(graph, out / "graph.csv")
-        write_series_csv(dataset, out / "series.csv")
-        provenance = {"command": "synth", "package_version": __version__, "spec": asdict(spec)}
-        with open(out / "provenance.json", "w", encoding="utf-8") as fh:
-            json.dump(provenance, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataError(f"cannot write outputs under {out}: {exc}") from exc
+    write_graph_csv(graph, out / "graph.csv")
+    write_series_csv(dataset, out / "series.csv")
+    provenance = {"command": "synth", "package_version": __version__, "spec": asdict(spec)}
+    with open(out / "provenance.json", "w", encoding="utf-8") as fh:
+        json.dump(provenance, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {out / 'graph.csv'}, {out / 'series.csv'} "
           f"({spec.n_nodes} nodes x {len(spec.timestamps)} timestamps)")
     return 0
@@ -516,7 +509,7 @@ def main(argv=None) -> int:
     try:
         settings = _settings(args)
         return _SUBCOMMANDS[args.command][0](settings)
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # an input it cannot read or an output it cannot write
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -25,8 +25,7 @@ from .backtest import (
     sliding_windows,
 )
 from .exceptions import DataError, NumericError
-from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, fit, predict
-from .gp import _fit_names, _fit_starts, _log_theta, _prepare
+from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, _prepare, fit, predict
 from .kernels import KernelSpec, _scale, mode_covariances
 
 TASKS = ("interpolation", "extrapolation")
@@ -112,10 +111,10 @@ def _evaluate_round(
     """Fit ``spec`` on the training times, from its data-scaled start, and score the posterior
     mean on the test times.
 
-    SHEK/SWEK fit from one start per distinct ``c`` in the spec's own value and
-    ``_C_START_GRID``, in that order and with no random draws; other kinds from the spec's
-    start plus up to ``fit_opts.restarts`` draws.  Either way a start that ties the best LML so
-    far ends the search (:func:`gp._fit_starts`).
+    Every kind goes through one :func:`gp.fit`.  SHEK/SWEK hand it one start per distinct ``c``
+    in the spec's own value and ``_C_START_GRID``, in that order, so it draws no random start;
+    other kinds start from the spec plus up to ``fit_opts.restarts`` draws.  Either way a start
+    that ties the best LML so far ends the search.
     """
     train = dataset.restrict_to_times(train_times)
     test = dataset.restrict_to_times(test_times)
@@ -127,13 +126,11 @@ def _evaluate_round(
     noise = max(1e-2 * target_var, 1e-8)
     started = time.perf_counter()
     model = GPModel(kernel=spec, noise_variance=noise, mean_policy=mean_policy)
+    starts = None
     if spec.kind in ("shek", "swek"):
-        names = _fit_names(spec, fit_opts)
         c_starts = dict.fromkeys((float(spec.hyper["c"]),) + _C_START_GRID)
-        starts = [_log_theta(replace(model, kernel=spec.with_hyper(c=c)), names) for c in c_starts]
-        fitted = _fit_starts(model, train, fit_opts, starts)
-    else:
-        fitted = fit(model, train, fit_opts)
+        starts = [replace(model, kernel=spec.with_hyper(c=c)) for c in c_starts]
+    fitted = fit(model, train, fit_opts, starts)
     prediction = predict(fitted.model, train, test_points)
     wall = time.perf_counter() - started
 

@@ -64,7 +64,7 @@ from .kernels import (
     KernelSpec, STPoint, _factors, _gram_and_derivatives, _process_covariances, _reads_time_lengthscale, _scale,
     assemble_gram, shek_mean, swek_mean,
 )
-from .spectral import cholesky_jittered, invert_lower_triangular
+from .spectral import cholesky_jittered, eigendecompose_symmetric, invert_lower_triangular
 
 _LOG = logging.getLogger("graphspde")
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -148,8 +148,9 @@ class PosteriorPrediction:
 class FitOptions:
     """Settings of :func:`fit`.
 
-    ``restarts`` is the most log-uniform random starts run after the model's own; the
-    search ends early once a start ties the best LML so far (:func:`fit`).
+    ``restarts`` is the most log-uniform random starts, drawn from ``seed``, run after the
+    model's own; the search ends early once a start ties the best LML so far (:func:`fit`).
+    Both apply only to a fit that is given no ``starts``.
     """
 
     max_iters: int = 200
@@ -393,9 +394,9 @@ def _mode_roots(spec: KernelSpec, noise_variance: float, graph: Graph, times: np
         log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
         return basis, invert_lower_triangular(factor), log_det, derivatives
     basis, rho, temporal, d_temporal = _factors(spec, graph, times)
-    lam, vecs = np.linalg.eigh(temporal)
-    scaled = rho[:, None] * np.maximum(lam, 0.0) + noise_variance  # d_i, (n, T)
-    return basis, scaled[:, :, None] ** -0.5 * vecs.T, 0.5 * np.sum(np.log(scaled)), (
+    dec = eigendecompose_symmetric(temporal)
+    scaled = rho[:, None] * np.maximum(dec.eigenvalues, 0.0) + noise_variance  # d_i, (n, T)
+    return basis, scaled[:, :, None] ** -0.5 * dec.basis.T, 0.5 * np.sum(np.log(scaled)), (
         lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt))
 
 
@@ -406,8 +407,10 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     time lattice is missing, the Gram is block-diagonal in the spatial
     eigenbasis on the full lattice, the likelihood factorizes into one
     small temporal problem per eigenmode, and a Schur complement corrects
-    for the missing cells; otherwise the dense N x N path is used.  Both go
-    through the jittered Cholesky, and ``fit`` maximizes this same function.
+    for the missing cells; otherwise the dense N x N path is used.  The dense
+    path and the SHEK/SWEK lattice factor through the jittered Cholesky, the
+    other kinds' lattice through one eigendecomposition of K_t
+    (:func:`_mode_roots`), and ``fit`` maximizes this same function.
     """
     return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
 
@@ -604,34 +607,37 @@ def _keep_freed_heap() -> None:
         libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: free memory kept at the heap's top
 
 
-def _fit_names(spec: KernelSpec, opts: FitOptions) -> list[str]:
-    """The names a fit optimizes, in the order of its log-hyperparameter vectors."""
-    return _optimizable_names(spec, opts.optimize_nu_kappa) + ["noise"]
+def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptions(),
+        starts: Sequence[GPModel] | None = None) -> FitResult:
+    """Maximize the LML over the kernel's optimizable hyperparameters and the noise.
 
-
-def _log_theta(model: GPModel, names: Sequence[str]) -> np.ndarray:
-    """The model's own log-hyperparameters over ``names``; 1 for a name its kernel lacks."""
-    return np.log(np.asarray([
-        model.noise_variance if name == "noise" else float(model.kernel.hyper.get(name, 1.0)) for name in names
-    ]))
-
-
-def _fit_starts(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions,
-                starts: Sequence[np.ndarray]) -> FitResult:
-    """Ascend from each start in order, log-hyperparameters over ``_fit_names(model.kernel, opts)``,
-    and keep the highest LML.
-
-    Once a start ends within ``_STALL_RTOL`` (relative, as :func:`_maximize` stalls) of the best
-    LML so far, the earlier of the two is kept, whichever is higher in its last bits, and no further
-    start runs: the repeated optimum is taken as the one the remaining starts would find too.  A
-    start that fails to evaluate is skipped.  One preparation of the data serves every start.
+    Optimization runs in log-space; SHEK/SWEK optimize (c, sigma), separable
+    kernels (lengthscale where the temporal kernel reads it, variance), the
+    others the variance, always plus the noise variance.  nu and
+    kappa stay fixed unless ``opts.optimize_nu_kappa``.  It ascends from each of
+    ``starts`` in order, models that may differ from ``model`` only in those
+    hyperparameters and the noise (else :class:`DataError`), or without them from the
+    model's own point and then up to ``opts.restarts`` log-uniform draws.  Once a start
+    ends within ``_STALL_RTOL`` (relative, as :func:`_maximize` stalls) of the best LML
+    so far, the earlier of the two is kept, whichever is higher in its last bits, and no
+    further start runs: the repeated optimum is taken as the one the remaining starts
+    would find too.  A start that fails to evaluate is skipped; ``FitResult.starts``
+    records each start that ran.  One preparation of the data serves every start.  For
+    the rest of the process, glibc keeps freed heap memory for reuse (:func:`_keep_freed_heap`).
     """
+    names = _optimizable_names(model.kernel, opts.optimize_nu_kappa) + ["noise"]
+    draws = []
+    if starts is None:
+        rng = np.random.default_rng(opts.seed)
+        starts, draws = [model], [rng.uniform(*_RESTART_LOG_RANGE, size=len(names)) for _ in range(opts.restarts)]
+    if not starts or any(_unfitted(start, names) != _unfitted(model, names) for start in starts):
+        raise DataError(f"fit needs one or more starts, each differing from the model only in {names}")
+    thetas = [_log_theta(start, names) for start in starts] + draws
     _keep_freed_heap()
-    names = _fit_names(model.kernel, opts)
     evaluate = _evaluator(model, data, names)
     best: tuple[np.ndarray, list[float]] | None = None
     records: list[tuple[float | None, int]] = []
-    for theta0 in starts:
+    for theta0 in thetas:
         result = _maximize(evaluate, theta0, opts.max_iters, opts.grad_tol)
         if result is None:
             records.append((None, 0))
@@ -654,27 +660,20 @@ def _fit_starts(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions,
     noise_variance = values.pop("noise")
     fitted = replace(model, kernel=model.kernel.with_hyper(**values), noise_variance=noise_variance)
     return FitResult(model=fitted, trace=tuple(trace), starts=tuple(records),
-                     skipped_starts=len(starts) - len(records))
+                     skipped_starts=len(thetas) - len(records))
 
 
-def fit(model: GPModel, data: SpatioTemporalDataset, opts: FitOptions = FitOptions()) -> FitResult:
-    """Maximize the LML over the kernel's optimizable hyperparameters and the noise.
+def _log_theta(model: GPModel, names: Sequence[str]) -> np.ndarray:
+    """The model's own log-hyperparameters over ``names``; 1 for a name its kernel lacks."""
+    return np.log(np.asarray([
+        model.noise_variance if name == "noise" else float(model.kernel.hyper.get(name, 1.0)) for name in names
+    ]))
 
-    Optimization runs in log-space; SHEK/SWEK optimize (c, sigma), separable
-    kernels (lengthscale where the temporal kernel reads it, variance), the
-    others the variance, always plus the noise variance.  nu and
-    kappa stay fixed unless ``opts.optimize_nu_kappa``.  Starts from the
-    model's own point, then up to ``opts.restarts`` log-uniform draws, and
-    returns the best; a start that ends within ``_STALL_RTOL`` of the best LML
-    so far ends the search, keeping the earlier of the two (:func:`_fit_starts`),
-    and ``FitResult.starts`` records
-    each start that ran.  For the rest of the process, glibc keeps freed heap
-    memory for reuse (:func:`_keep_freed_heap`).
-    """
-    names = _fit_names(model.kernel, opts)
-    rng = np.random.default_rng(opts.seed)
-    draws = [rng.uniform(*_RESTART_LOG_RANGE, size=len(names)) for _ in range(opts.restarts)]
-    return _fit_starts(model, data, opts, [_log_theta(model, names)] + draws)
+
+def _unfitted(model: GPModel, names: Sequence[str]) -> GPModel:
+    """``model`` with 1 for every name in ``names``: what a fit over them does not vary."""
+    return replace(model, kernel=model.kernel.with_hyper(**{name: 1.0 for name in names if name != "noise"}),
+                   noise_variance=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,72 @@ class TestUsage:
         assert exc.value.code == 0
 
 
+@pytest.fixture
+def tiny_files(tmp_path):
+    """A 3-node line graph and a 3 x 10 heat series, written by ``synth``."""
+    out = tmp_path / "data"
+    assert main(["synth", "--nodes", "3", "--t", "1:10", "--noise-sd", "0.01", "--seed", "1",
+                 "--out", str(out)]) == 0
+    return out
+
+
+# per subcommand: its arguments, with {data} the tiny files, and the output it writes
+QUICK_RUNS = {
+    "synth": (["--nodes", "3", "--t", "1:5"], "graph.csv"),
+    "backtest": (["--graph", "{data}/graph.csv", "--series", "{data}/series.csv", "--kernels", "sep-laplacian-rbf",
+                  "--task", "extrapolation", "--n-train", "6", "--n-test", "2", "--rounds", "1",
+                  "--max-iters", "2", "--restarts", "0"], "results.csv"),
+    "validate-kernel": (["--nodes", "2", "--n-paths", "200", "--dt", "0.01"], "validate_shek.csv"),
+    "sample": (["--nodes", "2", "--times", "0:1:0.5", "--n-samples", "1"], "samples_c1.csv"),
+    "fit": (["--graph", "{data}/graph.csv", "--series", "{data}/series.csv", "--max-iters", "2",
+             "--restarts", "0"], "fit_shek.json"),
+}
+# per subcommand: arguments that name an input file that does not exist
+MISSING_INPUTS = {
+    "synth": ["--config", "{missing}"],
+    "backtest": ["--graph", "{missing}", "--series", "{missing}"],
+    "validate-kernel": ["--graph", "{missing}"],
+    "sample": ["--graph", "{missing}"],
+    "fit": ["--graph", "{missing}", "--series", "{missing}"],
+}
+
+
+class TestFileErrors:
+    """A file a command cannot read or write is a data error: exit 2 and the system's reason."""
+
+    @pytest.mark.parametrize("command", list(QUICK_RUNS))
+    def test_an_output_it_cannot_write_is_a_data_error(self, tiny_files, tmp_path, capsys, command):
+        argv, output = QUICK_RUNS[command]
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)  # a directory where the output file goes
+        assert main([command] + [a.format(data=tiny_files) for a in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and output in err
+
+    @pytest.mark.parametrize("command", list(MISSING_INPUTS))
+    def test_an_input_it_cannot_read_is_a_data_error(self, tmp_path, capsys, command):
+        missing, out = tmp_path / "nope.csv", tmp_path / "out"
+        assert main([command] + [a.format(missing=missing) for a in MISSING_INPUTS[command]]
+                    + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "nope.csv" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, output", [
+    ("validate-kernel", ["--n-paths", "200", "--dt", "0.01", "--seed", "4"], "validate_shek.csv"),
+    ("sample", ["--times", "0:2:0.5", "--condition", "0,1,2", "--n-samples", "2", "--seed", "4"], "samples_c1.csv"),
+])
+def test_a_graph_file_takes_the_place_of_nodes(tiny_files, tmp_path, command, flags, output):
+    # the file's 3-node line against --nodes 2: the file wins, so the output is that of --nodes 3
+    from_file, from_nodes = tmp_path / "file", tmp_path / "nodes"
+    main([command, "--graph", str(tiny_files / "graph.csv"), "--nodes", "2", "--out", str(from_file)] + flags)
+    main([command, "--nodes", "3", "--out", str(from_nodes)] + flags)
+    assert (from_file / output).read_bytes() == (from_nodes / output).read_bytes()
+    assert {row["node_i" if command == "validate-kernel" else "node"] for row in read_csv(from_file / output)} == {
+        "v00", "v01", "v02"}
+
+
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path):
         config = tmp_path / "config.json"

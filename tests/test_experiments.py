@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import graphspde.experiments
 import graphspde.gp
 from graphspde import (
     BacktestPlan,
@@ -106,6 +107,31 @@ def test_process_round_runs_each_c_start_as_its_own_fit_would(kind):
     assert len(result.starts) >= 2
     assert result.starts == tuple(own[: len(result.starts)])
     assert len(result.starts) + result.skipped_starts == len(own)
+
+
+@pytest.mark.parametrize("name", ["shek", "sep-matern-rbf"])
+def test_a_round_fits_through_one_call_of_fit(monkeypatch, name):
+    calls = []
+    original = graphspde.experiments.fit
+
+    def counting(model, data, opts, starts=None):
+        calls.append((model, starts))
+        return original(model, data, opts, starts)
+
+    monkeypatch.setattr(graphspde.experiments, "fit", counting)
+    data = small_dataset()
+    times = data.times()
+    spec = KERNELS[name]
+    _evaluate_round(data, times[:8], times[8:10], spec, 0, quick_opts(), "per_node_training_mean")
+    ((model, starts),) = calls
+    if name == "sep-matern-rbf":
+        assert starts is None
+        return
+    # the data-scaled spec's own c, then the grid, each start otherwise the round's model
+    scaled = _data_scaled_spec(spec, data.restrict_to_times(times[:8]), "per_node_training_mean")[0]
+    assert [start.kernel.hyper["c"] for start in starts] == list(
+        dict.fromkeys((scaled.hyper["c"],) + _C_START_GRID))
+    assert all(replace(start, kernel=model.kernel) == model for start in starts)
 
 
 def test_process_round_prepares_its_data_once_for_every_start(monkeypatch):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from graphspde import (
+    DataError,
     FitOptions,
     GPModel,
     KernelSpec,
@@ -219,6 +221,47 @@ class TestStartRule:
         assert result.lml == 4.001
         assert result.starts == ((None, 0), (4.0, 2), (4.001, 3), (None, 0), (3.0, 5))
         assert result.skipped_starts == 0
+
+    def test_given_starts_run_in_order_and_draw_nothing(self, monkeypatch):
+        calls = self.scripted(monkeypatch, [1.0, 2.0, 2.0, 5.0])
+        model = GPModel(kernel=shek_spec(c=0.7), noise_variance=0.1)
+        starts = [GPModel(kernel=shek_spec(c=c, sigma=s), noise_variance=v)
+                  for c, s, v in ((0.1, 2.0, 0.3), (0.2, 1.0, 0.1), (0.3, 1.0, 0.1), (0.4, 1.0, 0.1))]
+        result = fit(model, TestFit()._prior_dataset(0), FitOptions(restarts=5), starts=starts)
+        # (c, sigma, noise) of each start in order, no draws; the tie at the third ends the search
+        np.testing.assert_allclose(np.exp(calls), [(0.1, 2.0, 0.3), (0.2, 1.0, 0.1), (0.3, 1.0, 0.1)])
+        assert result.starts == ((1.0, 1), (2.0, 2), (2.0, 3))
+        assert result.skipped_starts == 1
+        np.testing.assert_allclose(result.model.kernel.hyper["c"], 0.2)
+
+    @pytest.mark.parametrize("change", [
+        {"kernel": shek_spec(c=0.7, nu=2.0)},
+        {"kernel": shek_spec(c=0.7).with_hyper(c=0.2, kappa=3.0)},
+        {"mean_policy": "zero"},
+        {"time_offset": 2.0},
+        {"kernel": KernelSpec(kind="swek", hyper=dict(shek_spec(c=0.7).hyper))},
+    ], ids=["nu", "kappa-with-c", "mean-policy", "time-offset", "kind"])
+    def test_a_start_that_differs_in_what_the_fit_keeps_is_rejected(self, monkeypatch, change):
+        calls = self.scripted(monkeypatch, [1.0, 2.0])
+        model = GPModel(kernel=shek_spec(c=0.7), noise_variance=0.1)
+        starts = [replace(model, kernel=model.kernel.with_hyper(c=0.3, sigma=2.0), noise_variance=0.5),
+                  replace(model, **change)]
+        with pytest.raises(DataError, match="differing from the model only in"):
+            fit(model, TestFit()._prior_dataset(0), FitOptions(), starts=starts)
+        assert calls == []
+
+    def test_an_empty_start_list_is_rejected(self, monkeypatch):
+        self.scripted(monkeypatch, [])
+        model = GPModel(kernel=shek_spec(c=0.7), noise_variance=0.1)
+        with pytest.raises(DataError, match="one or more starts"):
+            fit(model, TestFit()._prior_dataset(0), FitOptions(), starts=[])
+
+    def test_nu_and_kappa_may_differ_where_the_fit_varies_them(self, monkeypatch):
+        calls = self.scripted(monkeypatch, [1.0])
+        model = GPModel(kernel=shek_spec(c=0.7), noise_variance=0.1)
+        start = replace(model, kernel=shek_spec(c=0.7, nu=2.0, kappa=3.0))
+        fit(model, TestFit()._prior_dataset(0), FitOptions(optimize_nu_kappa=True), starts=[start])
+        np.testing.assert_allclose(np.exp(calls), [(0.7, 1.0, 2.0, 3.0, 0.1)])
 
     def test_every_start_failing_raises(self, monkeypatch):
         with pytest.raises(NumericError, match="every optimization start failed"):
