@@ -73,6 +73,8 @@ _NOISE_FLOOR = 1e-10
 # LML, ends a start.  The grid and dense likelihoods agree to about 2e-13
 # relative, so smaller gains are round-off.
 _STALL_RTOL = 1e-10
+# No line-search trial moves a log-hyperparameter further than this from its iterate.
+_MAX_LOG_STEP = math.log(1e3)
 # Restarts draw each log-hyperparameter uniformly from log(0.1) to log(10).
 _RESTART_LOG_RANGE = (math.log(0.1), math.log(10.0))
 # What a failed likelihood or gradient evaluation raises.
@@ -541,6 +543,13 @@ def _maximize(
     a converged start: once the step's predicted gain falls below half an
     ulp of the LML, the Armijo test reduces to ``f_new >= f`` and accepts
     steps that gain exactly nothing.
+
+    No trial moves a log-hyperparameter by more than ``_MAX_LOG_STEP`` (a
+    factor of 10^3): alpha is halved from 1 until the step fits, before
+    anything is evaluated, since out there the kernels overflow or underflow
+    (Nocedal & Wright 2006, ch. 4).  Trials stay powers of two, so a start
+    that never accepts a step beyond the cap takes the uncapped search's
+    iterates bit for bit, and only skips the trials it would have rejected.
     """
     point = evaluate(theta0)
     if point is None:
@@ -565,6 +574,8 @@ def _maximize(
                 break
         f_old = trace[-1]
         alpha = 1.0
+        while alpha * np.max(np.abs(direction)) > _MAX_LOG_STEP:
+            alpha *= 0.5
         while alpha >= 1e-12:
             point = None  # the last point's factors go before the next are made
             point = evaluate(theta + alpha * direction)

@@ -444,6 +444,17 @@ def _at_small(small: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [np.broadcast_to(a, small.shape)[small] if np.ndim(a) else a for a in arrays]
 
 
+def _at_distinct(fn, theta: np.ndarray, x, out: np.ndarray) -> np.ndarray:
+    """``fn(theta * x)`` into ``out``, evaluated once per mode and distinct ``x``, so each entry is the
+    float of the direct form.  theta varies over the modes (leading axes) and x over the times."""
+    values, inverse = np.unique(x, return_inverse=True)
+    table = np.multiply(np.reshape(theta, (-1, 1)), values)
+    fn(table, out=table)
+    # mode="raise" would buffer out, one more array of its size
+    np.take(table, inverse.ravel(), axis=1, out=out.reshape(table.shape[0], -1), mode="clip")
+    return out
+
+
 def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     """Scalar SWEK covariance per eigenvalue of the operator.
 
@@ -463,14 +474,12 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
     small = theta * big < _SWEK_SERIES
     theta_safe = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
-        # the direct form, in place and in its written order, so the bits stay those of the formula
-        out = np.multiply(theta_safe, gap)
-        np.cos(out, out=out)
+        # the direct form, in place and in its written order, so the bits stay those of the formula; its
+        # cos and sin read theta, not 1, below the switch, where the series overwrites every entry
+        out = _at_distinct(np.cos, theta, gap, np.empty_like(theta_safe))
         out *= m
-        term = np.multiply(theta_safe, big)
-        np.cos(term, out=term)
-        sin_m = np.multiply(theta_safe, m)
-        term *= np.sin(sin_m, out=sin_m)
+        term = _at_distinct(np.cos, theta, big, np.empty_like(out))
+        term *= _at_distinct(np.sin, theta, m, np.empty_like(out))
         term /= theta_safe
         out -= term
         np.square(theta_safe, out=term)
@@ -499,23 +508,19 @@ def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, 
         # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta:
         #   -m gap th sin(th gap) + big sin(th big) sin_m - m cos_big cos(th m) + cos_big sin_m / th,
         # summed left to right in place, so the bits stay those of the formula
-        cos_big = np.multiply(th, big)
-        np.cos(cos_big, out=cos_big)
-        sin_m = np.multiply(th, m)
-        np.sin(sin_m, out=sin_m)
+        cos_big = _at_distinct(np.cos, theta, big, np.empty_like(th))
+        sin_m = _at_distinct(np.sin, theta, m, np.empty_like(th))
         out = -m * gap * th
-        term = np.multiply(th, gap)
-        out *= np.sin(term, out=term)
-        np.multiply(th, big, out=term)
-        np.sin(term, out=term)
+        term = _at_distinct(np.sin, theta, gap, np.empty_like(th))
+        out *= term
+        _at_distinct(np.sin, theta, big, term)
         term *= big
         term *= sin_m
         out += term
         sin_m *= cos_big  # the last term, cos_big sin_m / th
         sin_m /= th
         cos_big *= m
-        np.multiply(th, m, out=term)
-        cos_big *= np.cos(term, out=term)
+        cos_big *= _at_distinct(np.cos, theta, m, term)
         out -= cos_big
         out += sin_m
         # sigma^2 / (2 th^2) theta_dh - 2 k

@@ -44,19 +44,22 @@ def eigendecompose_symmetric(a: np.ndarray) -> SpectralDecomposition:
 
     The input may carry round-off asymmetry up to ``1e-8 * max|a|``; it is
     symmetrized as ``(a + a.T) / 2`` before factorization.  Anything worse
-    raises :class:`DataError`.
+    raises :class:`DataError`.  An exactly symmetric input, as every kernel
+    here builds, is factorized as it is: symmetrizing it would give its bits.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DataError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
-        raise DataError(
-            f"matrix is not symmetric: max|a - a.T| = {asym:.3e} "
-            f"exceeds {_SYMMETRY_RTOL:.0e} * max|a| = {_SYMMETRY_RTOL * scale:.3e}"
-        )
-    eigenvalues, basis = np.linalg.eigh((a + a.T) / 2.0)
+    diff = a - a.T
+    if diff.any():
+        asym, scale = np.max(np.abs(diff)), np.max(np.abs(a))
+        if asym > _SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
+            raise DataError(
+                f"matrix is not symmetric: max|a - a.T| = {asym:.3e} "
+                f"exceeds {_SYMMETRY_RTOL:.0e} * max|a| = {_SYMMETRY_RTOL * scale:.3e}"
+            )
+        a = (a + a.T) / 2.0
+    eigenvalues, basis = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=eigenvalues, basis=basis)
 
 

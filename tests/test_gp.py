@@ -13,9 +13,11 @@ from graphspde import (
     NumericError,
     STPoint,
     SpatioTemporalDataset,
+    SyntheticSpec,
     assemble_gram,
     build_graph,
     fit,
+    gen_wave_line,
     line_graph,
     log_marginal_likelihood,
     predict,
@@ -174,6 +176,66 @@ class TestMaximizeStopRule:
         _, trace = _maximize(points(value, gradient), np.array([3.0, -2.0]), max_iters=200, grad_tol=0.0)
         flat = trace.index(5.0)
         assert len(trace) - 1 <= flat + 2
+
+
+class TestMaximizeStepCap:
+    """No line-search trial moves a log-hyperparameter further than ``_MAX_LOG_STEP`` from its iterate."""
+
+    def test_the_first_trial_is_the_largest_power_of_two_within_the_cap(self):
+        trials = []
+
+        def value(th):
+            trials.append(float(th[0]))
+            return -0.5 * (float(th[0]) - 1e5) ** 2
+
+        _maximize(points(value, lambda th: 1e5 - th), np.zeros(1), max_iters=2, grad_tol=0.0)
+        alpha = trials[1] / 1e5
+        assert alpha == 2.0 ** round(math.log2(alpha))
+        assert trials[1] <= graphspde.gp._MAX_LOG_STEP < 2.0 * trials[1]
+
+    def test_no_trial_leaves_the_cap_on_a_gappy_wave_fit(self, monkeypatch):
+        # the 11 x 50 wave line with one reading per time missing; the uncapped
+        # unit step tries c = 1e-237 and sigma = 7e236 from the first start
+        data = gen_wave_line(SyntheticSpec(kind="wave_line", n_nodes=11, coefficient=1.0,
+                                           timestamps=tuple(float(t) for t in range(1, 51)),
+                                           noise_sd=0.02, seed=0))[1]
+        data = replace(data, observations=tuple(
+            ob for ob in data.observations if ob[0].vertex != (int(ob[0].time) * 3) % 11))
+        iterate, distances = [None], []
+        evaluator, maximize = graphspde.gp._evaluator, graphspde.gp._maximize
+
+        def recording_evaluator(*args):
+            evaluate = evaluator(*args)
+
+            def recording(theta):
+                theta = np.array(theta, dtype=float)
+                if iterate[0] is None:
+                    iterate[0] = theta
+                else:
+                    distances.append(np.max(np.abs(theta - iterate[0])))
+                point = evaluate(theta)
+                if point is None:
+                    return None
+
+                def gradient():  # asked of the accepted trial, the next iterate
+                    iterate[0] = theta
+                    return point.gradient()
+
+                return SimpleNamespace(lml=point.lml, gradient=gradient)
+
+            return recording
+
+        def starting_maximize(*args):
+            iterate[0] = None
+            return maximize(*args)
+
+        monkeypatch.setattr(graphspde.gp, "_evaluator", recording_evaluator)
+        monkeypatch.setattr(graphspde.gp, "_maximize", starting_maximize)
+        kernel = KernelSpec(kind="swek", hyper={"c": 1.0, "sigma": 1.0, "nu": 2.5, "kappa": 1.0})
+        model = GPModel(kernel=kernel, noise_variance=1e-2, mean_policy="zero")
+        result = fit(model, data, FitOptions(max_iters=60, restarts=0, grad_tol=1e-5))
+        assert len(result.trace) > 10 and len(distances) >= len(result.trace)
+        assert max(distances) <= graphspde.gp._MAX_LOG_STEP
 
 
 class TestStartRule:

@@ -779,3 +779,103 @@ def test_swek_direct_form_keeps_the_bits_of_its_formula():
     assert k.tobytes() == np.broadcast_to(value, k.shape).tobytes()
     derivative = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
     assert kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s).tobytes() == derivative.tobytes()
+
+
+def _direct_swek(mu, c, sigma, t, s):
+    """:func:`kernels._swek_eig` with every trigonometric term evaluated entry by entry, as first written."""
+    from graphspde.kernels import _SWEK_SERIES, _at_small, _swek_series_terms
+
+    theta = c * np.sqrt(mu)
+    m = np.minimum(t, s)
+    big = np.maximum(t, s)
+    gap = np.abs(t - s)
+    small = theta * big < _SWEK_SERIES
+    theta_safe = np.where(small, 1.0, theta)
+    with np.errstate(invalid="ignore"):
+        out = np.multiply(theta_safe, gap)
+        np.cos(out, out=out)
+        out *= m
+        term = np.multiply(theta_safe, big)
+        np.cos(term, out=term)
+        sin_m = np.multiply(theta_safe, m)
+        term *= np.sin(sin_m, out=sin_m)
+        term /= theta_safe
+        out -= term
+        np.square(theta_safe, out=term)
+        term *= 2.0
+        out *= np.divide(sigma**2, term, out=term)
+    theta, m, big, gap = _at_small(small, theta, m, big, gap)
+    lead = m**3 / 6.0 + big**2 * m / 2.0 - m * gap**2 / 2.0
+    correction, correction2 = _swek_series_terms(m, big, gap)
+    out[small] = sigma**2 / 2.0 * (lead + theta**2 * (correction + theta**2 * correction2))
+    return out
+
+
+def _direct_swek_dlog_theta(k, mu, c, sigma, t, s):
+    """:func:`kernels._swek_eig_dlog_theta` with every trigonometric term evaluated entry by entry."""
+    from graphspde.kernels import _SWEK_SERIES, _at_small, _swek_series_terms
+
+    theta = c * np.sqrt(mu)
+    m = np.minimum(t, s)
+    big = np.maximum(t, s)
+    gap = np.abs(t - s)
+    small = theta * big < _SWEK_SERIES
+    th = np.where(small, 1.0, theta)
+    with np.errstate(invalid="ignore"):
+        cos_big = np.multiply(th, big)
+        np.cos(cos_big, out=cos_big)
+        sin_m = np.multiply(th, m)
+        np.sin(sin_m, out=sin_m)
+        out = -m * gap * th
+        term = np.multiply(th, gap)
+        out *= np.sin(term, out=term)
+        np.multiply(th, big, out=term)
+        np.sin(term, out=term)
+        term *= big
+        term *= sin_m
+        out += term
+        sin_m *= cos_big
+        sin_m /= th
+        cos_big *= m
+        np.multiply(th, m, out=term)
+        cos_big *= np.cos(term, out=term)
+        out -= cos_big
+        out += sin_m
+        np.square(th, out=term)
+        term *= 2.0
+        out *= np.divide(sigma**2, term, out=term)
+        out -= np.multiply(k, 2.0, out=term)
+    theta, m, big, gap = _at_small(small, theta, m, big, gap)
+    correction, correction2 = _swek_series_terms(m, big, gap)
+    out[small] = sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2)
+    return out
+
+
+def _swek_layouts():
+    rng = np.random.default_rng(5)
+    mu = np.exp(rng.uniform(-9.0, 3.0, 11))[:, None]
+    for times in (np.arange(1.0, 51.0), 0.2 * np.arange(1, 71), np.sort(rng.uniform(0.0, 30.0, 40))):
+        rows, cols = np.triu_indices(times.shape[0])
+        yield "triangle", mu, times[rows][None], times[cols][None]
+    yield "scalar", mu[:, 0], 7.5, 2.25
+    yield "scalar-zero", mu[:, 0], 0.0, 3.0
+    t = np.array([0.5, 1.0, 2.5, 4.0])[None, :, None]
+    yield "modes-by-pairs", np.array([0.5, 2.0, 7.0])[:, None, None], t, np.swapaxes(t, 1, 2)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.05, 0.9])
+def test_swek_per_distinct_argument_keeps_the_bits_of_the_direct_form(c):
+    # cos and sin are evaluated once per mode and distinct |t - s|, min or max,
+    # and gathered onto the entries; every entry must keep the direct form's bits
+    from graphspde import kernels
+
+    sigma, sides = 1.3, set()
+    for name, mu, t, s in _swek_layouts():
+        k = kernels._swek_eig(mu, c, sigma, t, s)
+        want = _direct_swek(mu, c, sigma, t, s)
+        assert k.shape == want.shape and k.tobytes() == want.tobytes(), name
+        derivative = kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s)
+        assert derivative.tobytes() == _direct_swek_dlog_theta(k, mu, c, sigma, t, s).tobytes(), name
+        small = c * np.sqrt(mu) * np.maximum(t, s) < kernels._SWEK_SERIES
+        sides.update(np.unique(small).tolist())
+    assert sides == {False, True}  # both branches are read at every c

@@ -48,6 +48,18 @@ class TestEigendecompose:
         with pytest.raises(DataError, match="not symmetric"):
             eigendecompose_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_round_off_asymmetry_is_symmetrized_and_exact_symmetry_kept(self):
+        # an exactly symmetric input is (a + a.T) / 2 bit for bit, so it goes to eigh as it is
+        a = _random_symmetric(np.random.default_rng(4), 6)
+        exact = eigendecompose_symmetric(a)
+        for got, want in zip((exact.eigenvalues, exact.basis), np.linalg.eigh(a)):
+            assert got.tobytes() == want.tobytes()
+        skewed = a.copy()
+        skewed[0, 1] += 1e-12
+        dec = eigendecompose_symmetric(skewed)
+        for got, want in zip((dec.eigenvalues, dec.basis), np.linalg.eigh((skewed + skewed.T) / 2.0)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMatrixFunction:
     def test_identity_function_reconstructs(self):
