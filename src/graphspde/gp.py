@@ -7,10 +7,10 @@ in log-space, standard posterior prediction, and seeded prior/posterior sampling
 Points with no repeated (vertex, time) pair form a vertex x time lattice
 over their T distinct times, with M cells missing.  Up to M = N readings,
 the likelihood of every kernel kind splits into one T x T problem per
-eigenmode of the kernel's operator (:func:`kernels.mode_covariances`), each
-held as an inverse root (:func:`_mode_roots`): SHEK/SWEK's by one batched
-Cholesky over the (n, T, T) stack and LAPACK's triangular inverse, the other
-kinds' ``rho_i K_t + s2 I`` by one eigendecomposition of K_t.  Missing
+eigenmode of the kernel's operator (:func:`kernels.mode_covariances`): SHEK/SWEK's
+by one batched Cholesky over the (n, T, T) stack (:class:`_Roots`), the other
+kinds' ``rho_i K_t + s2 I`` in the eigenbasis of K_t, with no (n, T, T) array on a
+complete grid (:class:`_Eigenbasis`; Saatci 2012, ch. 5).  Missing
 cells get the same noise, and a Schur complement on the inverse over the
 missing cells corrects the likelihood (incomplete grids in structured GP
 inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the
@@ -244,9 +244,9 @@ class _Factorization:
     reduction; ``lml`` is the log marginal likelihood, ``quad = y^T a`` its quadratic form,
     and :meth:`gradient` its exact gradient in the log of each name in ``wrt`` (``"noise"``
     is the noise variance), ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006, eq. 5.9):
-    the ``vdot`` of the weight ``a a^T - W`` with each dK that ``derivatives`` forms from the
-    covariances the value evaluated.  The noise's dK is ``s2 I``, so its term g is ``s2 / 2``
-    times the weight's trace.  The scale's dK is ``power K = power ((K + s2 I) - s2 I)``
+    ``_terms`` gives the weight ``a a^T - W``'s ``vdot`` with each dK, from the covariances the
+    value evaluated, and its trace.  The noise's dK is ``s2 I``, so its term g is ``s2 / 2``
+    times that trace.  The scale's dK is ``power K = power ((K + s2 I) - s2 I)``
     (:func:`kernels._scale`), so its term is ``power (1/2 (y^T a - N) - g)``, and no
     factorization keeps K.  A noise variance below the floor is held at the floor.
     """
@@ -262,9 +262,9 @@ class _Factorization:
         shaped = [name for name in self.wrt if name not in ("noise", scale)]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                weight, derivs = self._weight(), self.derivatives(shaped)
-                by_name = {name: 0.5 * np.vdot(weight, d) for name, d in zip(shaped, derivs)}
-                by_name["noise"] = noise = 0.5 * self.noise_variance * np.trace(weight, axis1=-2, axis2=-1).sum()
+                values, trace = self._terms(shaped)
+                by_name = {name: 0.5 * value for name, value in zip(shaped, values)}
+                by_name["noise"] = noise = 0.5 * self.noise_variance * trace
                 by_name[scale] = power * (0.5 * (self.quad - self.prep.y.shape[0]) - noise)
                 grad = np.array([by_name[name] for name in self.wrt])
         except _EVAL_FAILURES:
@@ -293,17 +293,16 @@ class _Dense(_Factorization):
         self.quad = float(y @ self.alpha)
         self.lml = float(-0.5 * self.quad - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
 
-    def _weight(self) -> np.ndarray:
-        """``a a^T - W`` with ``W = (K + s2 I)^-1`` from L."""
+    def _terms(self, names: Sequence[str]) -> tuple[list, float]:
         inv, info = scipy.linalg.lapack.dpotri(self.factor, lower=1)
         if info:
             raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
-        # dpotri overwrites L with W's lower triangle and keeps the zeros above, so W = inv + inv^T - diag(inv)
+        # dpotri overwrites L with W = (K + s2 I)^-1's lower triangle and zeros above: W = inv + inv^T - diag(inv)
         weight = np.multiply.outer(self.alpha, self.alpha)
         weight -= inv
         weight -= inv.T
         weight[np.diag_indices(self.alpha.shape[0])] += np.diag(inv)
-        return weight
+        return [np.vdot(weight, d) for d in self.derivatives(names)], np.trace(weight)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
@@ -314,42 +313,35 @@ class _Dense(_Factorization):
 
 
 class _Lattice(_Factorization):
-    """On the points' vertex x time lattice: eigenbasis Q, inverse roots ``R_i`` of every mode's
-    ``A_i = K_i + s2 I`` over all T times, ``R_i^T R_i = A_i^-1`` (``factor_inv``, from
-    :func:`_mode_roots`: ``L_i^-1`` for SHEK/SWEK, ``diag(d_i)^-1/2 U^T`` for the other kinds),
-    and ``alpha``, ``a = A_oo^-1 y`` in the modes.  :meth:`_solve_modes` is the one place where
-    a right-hand side meets ``A_oo^-1``.  Missing cells m get the same noise, so these factors
-    apply.  They lie at U distinct times, picked by S (T x U), and ``E_i = S P_i`` moves them into
-    mode i, where ``P_i`` (U x M) puts cell c at its time with weight ``Q[v_c, i]``.  Every
-    missing-cell term reads ``A_i^-1 = R_i^T R_i`` through the gain ``G_i = A_i^-1 S`` of
-    :func:`_missing_block` alone: ``log|A_oo| = log|A| + log|B_mm|``, ``A_oo^-1 rhs = A^-1 rhs -
-    G P B_mm^-1 E^T A^-1 rhs`` for a right-hand side zero at m, and the gradient's
-    ``H_i = G_i P_i L_mm^-T``.  The LML's quadratic form, the gradient and the posterior are sums
-    over the modes, so the points' order never enters; the gradient forms every K_i's
-    derivatives from the covariances (or the K_t) this value evaluated."""
+    """On the points' vertex x time lattice: eigenbasis Q, the operator ``modes`` of every mode's ``A_i = K_i + s2
+    I`` over all T times (:class:`_Roots` for SHEK/SWEK, :class:`_Eigenbasis` for the other kinds), and ``alpha``,
+    ``a = A_oo^-1 y`` in the modes; :meth:`_solve_modes` is the one place where a right-hand side meets
+    ``A_oo^-1``.  Missing cells m get the same noise, so ``modes`` applies.  They lie at U distinct times, picked
+    by S (T x U), and ``E_i = S P_i`` moves them into mode i, where ``P_i`` (U x M) puts cell c at its time with
+    weight ``Q[v_c, i]``.  Every missing-cell term reads A^-1 through the gain ``G_i = A_i^-1 S``
+    (``modes.columns``) of :func:`_missing_block` alone: ``log|A_oo| = log|A| + log|B_mm|``, ``A_oo^-1 rhs = A^-1
+    rhs - G P B_mm^-1 E^T A^-1 rhs`` for a right-hand side zero at m, and the gradient's ``W_i = A_i^-1 - H_i
+    H_i^T``, ``H_i = G_i P_i L_mm^-T`` (W and a vanish at m).  The LML, the gradient and the posterior are sums
+    over the modes, so the points' order never enters."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         grid = prep.grid
-        self.basis, self.factor_inv, log_det, self.derivatives = _mode_roots(
+        self.modes = (_Roots if spec.kind in ("shek", "swek") else _Eigenbasis)(
             spec, self.noise_variance, prep.graph, grid.times)
+        self.basis, log_det = self.modes.spatial, self.modes.log_det
         if grid.n_missing:
-            gain = np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv[:, :, grid.gaps[0]]  # A^-1 S, (n, T, U)
-            self.missing = _missing_block(self.basis, gain, grid)
+            self.missing = _missing_block(self.basis, self.modes.columns(grid.gaps[0]), grid)
             log_det += np.sum(np.log(np.diag(self.missing[0])))
-        y_modes = self._into_modes(prep.y[:, None])
+        y_modes = _to_modes(self.basis, prep.y[:, None], grid.cells, grid.times.shape[0])
         self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
         self.quad = float(np.vdot(y_modes, self.alpha))
         self.lml = float(-0.5 * self.quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
 
-    def _into_modes(self, rhs: np.ndarray) -> np.ndarray:
-        """:func:`_to_modes` of the (N, k) ``rhs`` at the points' cells: (n, T, k), zero at the gaps."""
-        return _to_modes(self.basis, rhs, self.prep.grid.cells, self.prep.grid.times.shape[0])
-
     def _solve_modes(self, modes: np.ndarray) -> np.ndarray:
-        """``A_oo^-1`` on the right-hand side ``modes`` from :meth:`_into_modes`: each ``A_i^-1``, then
+        """``A_oo^-1`` on the right-hand side ``modes``, (n, T, k) and zero at the gaps: each ``A_i^-1``, then
         with missing cells ``- G P B_mm^-1 E^T (A^-1 rhs)``, which leaves zeros at the missing cells."""
-        z = np.swapaxes(self.factor_inv, 1, 2) @ (self.factor_inv @ modes)
+        z = self.modes.solve(modes)
         if self.prep.grid.n_missing:
             (chol_mm, gain), (times, cells) = self.missing, self.prep.grid.gaps
             b_m = _at_cells(self.basis, z[:, times], cells)  # E^T (A^-1 rhs)
@@ -358,48 +350,76 @@ class _Lattice(_Factorization):
         return z
 
     def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        modes = self._into_modes(cross)
+        modes = _to_modes(self.basis, cross, self.prep.grid.cells, self.prep.grid.times.shape[0])
         flat = modes.reshape(-1, modes.shape[-1])
         return flat.T @ self.alpha.ravel(), flat.T @ self._solve_modes(modes).reshape(flat.shape)
 
-    def _weight(self) -> np.ndarray:
-        """Per-mode weights ``a_i a_i^T - W_i``, (n, T, T).
+    def _terms(self, names: Sequence[str]) -> tuple[list, float]:
+        return self.modes.terms(names, self)
 
-        On a complete grid W = A^-1.  With missing cells m, W is A_oo^-1 padded
-        with zeros: ``W_i = A_i^-1 - H_i H_i^T`` with ``H_i = G_i P_i L_mm^-T`` for the Cholesky
-        factor ``L_mm`` of ``B_mm``; the weight is one product ``[a_i H_i] [a_i H_i]^T`` less
-        ``A_i^-1``.  W and a vanish on the missing cells, so the noise term is the same trace.
-        """
-        weight = self.alpha
-        if self.prep.grid.n_missing:
-            (chol_mm, gain), (times, cells) = self.missing, self.prep.grid.gaps
-            chol_inv = invert_lower_triangular(chol_mm[None])[0]
-            weight = np.concatenate([weight, gain @ _to_modes(self.basis, chol_inv.T, cells, len(times))], axis=2)
-        weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
-        weight -= np.swapaxes(self.factor_inv, 1, 2) @ self.factor_inv
-        return weight
+    def spread(self) -> np.ndarray:
+        """The ``P L_mm^-T`` of ``H_i = G_i P_i L_mm^-T``, (n, U, M); made per call, so no frame holds it."""
+        (chol_mm, _), (times, cells) = self.missing, self.prep.grid.gaps
+        return _to_modes(self.basis, invert_lower_triangular(chol_mm[None])[0].T, cells, len(times))
 
 
-def _mode_roots(spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray) -> tuple:
-    """Q, inverse roots R (n, T, T) with ``R_i^T R_i = A_i^-1`` for every mode's ``A_i = K_i + s2 I``,
-    ``log|A|`` and the K_i's derivative map.  SHEK/SWEK: ``L_i^-1`` from one batched Cholesky of their
-    stack.  The other kinds' ``K_i = rho_i K_t`` (:func:`kernels._factors`) share one ``K_t = U diag(lam)
-    U^T`` (Saatci 2012, ch. 5): ``R_i = diag(d_i)^-1/2 U^T``, ``d_i = rho_i max(lam, 0) + s2 >= s2 > 0``."""
-    if spec.kind in ("shek", "swek"):
-        basis, noisy, derivatives = _process_covariances(spec, graph, times)
+class _Roots:
+    """SHEK/SWEK's modes as inverse roots ``R_i = L_i^-1`` (n, T, T) from one batched Cholesky of their
+    ``A_i = K_i + s2 I``; ``terms`` forms the weight ``[a_i H_i] [a_i H_i]^T - A_i^-1`` in one array."""
+
+    def __init__(self, spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray):
+        self.spatial, noisy, self.derivatives = _process_covariances(spec, graph, times)
         diag = np.arange(times.shape[0])
         noisy[:, diag, diag] += noise_variance
         factor, jitter = cholesky_jittered(noisy)
         del noisy  # nothing reads it again: it goes before the inverses are made
         if jitter:
-            _LOG.debug("lattice likelihood over %d modes: Cholesky jitter %.3g", basis.shape[1], jitter)
-        log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
-        return basis, invert_lower_triangular(factor), log_det, derivatives
-    basis, rho, temporal, d_temporal = _factors(spec, graph, times)
-    dec = eigendecompose_symmetric(temporal)
-    scaled = rho[:, None] * np.maximum(dec.eigenvalues, 0.0) + noise_variance  # d_i, (n, T)
-    return basis, scaled[:, :, None] ** -0.5 * dec.basis.T, 0.5 * np.sum(np.log(scaled)), (
-        lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt))
+            _LOG.debug("lattice likelihood over %d modes: Cholesky jitter %.3g", self.spatial.shape[1], jitter)
+        self.log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
+        self.roots = invert_lower_triangular(factor)
+
+    def solve(self, modes: np.ndarray) -> np.ndarray:
+        return np.swapaxes(self.roots, 1, 2) @ (self.roots @ modes)
+
+    def columns(self, times: np.ndarray) -> np.ndarray:
+        return np.swapaxes(self.roots, 1, 2) @ self.roots[:, :, times]
+
+    def terms(self, names: Sequence[str], lattice: _Lattice) -> tuple[list, float]:
+        weight = lattice.alpha
+        if lattice.prep.grid.n_missing:
+            weight = np.concatenate([weight, lattice.missing[1] @ lattice.spread()], axis=2)
+        weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
+        weight -= np.swapaxes(self.roots, 1, 2) @ self.roots
+        return [np.vdot(weight, d) for d in self.derivatives(names)], np.trace(weight, axis1=-2, axis2=-1).sum()
+
+
+class _Eigenbasis:
+    """The other kinds' modes ``rho_i K_t + s2 I = U diag(d_i) U^T``, ``d_i = rho_i max(lam, 0) + s2`` for
+    ``K_t = U diag(lam) U^T`` (:func:`kernels._factors`; Saatci 2012, ch. 5).  ``terms`` runs p~ over ``U^T
+    [a_i H_i]``, ``U^T H_i = (U[S]^T / d_i) P_i L_mm^-T``: with ``D = U^T dK_t U`` per name it is ``rho_i
+    (sum_p p~^T D p~ - sum_k D_kk / d_ik)``, and the trace ``sum_p |p~|^2 - sum 1/d``."""
+
+    def __init__(self, spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray):
+        self.spatial, self.rho, temporal, self.d_temporal = _factors(spec, graph, times)
+        dec = eigendecompose_symmetric(temporal)
+        self.basis, self.scaled = dec.basis, self.rho[:, None] * np.maximum(dec.eigenvalues, 0.0) + noise_variance
+        self.log_det = 0.5 * np.sum(np.log(self.scaled))  # on a complete grid nothing (n, T, T) is formed
+
+    def solve(self, modes: np.ndarray) -> np.ndarray:
+        return self.basis @ ((self.basis.T @ modes) / self.scaled[:, :, None])
+
+    def columns(self, times: np.ndarray) -> np.ndarray:
+        return self.basis @ (self.basis[times].T / self.scaled[:, :, None])
+
+    def terms(self, names: Sequence[str], lattice: _Lattice) -> tuple[list, float]:
+        inv = 1.0 / self.scaled
+        parts = [self.basis.T @ lattice.alpha]  # U^T a, (n, T, 1)
+        if lattice.prep.grid.n_missing:
+            parts.append(self.basis[lattice.prep.grid.gaps[0]].T @ lattice.spread())  # U[S]^T P L_mm^-T, (n, T, M)
+            parts[1] *= inv[:, :, None]
+        rotated = (self.basis.T @ self.d_temporal() @ self.basis for _ in names)  # each name's D
+        return [self.rho @ (sum(np.einsum("itp,itp->i", p, d @ p) for p in parts) - inv @ np.diag(d))
+                for d in rotated], sum(np.vdot(p, p) for p in parts) - np.sum(inv)
 
 
 def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> float:
@@ -410,9 +430,9 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     eigenbasis on the full lattice, the likelihood factorizes into one
     small temporal problem per eigenmode, and a Schur complement corrects
     for the missing cells; otherwise the dense N x N path is used.  The dense
-    path and the SHEK/SWEK lattice factor through the jittered Cholesky, the
-    other kinds' lattice through one eigendecomposition of K_t
-    (:func:`_mode_roots`), and ``fit`` maximizes this same function.
+    path and the SHEK/SWEK lattice factor through the jittered Cholesky
+    (:class:`_Roots`), the other kinds' lattice through one eigendecomposition
+    of K_t (:class:`_Eigenbasis`), and ``fit`` maximizes this same function.
     """
     return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
 

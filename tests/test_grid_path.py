@@ -41,7 +41,7 @@ from graphspde import (
 )
 from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
-    _Dense, _Lattice, _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
+    _Dense, _Lattice, _Roots, _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
 )
 from graphspde.graphs import build_graph
 from graphspde.kernels import _factors, _scale, mode_covariances
@@ -131,21 +131,40 @@ def check_lattice_gradient_matches_dense(model: GPModel, data: SpatioTemporalDat
     assert np.max(np.abs(lattice - dense)) <= 1e-10 * np.max(np.abs(dense)), (names, lattice, dense)
 
 
+def lattice_weight(lattice: _Lattice, covs: np.ndarray) -> np.ndarray:
+    """The per-mode weights ``a_i a_i^T - W_i`` (n, T, T) of ``lattice``'s ``a``, with W_i from a dense
+    inverse of each mode's ``A_i = covs[i] + s2 I``: ``W_i = A_i^-1 - G_i B^-1 G_i^T``, where E_i (T, M)
+    moves the missing cells into mode i, ``G_i = A_i^-1 E_i`` and ``B = sum_i E_i^T G_i``."""
+    grid, basis = lattice.prep.grid, lattice.basis
+    inv = np.linalg.inv(covs + lattice.noise_variance * np.eye(covs.shape[1]))
+    read = np.zeros((grid.times.shape[0], basis.shape[0]), dtype=bool)
+    read[grid.cells] = True
+    t_m, v_m = np.nonzero(~read)
+    moved = np.zeros((basis.shape[1], grid.times.shape[0], t_m.shape[0]))
+    moved[:, t_m, np.arange(t_m.shape[0])] = basis[v_m].T
+    gain = inv @ moved
+    weight = lattice.alpha @ lattice.alpha.swapaxes(1, 2) - inv
+    if t_m.shape[0]:
+        weight += gain @ np.linalg.solve(np.einsum("itm,itk->mk", moved, gain), gain.swapaxes(1, 2))
+    return weight
+
+
 def check_scale_entry_is_the_array_formula(model: GPModel, data: SpatioTemporalDataset) -> None:
     """On both paths, the gradient's scale entry, taken from ``y^T a``, N and the noise term,
     equals ``1/2 power vdot(a a^T - W, K)`` over the K that path factorizes (the lattice's
-    per-mode stack, the dense Gram), to 1e-10 of the gradient's largest entry."""
+    per-mode stack, the dense Gram), to 1e-10 of the gradient's largest entry.  W comes from a
+    dense inverse, not from the factorization (:func:`lattice_weight`)."""
     spec, prep = model.kernel, _prepare(model, data)
     scale, power = _scale(spec.kind)
     names = _optimizable_names(spec, True) + ["noise"]
-    paths = (
-        (_Lattice(spec, model.noise_variance, prep, names), mode_covariances(spec, prep.graph, prep.grid.times)[1]),
-        (_Dense(spec, model.noise_variance, replace(prep, grid=None), names),
-         assemble_gram(spec, prep.graph, prep.points).matrix),
-    )
-    for factorization, cov in paths:
+    lattice = _Lattice(spec, model.noise_variance, prep, names)
+    covs = mode_covariances(spec, prep.graph, prep.grid.times)[1]
+    dense = _Dense(spec, model.noise_variance, replace(prep, grid=None), names)
+    gram = assemble_gram(spec, prep.graph, prep.points).matrix
+    dense_weight = np.outer(dense.alpha, dense.alpha) - np.linalg.inv(gram + dense.noise_variance * np.eye(len(gram)))
+    for factorization, weight, cov in ((lattice, lattice_weight(lattice, covs), covs), (dense, dense_weight, gram)):
         grad = factorization.gradient()
-        reference = 0.5 * power * np.vdot(factorization._weight(), cov)
+        reference = 0.5 * power * np.vdot(weight, cov)
         assert np.any(grad), names
         assert abs(grad[names.index(scale)] - reference) <= 1e-10 * np.max(np.abs(grad)), (grad, reference)
 
@@ -622,8 +641,8 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
 def test_factorization_copies_no_covariances(kind, path):
     # one value on the 21 x 50 heat grid: the noise goes onto the covariances in place and no
     # factorization keeps them, so the peak is the covariances and their factor (dense 2.0 Grams;
-    # lattice 2.1 stacks, shek 2.7 with its evaluation's temporaries); one more copy of the
-    # covariances beside them would take at least 3.0 Grams or 3.1 stacks
+    # shek 2.7 stacks with its evaluation's temporaries, matern-rbf 0.2, which forms no stack);
+    # one more copy of the covariances beside them would take at least 3.0 Grams or 3.1 stacks
     _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
                                           timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.01)
@@ -674,9 +693,9 @@ def test_lattice_gradient_holds_one_derivative_at_a_time():
 @pytest.mark.parametrize("kind, bound", [("shek", 7.0), ("swek", 7.5), ("matern-rbf", 6.3)])
 def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
     # an 11 x 50 line, every tenth cell missing (M = 55): the weight takes H = G P L_mm^-T from the
-    # gain and is one product in one array, so the peaks are 5.9 (shek), 6.9 (swek) and 4.9
-    # (matern-rbf) stacks; scattering L_mm^-T back into the modes and applying A^-1 again, beside
-    # a second copy of the weight, took 8.2, 8.2 and 7.5
+    # gain and is one product in one array, so the peaks are 5.9 (shek) and 6.9 (swek) stacks, and
+    # matern-rbf, which forms no weight, 3.8; scattering L_mm^-T back into the modes and applying
+    # A^-1 again, beside a second copy of the weight, took 8.2, 8.2 and 7.5
     rng = np.random.default_rng(3)
     cells = [(v, 0.2 * a) for a in range(1, 51) for v in range(11)]
     data = SpatioTemporalDataset(graph=line_graph(11), observations=tuple(
@@ -684,6 +703,23 @@ def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
     ))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.05)
     assert _prepare(model, data).grid.n_missing == 55
+    peak = value_and_gradient_peak(model, data, _optimizable_names(model.kernel, False) + ["noise"])
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("kind", ["matern-rbf", "laplacian-rbf"])
+@pytest.mark.parametrize("complete, bound", [(True, 1.0), (False, 6.3)])
+def test_separable_value_and_gradient_hold_no_mode_stack(kind, complete, bound):
+    # 21 x 50 line, complete or with every tenth cell missing (M = 105): the eigenbasis operator
+    # forms nothing of size (n, T, T), so the peaks are 0.33 and 5.9 stacks; an inverse root stack
+    # and the weights A_i^-1 it forms took 3.41 and 6.72
+    rng = np.random.default_rng(3)
+    cells = [(v, 0.2 * a) for a in range(1, 51) for v in range(21)]
+    data = SpatioTemporalDataset(graph=line_graph(21), observations=tuple(
+        (STPoint(v, t), float(rng.standard_normal())) for k, (v, t) in enumerate(cells) if complete or k % 10
+    ))
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.05)
+    assert _prepare(model, data).grid.n_missing == (0 if complete else 105)
     peak = value_and_gradient_peak(model, data, _optimizable_names(model.kernel, False) + ["noise"])
     assert peak < bound, peak
 
@@ -771,18 +807,19 @@ def test_jittered_cholesky_is_logged_with_its_path(caplog):
 SEPARABLE_GRID_KINDS = [kind for kind in GRID_KINDS if kind not in ("shek", "swek")]
 
 
-def cholesky_roots(spec: KernelSpec, noise_variance: float, graph, times: np.ndarray) -> tuple:
-    """The per-mode operator of ``gp._mode_roots`` by the route of SHEK/SWEK: the
-    ``mode_covariances`` stack plus the noise, each mode's plain Cholesky factor L_i and its
-    inverse as ``R_i``, ``log|A|`` from the factors' diagonals, and ``rho_i dK_t`` as the
-    derivatives."""
-    basis, covs = mode_covariances(spec, graph, times)
-    eye = np.eye(times.shape[0])
-    factors = [scipy.linalg.cholesky(cov + noise_variance * eye, lower=True) for cov in covs]
-    roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
-    log_det = sum(np.sum(np.log(np.diag(factor))) for factor in factors)
-    _, rho, _, d_temporal = _factors(spec, graph, times)
-    return basis, roots, log_det, lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
+class CholeskyRoots(_Roots):
+    """The SHEK/SWEK operator of the lattice by the plainest route, for any kind: the
+    ``mode_covariances`` stack plus the noise, each mode's plain Cholesky factor L_i and its inverse as
+    ``R_i``, ``log|A|`` from the factors' diagonals, and ``rho_i dK_t`` as the derivatives."""
+
+    def __init__(self, spec: KernelSpec, noise_variance: float, graph, times: np.ndarray):
+        self.spatial, covs = mode_covariances(spec, graph, times)
+        eye = np.eye(times.shape[0])
+        factors = [scipy.linalg.cholesky(cov + noise_variance * eye, lower=True) for cov in covs]
+        self.roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
+        self.log_det = sum(np.sum(np.log(np.diag(factor))) for factor in factors)
+        _, rho, _, d_temporal = _factors(spec, graph, times)
+        self.derivatives = lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
 
 
 def lattice_answers(model: GPModel, data: SpatioTemporalDataset, query: list) -> tuple:
@@ -796,12 +833,15 @@ def lattice_answers(model: GPModel, data: SpatioTemporalDataset, query: list) ->
 
 
 def check_matches_per_mode_cholesky(model: GPModel, data: SpatioTemporalDataset, query: list) -> None:
-    """The lattice's answers equal those of :func:`cholesky_roots` in its place: the LML to 1e-9
-    relative, the gradient and posterior to 1e-9 of their largest entry."""
+    """The lattice's answers equal those of :class:`CholeskyRoots` in the place of its
+    ``gp._Eigenbasis``: the LML to 1e-9 relative, the gradient and posterior to 1e-9 of their largest
+    entry.  The stand-in must have run, for the likelihood and the posterior alike."""
     lml, grad, mean, cov = lattice_answers(model, data, query)
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphspde.gp, "_mode_roots", cholesky_roots)
+        patch.setattr(graphspde.gp, "_Eigenbasis", lambda *args: calls.append(args[0].kind) or CholeskyRoots(*args))
         ref_lml, ref_grad, ref_mean, ref_cov = lattice_answers(model, data, query)
+    assert calls == [model.kernel.kind] * 2, calls
     assert math.isfinite(lml) and np.any(ref_grad)
     np.testing.assert_allclose(lml, ref_lml, rtol=1e-9)
     for actual, reference in ((grad, ref_grad), (mean, ref_mean), (cov, ref_cov)):
