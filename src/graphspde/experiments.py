@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .backtest import (
-    BacktestPlan,
-    RoundResult,
-    confidence_interval,
-    dm_test,
-    interpolation_split,
-    sliding_windows,
+    BacktestPlan, RoundResult, confidence_interval, dm_test, interpolation_split, mae, mape, sliding_windows,
 )
 from .exceptions import DataError, NumericError
 from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, _prepare, fit, predict
@@ -65,10 +60,6 @@ class BacktestReport:
         raise KeyError(f"no summary for kernel {kernel!r}, task {task!r}")
 
 
-def _sorted_obs(dataset: SpatioTemporalDataset) -> list[tuple]:
-    return sorted(dataset.observations, key=lambda ob: (ob[0].time, ob[0].vertex))
-
-
 def _data_scaled_spec(
     spec: KernelSpec, train: SpatioTemporalDataset, mean_policy: str
 ) -> tuple[KernelSpec, float]:
@@ -89,10 +80,9 @@ def _data_scaled_spec(
     target_var = max(math.fsum((prep.y - y_mean) ** 2) / count, 1e-12)
     scale_name, power = _scale(spec.kind)
     unit = spec.with_hyper(**{scale_name: 1.0})
-    times, t_idx = np.unique([p.time for p in prep.points], return_inverse=True)
-    basis, covs = mode_covariances(unit, train.graph, times)
-    prior_var = basis**2 @ np.diagonal(covs, axis1=1, axis2=2)  # (n, T)
-    diag_mean = math.fsum(prior_var[[p.vertex for p in prep.points], t_idx]) / count
+    basis, covs = mode_covariances(unit, train.graph, prep.times)
+    prior_var = (basis**2 @ np.diagonal(covs, axis1=1, axis2=2)).T  # (T, n)
+    diag_mean = math.fsum(prior_var[prep.cells]) / count
     if diag_mean <= 0 or not np.isfinite(diag_mean):
         return spec, target_var
     scale = (target_var / diag_mean) ** (1.0 / power)
@@ -118,7 +108,7 @@ def _evaluate_round(
     """
     train = dataset.restrict_to_times(train_times)
     test = dataset.restrict_to_times(test_times)
-    test_obs = _sorted_obs(test)
+    test_obs = sorted(test.observations, key=lambda ob: (ob[0].time, ob[0].vertex))
     test_points = [p for p, _ in test_obs]
     truth = np.array([y for _, y in test_obs])
 
@@ -134,14 +124,14 @@ def _evaluate_round(
     prediction = predict(fitted.model, train, test_points)
     wall = time.perf_counter() - started
 
-    abs_errors = np.abs(prediction.mean - truth)
-    mape_value = None
-    if np.all(truth != 0):
-        mape_value = float(np.mean(abs_errors / np.abs(truth)))
+    try:
+        mape_value = mape(prediction.mean, truth)
+    except DataError:  # a zero truth leaves it undefined
+        mape_value = None
     return RoundResult(
         round_index=round_index,
-        abs_errors=tuple(float(e) for e in abs_errors),
-        mae=float(abs_errors.mean()),
+        abs_errors=tuple(float(e) for e in np.abs(prediction.mean - truth)),
+        mae=mae(prediction.mean, truth),
         mape=mape_value,
         wall_time=wall,
         starts=fitted.starts,

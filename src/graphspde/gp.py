@@ -4,31 +4,30 @@ Gaussian likelihood throughout: log marginal likelihood from one factorization
 of ``K + s2 I`` per theta, hyperparameter fitting by a quasi-Newton (BFGS) ascent
 in log-space, standard posterior prediction, and seeded prior/posterior sampling.
 
-Points with no repeated (vertex, time) pair form a vertex x time lattice
-over their T distinct times, with M cells missing.  Up to M = N readings,
-the likelihood of every kernel kind splits into one T x T problem per
-eigenmode of the kernel's operator (:func:`kernels.mode_covariances`): SHEK/SWEK's
-by one batched Cholesky over the (n, T, T) stack (:class:`_Roots`), the other
-kinds' ``rho_i K_t + s2 I`` in the eigenbasis of K_t, with no (n, T, T) array on a
-complete grid (:class:`_Eigenbasis`; Saatci 2012, ch. 5).  Missing
-cells get the same noise, and a Schur complement on the inverse over the
-missing cells corrects the likelihood (incomplete grids in structured GP
-inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the
-modes applies ``(K + s2 I)^-1`` with that correction, for the likelihood
-and the posterior alike; both, and the gradient, are sums over the modes,
-so the order of the rows never enters.  Other point sets
-take the dense N x N path.  :func:`_factorize` makes that choice from the
-points alone and factorizes ``K + s2 I`` once per theta; the LML, its
-exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006,
-eq. 5.9), per eigenmode or over the N x N Gram, and the posterior of
-:func:`predict` and conditioned :func:`sample` (eqs. 2.25-2.26) all read
-those factors.  ``fit`` logs the path at DEBUG on the ``graphspde`` logger,
-takes each gradient from the factorization of its line search's accepted
-trial, ends a start once an accepted step no longer raises the LML by
-more than round-off, and runs no further start once one ends at the best LML
-so far, to the same round-off.  The ascent is in-house rather than ``scipy.optimize``,
-whose import alone adds about 0.19 s and 18.5 MB of resident memory to every
-process that fits a model (after ``import graphspde.cli``, scipy 1.17 on a
+Each data set is prepared once (:class:`_Prepared`) in the index form of its vertex x
+time lattice: the T distinct shifted times, each point's time index and vertex, and the
+M cells missing.  With no repeated (vertex, time) pair and up to M = N readings, the
+likelihood of every kernel kind splits into one T x T problem per eigenmode of the
+kernel's operator (:func:`kernels.mode_covariances`): SHEK/SWEK's by one batched Cholesky
+over the (n, T, T) stack (:class:`_Roots`), the other kinds' ``rho_i K_t + s2 I`` in the
+eigenbasis of K_t, with no (n, T, T) array on a complete grid (:class:`_Eigenbasis`;
+Saatci 2012, ch. 5).  Missing cells get the same noise, and a Schur complement on the
+inverse over the missing cells corrects the likelihood (incomplete grids in structured
+GP inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the modes
+applies ``(K + s2 I)^-1`` with that correction, for the likelihood and the posterior
+alike; both, and the gradient, are sums over the modes, so the order of the rows never
+enters.  Other point sets take the dense N x N path, over the points sorted by time
+index, vertex and residual, so there too no bit depends on the rows' order.
+:func:`_factorize` makes that choice from the points alone and factorizes ``K + s2 I``
+once per theta; the LML, its exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen &
+Williams 2006, eq. 5.9), per eigenmode or over the N x N Gram, and the posterior of
+:func:`predict` and conditioned :func:`sample` (eqs. 2.25-2.26) all read those factors.
+``fit`` logs the path at DEBUG on the ``graphspde`` logger, takes each gradient from the
+factorization of its line search's accepted trial, ends a start once an accepted step
+no longer raises the LML by more than round-off, and runs no further start once one
+ends at the best LML so far, to the same round-off.  The ascent is in-house rather than
+``scipy.optimize``, whose import alone adds about 0.19 s and 18.5 MB of resident memory
+to every process that fits a model (after ``import graphspde.cli``, scipy 1.17 on a
 2-vCPU Xeon VM; the time varies with the host).
 
 Two conventions applied uniformly before any Gram assembly:
@@ -61,8 +60,8 @@ import scipy.linalg
 from .exceptions import DataError, FactorizationError, NumericError
 from .graphs import Graph, fractional_from_graph
 from .kernels import (
-    KernelSpec, STPoint, _factors, _gram_and_derivatives, _process_covariances, _reads_time_lengthscale, _scale,
-    assemble_gram, shek_mean, swek_mean,
+    KernelSpec, STPoint, _coordinates, _factors, _gram_and_derivatives, _process_covariances,
+    _reads_time_lengthscale, _scale, assemble_gram, shek_mean, swek_mean,
 )
 from .spectral import cholesky_jittered, eigendecompose_symmetric, invert_lower_triangular
 
@@ -190,37 +189,60 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Prepared:
+    """The points once, in their lattice's index form, which both likelihood paths read: each point's time
+    index and vertex (``cells``) and residual ``y``, sorted by (time index, vertex, residual) so that no path
+    sees the rows' order, and the lattice's ``gaps``, or None where the dense path applies (:func:`_index_form`)."""
+
     graph: Graph
-    points: tuple[STPoint, ...]
+    times: np.ndarray  # (T,) ascending
+    cells: tuple[np.ndarray, np.ndarray]  # (N,) time indices, (N,) vertices
+    gaps: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None  # (U,) time indices; (M,) indices to them, vertices
     y: np.ndarray
     node_offsets: np.ndarray
     shift: float
-    grid: _GridStructure | None  # the points' vertex x time lattice
+
+    @property
+    def n_missing(self) -> int:
+        return self.gaps[1][0].shape[0]
+
+    @property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's vertex and shifted time, as :func:`kernels._gram_and_derivatives` reads them."""
+        return self.cells[1], self.times[self.cells[0]]
 
 
-def _node_offsets(model: GPModel, data: SpatioTemporalDataset) -> np.ndarray:
-    """Each vertex's training mean, or the overall one at a vertex with no reading; correctly
-    rounded sums (``math.fsum``), so the rows' order does not enter."""
-    n = data.graph.n_vertices
-    if model.mean_policy == "zero":
-        return np.zeros(n)
-    by_vertex = [[] for _ in range(n)]
-    for point, y in data.observations:
-        by_vertex[point.vertex].append(y)
-    overall = math.fsum(data.values) / len(data.observations)
-    return np.array([math.fsum(ys) / len(ys) if ys else overall for ys in by_vertex])
+def _index_form(graph: Graph, vertices: np.ndarray, times: np.ndarray, y: np.ndarray, offsets: np.ndarray,
+                shift: float) -> _Prepared:
+    """The points at ``vertices`` and shifted ``times`` with residuals ``y``; ``gaps`` are the U distinct times
+    of the M cells with no reading and, on that U-time lattice, those cells, or None if a (vertex, time) pair
+    repeats or more cells are missing than read, where the dense path is cheaper."""
+    times, t_idx = np.unique(times, return_inverse=True)
+    order = np.lexsort((y, vertices, t_idx))
+    t_idx, vertices, y = t_idx[order], vertices[order], y[order]
+    read = np.zeros((times.shape[0], graph.n_vertices), dtype=bool)
+    read[t_idx, vertices] = True
+    gaps = None
+    if np.count_nonzero(read) == y.shape[0] and 2 * y.shape[0] >= read.size:
+        t_m, v_m = np.nonzero(~read)
+        gap_times, at = np.unique(t_m, return_inverse=True)
+        gaps = (gap_times, (at, v_m))
+    return _Prepared(graph, times, (t_idx, vertices), gaps, y, offsets, shift)
 
 
 def _prepare(model: GPModel, data: SpatioTemporalDataset) -> _Prepared:
-    t_min = min(p.time for p, _ in data.observations)
-    shift = model.time_offset - t_min
-    points = tuple(STPoint(p.vertex, p.time + shift) for p, _ in data.observations)
-    offsets = _node_offsets(model, data)
-    y = data.values - offsets[[p.vertex for p, _ in data.observations]]
-    grid = _detect_grid(points, data.graph.n_vertices)
-    return _Prepared(data.graph, points, y, offsets, shift, grid)
+    """``data`` with its earliest time at ``model.time_offset``, centered on each vertex's training mean (the overall
+    one where a vertex has none) or on zero: correctly rounded sums, so the rows' order does not enter."""
+    vertices, times = _coordinates(data.points)
+    values, n = data.values, data.graph.n_vertices
+    shift = model.time_offset - float(times.min())
+    offsets = np.zeros(n)
+    if model.mean_policy != "zero":
+        overall = math.fsum(values) / values.shape[0]
+        by_vertex = np.split(values[np.argsort(vertices)], np.cumsum(np.bincount(vertices, minlength=n))[:-1])
+        offsets = np.array([math.fsum(ys) / ys.shape[0] if ys.shape[0] else overall for ys in by_vertex])
+    return _index_form(data.graph, vertices, times + shift, values - offsets[vertices], offsets, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +254,7 @@ def _factorize(spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Se
     """``K + s2 I`` factorized once: on the points' lattice where they form
     one, else over the dense N x N Gram.  Its ``lml`` and, in the log of
     each name in ``wrt``, its exact gradient both read these factors."""
-    return (_Dense if prep.grid is None else _Lattice)(spec, noise_variance, prep, wrt)
+    return (_Dense if prep.gaps is None else _Lattice)(spec, noise_variance, prep, wrt)
 
 
 class _Factorization:
@@ -284,7 +306,7 @@ class _Dense(_Factorization):
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         y = prep.y
-        noisy, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.points)
+        noisy, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.coordinates)
         noisy[np.diag_indices(y.shape[0])] += self.noise_variance
         self.factor, jitter = cholesky_jittered(noisy)
         if jitter:
@@ -326,14 +348,14 @@ class _Lattice(_Factorization):
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
-        grid = prep.grid
         self.modes = (_Roots if spec.kind in ("shek", "swek") else _Eigenbasis)(
-            spec, self.noise_variance, prep.graph, grid.times)
+            spec, self.noise_variance, prep.graph, prep.times)
         self.basis, log_det = self.modes.spatial, self.modes.log_det
-        if grid.n_missing:
-            self.missing = _missing_block(self.basis, self.modes.columns(grid.gaps[0]), grid)
-            log_det += np.sum(np.log(np.diag(self.missing[0])))
-        y_modes = _to_modes(self.basis, prep.y[:, None], grid.cells, grid.times.shape[0])
+        if prep.n_missing:
+            self.gain = self.modes.columns(prep.gaps[0])
+            self.chol_mm = _missing_block(self.basis, self.gain, prep.gaps)
+            log_det += np.sum(np.log(np.diag(self.chol_mm)))
+        y_modes = _to_modes(self.basis, prep.y[:, None], prep.cells, prep.times.shape[0])
         self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
         self.quad = float(np.vdot(y_modes, self.alpha))
         self.lml = float(-0.5 * self.quad - log_det - 0.5 * prep.y.shape[0] * _LOG_2PI)
@@ -342,15 +364,15 @@ class _Lattice(_Factorization):
         """``A_oo^-1`` on the right-hand side ``modes``, (n, T, k) and zero at the gaps: each ``A_i^-1``, then
         with missing cells ``- G P B_mm^-1 E^T (A^-1 rhs)``, which leaves zeros at the missing cells."""
         z = self.modes.solve(modes)
-        if self.prep.grid.n_missing:
-            (chol_mm, gain), (times, cells) = self.missing, self.prep.grid.gaps
+        if self.prep.n_missing:
+            times, cells = self.prep.gaps
             b_m = _at_cells(self.basis, z[:, times], cells)  # E^T (A^-1 rhs)
-            b_m = scipy.linalg.cho_solve((chol_mm, True), b_m, check_finite=False)
-            z -= gain @ _to_modes(self.basis, b_m, cells, len(times))
+            b_m = scipy.linalg.cho_solve((self.chol_mm, True), b_m, check_finite=False)
+            z -= self.gain @ _to_modes(self.basis, b_m, cells, len(times))
         return z
 
     def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        modes = _to_modes(self.basis, cross, self.prep.grid.cells, self.prep.grid.times.shape[0])
+        modes = _to_modes(self.basis, cross, self.prep.cells, self.prep.times.shape[0])
         flat = modes.reshape(-1, modes.shape[-1])
         return flat.T @ self.alpha.ravel(), flat.T @ self._solve_modes(modes).reshape(flat.shape)
 
@@ -359,8 +381,8 @@ class _Lattice(_Factorization):
 
     def spread(self) -> np.ndarray:
         """The ``P L_mm^-T`` of ``H_i = G_i P_i L_mm^-T``, (n, U, M); made per call, so no frame holds it."""
-        (chol_mm, _), (times, cells) = self.missing, self.prep.grid.gaps
-        return _to_modes(self.basis, invert_lower_triangular(chol_mm[None])[0].T, cells, len(times))
+        times, cells = self.prep.gaps
+        return _to_modes(self.basis, invert_lower_triangular(self.chol_mm[None])[0].T, cells, len(times))
 
 
 class _Roots:
@@ -386,8 +408,8 @@ class _Roots:
 
     def terms(self, names: Sequence[str], lattice: _Lattice) -> tuple[list, float]:
         weight = lattice.alpha
-        if lattice.prep.grid.n_missing:
-            weight = np.concatenate([weight, lattice.missing[1] @ lattice.spread()], axis=2)
+        if lattice.prep.n_missing:
+            weight = np.concatenate([weight, lattice.gain @ lattice.spread()], axis=2)
         weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
         weight -= np.swapaxes(self.roots, 1, 2) @ self.roots
         return [np.vdot(weight, d) for d in self.derivatives(names)], np.trace(weight, axis1=-2, axis2=-1).sum()
@@ -414,8 +436,8 @@ class _Eigenbasis:
     def terms(self, names: Sequence[str], lattice: _Lattice) -> tuple[list, float]:
         inv = 1.0 / self.scaled
         parts = [self.basis.T @ lattice.alpha]  # U^T a, (n, T, 1)
-        if lattice.prep.grid.n_missing:
-            parts.append(self.basis[lattice.prep.grid.gaps[0]].T @ lattice.spread())  # U[S]^T P L_mm^-T, (n, T, M)
+        if lattice.prep.n_missing:
+            parts.append(self.basis[lattice.prep.gaps[0]].T @ lattice.spread())  # U[S]^T P L_mm^-T, (n, T, M)
             parts[1] *= inv[:, :, None]
         rotated = (self.basis.T @ self.d_temporal() @ self.basis for _ in names)  # each name's D
         return [self.rho @ (sum(np.einsum("itp,itp->i", p, d @ p) for p in parts) - inv @ np.diag(d))
@@ -437,46 +459,15 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
 
 
-@dataclass(frozen=True, eq=False)
-class _GridStructure:
-    """Vertex x time lattice over the points' T distinct times.
-
-    ``cells`` holds each point's time index and vertex, and ``gaps`` the U distinct
-    times of the M cells with no reading and, on that U-time lattice, those cells.
-    """
-
-    times: np.ndarray  # (T,) ascending
-    cells: tuple[np.ndarray, np.ndarray]  # (N,) time indices, (N,) vertices
-    gaps: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # (U,) time indices; (M,) indices to them, vertices
-
-    @property
-    def n_missing(self) -> int:
-        return self.gaps[1][0].shape[0]
-
-
-def _detect_grid(points: Sequence[STPoint], n_vertices: int) -> _GridStructure | None:
-    """The lattice of ``points``; None if a (vertex, time) pair repeats or
-    more cells are missing than read, where the dense path is cheaper."""
-    times, t_idx = np.unique([p.time for p in points], return_inverse=True)
-    vertices = np.array([p.vertex for p in points], dtype=int)
-    read = np.zeros((times.shape[0], n_vertices), dtype=bool)
-    read[t_idx, vertices] = True
-    if np.count_nonzero(read) < len(points) or 2 * len(points) < read.size:
-        return None
-    t_m, v_m = np.nonzero(~read)
-    gap_times, at = np.unique(t_m, return_inverse=True)
-    return _GridStructure(times=times, cells=(t_idx, vertices), gaps=(gap_times, (at, v_m)))
-
-
-def _missing_block(basis: np.ndarray, inv: np.ndarray, grid: _GridStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of ``B_mm = E^T A^-1 E = sum_i P_i^T (S^T G_i) P_i`` over the M missing cells,
-    and the gain ``G = A^-1 S``, ``inv``: A^-1's columns at their U times, (n, T, U).  An
+def _missing_block(basis: np.ndarray, gain: np.ndarray, gaps: tuple) -> np.ndarray:
+    """Cholesky factor of ``B_mm = E^T A^-1 E = sum_i P_i^T (S^T G_i) P_i`` over the M missing cells
+    ``gaps``, from the gain ``G = A^-1 S``: A^-1's columns at their U times, (n, T, U).  An
     indefinite B_mm raises :class:`FactorizationError`; it is never jittered."""
-    times, (at, vertices) = grid.gaps
-    spread = inv[:, times][:, :, at]  # (S^T G) P, (n, U, M)
+    times, (at, vertices) = gaps
+    spread = gain[:, times][:, :, at]  # (S^T G) P, (n, U, M)
     spread *= basis[vertices].T[:, None, :]
     try:
-        return scipy.linalg.cholesky(_at_cells(basis, spread, (at, vertices)), lower=True, check_finite=False), inv
+        return scipy.linalg.cholesky(_at_cells(basis, spread, (at, vertices)), lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"missing-cell block B_mm is not positive definite: {exc}") from exc
 
@@ -517,12 +508,11 @@ def _evaluator(
     included), as :func:`log_marginal_likelihood` factorizes; None where the hyperparameters are
     undefined, the factorization fails or its LML is not finite."""
     prep = _prepare(model, data)
-    grid = prep.grid
-    if grid is None:
-        _LOG.debug("fit: dense likelihood over %d points", len(prep.points))
+    if prep.gaps is None:
+        _LOG.debug("fit: dense likelihood over %d points", prep.y.shape[0])
     else:
         _LOG.debug("fit: lattice likelihood over %d times x %d vertices, %d missing cells",
-                   grid.times.shape[0], data.graph.n_vertices, grid.n_missing)
+                   prep.times.shape[0], data.graph.n_vertices, prep.n_missing)
 
     def evaluate(theta: np.ndarray) -> _Factorization | None:
         with np.errstate(over="ignore"):
@@ -728,10 +718,10 @@ def predict(
 
 def _condition(model: GPModel, prep: _Prepared, query: Sequence[STPoint]) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean correction ``K_qo (K + s2 I)^-1 r`` and covariance ``K_qq - K_qo (K + s2 I)^-1 K_oq``
-    at ``query`` (Rasmussen & Williams 2006, eqs. 2.25-2.26), given residuals ``r = prep.y`` at
-    ``prep.points`` around the prior mean, solved by the factorization the likelihood reads."""
+    at ``query`` (Rasmussen & Williams 2006, eqs. 2.25-2.26), given the residuals ``r = prep.y`` around
+    the prior mean, solved by the factorization the likelihood reads."""
     prior = assemble_gram(model.kernel, prep.graph, query).matrix
-    cross = _gram_and_derivatives(model.kernel, prep.graph, prep.points, query)[0]
+    cross = _gram_and_derivatives(model.kernel, prep.graph, prep.coordinates, _coordinates(query))[0]
     correction, reduction = _factorize(model.kernel, model.noise_variance, prep).condition(cross)
     cov = prior - reduction
     return correction, 0.5 * (cov + cov.T)
@@ -772,19 +762,19 @@ def sampling_moments(
                 u0[point.vertex] = y
         c = model.kernel.hyper["c"]
 
-        def process_mean(pts: Sequence[STPoint]) -> np.ndarray:
-            times, t_idx = np.unique([p.time for p in pts], return_inverse=True)
+        def process_mean(vertices: np.ndarray, times: np.ndarray) -> np.ndarray:
+            distinct, t_idx = np.unique(times, return_inverse=True)
             if kind == "shek":
-                by_time = [shek_mean(frac, c, u0, t) for t in times]
+                by_time = [shek_mean(frac, c, u0, t) for t in distinct]
             else:
-                by_time = [swek_mean(frac, c, u0, np.zeros_like(u0), t) for t in times]
-            return np.array(by_time)[t_idx, [p.vertex for p in pts]]
+                by_time = [swek_mean(frac, c, u0, np.zeros_like(u0), t) for t in distinct]
+            return np.array(by_time)[t_idx, vertices]
 
-        obs = condition_on.points
-        residual = condition_on.values - process_mean(obs)  # around the process mean, at the raw times
-        prep = _Prepared(graph, obs, residual, np.zeros(graph.n_vertices), 0.0, _detect_grid(obs, graph.n_vertices))
+        vertices, times = _coordinates(condition_on.points)
+        residual = condition_on.values - process_mean(vertices, times)  # around the process mean, at the raw times
+        prep = _index_form(graph, vertices, times, residual, np.zeros(graph.n_vertices), 0.0)
         correction, cov = _condition(model, prep, points)
-        return process_mean(points) + correction, cov
+        return process_mean(*_coordinates(points)) + correction, cov
 
     pred = predict(model, condition_on, points, full_cov=True)
     return pred.mean, pred.covariance

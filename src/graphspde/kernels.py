@@ -717,22 +717,26 @@ def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> 
     times: one N x N array, plus scratch of an eighth of it.
     """
     points = tuple(points)
-    return GramMatrix(matrix=_gram_and_derivatives(spec, graph, points)[0], points=points)
+    return GramMatrix(matrix=_gram_and_derivatives(spec, graph, _coordinates(points))[0], points=points)
+
+
+def _coordinates(points: Sequence[STPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The points' (N,) vertices and (N,) times."""
+    return np.array([p.vertex for p in points], dtype=int), np.array([p.time for p in points], dtype=float)
 
 
 def _gram_and_derivatives(
-    spec: KernelSpec, graph: Graph, points: Sequence[STPoint], columns: Sequence[STPoint] | None = None
+    spec: KernelSpec, graph: Graph, rows: tuple[np.ndarray, np.ndarray], columns: tuple | None = None
 ) -> tuple[np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
-    """The Gram over ``points``, or with ``columns`` the block K(points, columns), and the map from names
-    (those of :func:`_process_covariances`, or a separable ``time_lengthscale``; not the scale) to its
-    derivatives in their logs, one array at a time, gathered from the covariances this call evaluated at the
-    distinct times of both sets as the Gram is, a separable lengthscale as the spatial factor times the
-    temporal derivative.  The Gram is a new array that the caller owns; the map does not read it."""
-    if not points:
+    """The Gram over the points ``rows``, (N,) vertices and (N,) times, or with ``columns`` in that form the
+    block K(rows, columns), and the map from names (those of :func:`_process_covariances`, or a separable
+    ``time_lengthscale``; not the scale) to its derivatives in their logs, one array at a time, gathered from
+    the covariances this call evaluated at the distinct times of both sets as the Gram is, a separable
+    lengthscale as the spatial factor times dK_t.  The Gram is a new array, the caller's; the map never reads it."""
+    n_rows = rows[0].shape[0]
+    if not n_rows:
         raise DataError("need at least one point")
-    points, n_rows = tuple(points) + tuple(columns or ()), len(points)
-    v_idx = np.array([p.vertex for p in points], dtype=int)
-    t_val = np.array([p.time for p in points], dtype=float)
+    v_idx, t_val = rows if columns is None else (np.concatenate(pair) for pair in zip(rows, columns))
     if np.any(v_idx >= graph.n_vertices):
         bad = v_idx[v_idx >= graph.n_vertices][0]
         raise DataError(f"point references vertex {bad} outside the graph")

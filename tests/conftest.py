@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphspde import Graph, build_graph
+from graphspde import Graph, STPoint, build_graph
 
 
 def random_graph(rng: np.random.Generator, max_vertices: int, connected: bool = True) -> Graph:
@@ -52,3 +52,9 @@ def mvn_logpdf_bruteforce(y: np.ndarray, cov: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(cov)
     assert sign > 0
     return float(-0.5 * y @ np.linalg.inv(cov) @ y - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi))
+
+
+def prepared_points(prep) -> list[STPoint]:
+    """The points of a prepared data set (``gp._Prepared``), in its order, at their shifted times."""
+    vertices, times = prep.coordinates
+    return [STPoint(int(v), float(t)) for v, t in zip(vertices, times)]

@@ -44,7 +44,7 @@ from graphspde import (
 from graphspde.cli import main
 from graphspde.gp import _prepare
 
-from conftest import mvn_logpdf_bruteforce, random_graph
+from conftest import mvn_logpdf_bruteforce, prepared_points, random_graph
 
 # experiment settings for the two synthetic backtests (criteria 2 and 3);
 # the generators' sampling grid, conductivity/speed, noise and the fixed
@@ -312,7 +312,7 @@ def test_acceptance_6_gp_correctness():
         spec = KernelSpec(kind="shek", hyper={"c": 0.8, "sigma": 1.1, "nu": 1.0, "kappa": 1.0})
         model = GPModel(kernel=spec, noise_variance=0.05, mean_policy="zero")
         prep = _prepare(model, data)
-        cov = assemble_gram(spec, graph, prep.points).matrix + 0.05 * np.eye(5)
+        cov = assemble_gram(spec, graph, prepared_points(prep)).matrix + 0.05 * np.eye(5)
         np.testing.assert_allclose(
             log_marginal_likelihood(model, data), mvn_logpdf_bruteforce(prep.y, cov), atol=1e-8
         )

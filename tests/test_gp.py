@@ -27,7 +27,7 @@ from graphspde import (
 import graphspde.gp
 from graphspde.gp import _maximize, _prepare
 
-from conftest import mvn_logpdf_bruteforce, random_graph
+from conftest import mvn_logpdf_bruteforce, prepared_points, random_graph
 
 
 def unit_spatial_spec() -> KernelSpec:
@@ -80,7 +80,7 @@ class TestLogMarginalLikelihood:
             spec = shek_spec(c=0.7, sigma=1.1) if trial % 2 else sep_rbf_spec()
             model = GPModel(kernel=spec, noise_variance=0.05, mean_policy="zero")
             prep = _prepare(model, data)
-            gram = assemble_gram(spec, graph, prep.points).matrix
+            gram = assemble_gram(spec, graph, prepared_points(prep)).matrix
             cov = gram + model.noise_variance * np.eye(5)
             np.testing.assert_allclose(
                 log_marginal_likelihood(model, data),

@@ -41,12 +41,12 @@ from graphspde import (
 )
 from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
-    _Dense, _Lattice, _Roots, _detect_grid, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
+    _Dense, _Lattice, _Roots, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
 )
 from graphspde.graphs import build_graph
 from graphspde.kernels import _factors, _scale, mode_covariances
 
-from conftest import random_graph
+from conftest import prepared_points, random_graph
 
 TEMPORAL = ("rbf", "exponential", "brownian", "cosine")
 VARIANTS = ("unnormalized", "sym_normalized")
@@ -117,7 +117,7 @@ GRID_KINDS = ["shek", "swek", "laplacian", "matern"] + [
 
 def dense_lml(model: GPModel, data: SpatioTemporalDataset) -> float:
     """The LML on the dense N x N path, whatever the points."""
-    return _factorize(model.kernel, model.noise_variance, replace(_prepare(model, data), grid=None)).lml
+    return _factorize(model.kernel, model.noise_variance, replace(_prepare(model, data), gaps=None)).lml
 
 
 def check_lattice_gradient_matches_dense(model: GPModel, data: SpatioTemporalDataset) -> None:
@@ -126,7 +126,7 @@ def check_lattice_gradient_matches_dense(model: GPModel, data: SpatioTemporalDat
     prep = _prepare(model, data)
     names = _optimizable_names(model.kernel, True) + ["noise"]
     lattice = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()
-    dense = _Dense(model.kernel, model.noise_variance, replace(prep, grid=None), names).gradient()
+    dense = _Dense(model.kernel, model.noise_variance, replace(prep, gaps=None), names).gradient()
     assert np.any(dense), names  # a failed gradient reads all zeros
     assert np.max(np.abs(lattice - dense)) <= 1e-10 * np.max(np.abs(dense)), (names, lattice, dense)
 
@@ -135,12 +135,12 @@ def lattice_weight(lattice: _Lattice, covs: np.ndarray) -> np.ndarray:
     """The per-mode weights ``a_i a_i^T - W_i`` (n, T, T) of ``lattice``'s ``a``, with W_i from a dense
     inverse of each mode's ``A_i = covs[i] + s2 I``: ``W_i = A_i^-1 - G_i B^-1 G_i^T``, where E_i (T, M)
     moves the missing cells into mode i, ``G_i = A_i^-1 E_i`` and ``B = sum_i E_i^T G_i``."""
-    grid, basis = lattice.prep.grid, lattice.basis
+    prep, basis = lattice.prep, lattice.basis
     inv = np.linalg.inv(covs + lattice.noise_variance * np.eye(covs.shape[1]))
-    read = np.zeros((grid.times.shape[0], basis.shape[0]), dtype=bool)
-    read[grid.cells] = True
+    read = np.zeros((prep.times.shape[0], basis.shape[0]), dtype=bool)
+    read[prep.cells] = True
     t_m, v_m = np.nonzero(~read)
-    moved = np.zeros((basis.shape[1], grid.times.shape[0], t_m.shape[0]))
+    moved = np.zeros((basis.shape[1], prep.times.shape[0], t_m.shape[0]))
     moved[:, t_m, np.arange(t_m.shape[0])] = basis[v_m].T
     gain = inv @ moved
     weight = lattice.alpha @ lattice.alpha.swapaxes(1, 2) - inv
@@ -158,9 +158,9 @@ def check_scale_entry_is_the_array_formula(model: GPModel, data: SpatioTemporalD
     scale, power = _scale(spec.kind)
     names = _optimizable_names(spec, True) + ["noise"]
     lattice = _Lattice(spec, model.noise_variance, prep, names)
-    covs = mode_covariances(spec, prep.graph, prep.grid.times)[1]
-    dense = _Dense(spec, model.noise_variance, replace(prep, grid=None), names)
-    gram = assemble_gram(spec, prep.graph, prep.points).matrix
+    covs = mode_covariances(spec, prep.graph, prep.times)[1]
+    dense = _Dense(spec, model.noise_variance, replace(prep, gaps=None), names)
+    gram = assemble_gram(spec, prep.graph, prepared_points(prep)).matrix
     dense_weight = np.outer(dense.alpha, dense.alpha) - np.linalg.inv(gram + dense.noise_variance * np.eye(len(gram)))
     for factorization, weight, cov in ((lattice, lattice_weight(lattice, covs), covs), (dense, dense_weight, gram)):
         grad = factorization.gradient()
@@ -178,7 +178,7 @@ def test_grid_lml_matches_dense_lml(seed, kind):
     model = GPModel(
         kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
     )
-    assert _detect_grid(_prepare(model, data).points, graph.n_vertices) is not None
+    assert _prepare(model, data).gaps is not None
     np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
     check_lattice_gradient_matches_dense(model, data)
     check_scale_entry_is_the_array_formula(model, data)
@@ -290,7 +290,7 @@ def test_scale_probe_reads_the_gram_diagonal(seed, kind, complete):
     if not complete:
         data = replace(data, observations=data.observations[: max(1, len(data.observations) * 2 // 3)])
     scaled, target_var = _data_scaled_spec(random_spec(rng, kind), data, "zero")
-    points = _prepare(GPModel(kernel=scaled, mean_policy="zero"), data).points
+    points = prepared_points(_prepare(GPModel(kernel=scaled, mean_policy="zero"), data))
     diag_mean = np.mean(np.diag(assemble_gram(scaled, graph, points).matrix))
     np.testing.assert_allclose(diag_mean, target_var, rtol=1e-12)
 
@@ -412,10 +412,10 @@ def test_lattice_lml_with_missing_cells_matches_dense_lml(seed, kind, mask):
     model = GPModel(
         kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
     )
-    grid = _detect_grid(_prepare(model, data).points, graph.n_vertices)
-    assert grid is not None and grid.n_missing == lattice_missing(data)
+    prep = _prepare(model, data)
+    assert prep.gaps is not None and prep.n_missing == lattice_missing(data)
     if mask == "half":
-        assert grid.n_missing == len(data.observations)
+        assert prep.n_missing == len(data.observations)
     np.testing.assert_allclose(log_marginal_likelihood(model, data), dense_lml(model, data), rtol=1e-10)
     check_lattice_gradient_matches_dense(model, data)
     check_scale_entry_is_the_array_formula(model, data)
@@ -429,6 +429,8 @@ def test_lattice_lml_with_missing_cells_matches_dense_lml(seed, kind, mask):
     optimize_nu_kappa=st.booleans(),
     large_kappa=st.booleans(),
 )
+# at a step of 1e-3 the five-point nu derivative of this swek draw is off by 1.1e-5 relative
+@example(seed=198, kind="swek", mask="half", optimize_nu_kappa=True, large_kappa=False)
 def test_exact_lattice_gradient_with_missing_cells_matches_central_differences(
     seed, kind, mask, optimize_nu_kappa, large_kappa
 ):
@@ -440,9 +442,8 @@ def test_exact_lattice_gradient_with_missing_cells_matches_central_differences(
         noise_variance=float(rng.uniform(0.05, 0.5)),
         mean_policy="zero",
     )
-    grid = _detect_grid(_prepare(model, data).points, graph.n_vertices)
-    assert grid.n_missing == lattice_missing(data)
-    check_gradient(model, data, optimize_nu_kappa)
+    assert _prepare(model, data).n_missing == lattice_missing(data)
+    check_gradient(model, data, optimize_nu_kappa, step=1e-4)
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
@@ -465,7 +466,7 @@ def test_exact_dense_gradient_matches_central_differences(kind, seed, mask, opti
         noise_variance=float(rng.uniform(0.05, 0.5)),
         mean_policy="zero",
     )
-    assert _detect_grid(_prepare(model, data).points, graph.n_vertices) is None
+    assert _prepare(model, data).gaps is None
     check_gradient(model, data, optimize_nu_kappa, step=1e-4)
 
 
@@ -474,10 +475,10 @@ def count_grams(monkeypatch) -> list:
     with its derivative map, and every other through ``assemble_gram``; a
     rectangular block K(rows, columns) counts as (rows, columns)."""
     calls = []
-    for name in ("assemble_gram", "_gram_and_derivatives"):
+    for name, size in (("assemble_gram", len), ("_gram_and_derivatives", lambda points: points[0].shape[0])):
 
-        def counting(*args, original=getattr(graphspde.gp, name)):
-            calls.append(len(args[2]) if len(args) < 4 else (len(args[2]), len(args[3])))
+        def counting(*args, original=getattr(graphspde.gp, name), size=size):
+            calls.append(size(args[2]) if len(args) < 4 else (size(args[2]), size(args[3])))
             return original(*args)
 
         monkeypatch.setattr(graphspde.gp, name, counting)
@@ -494,7 +495,7 @@ def test_repeated_pairs_and_sparse_lattices_take_the_dense_path(monkeypatch):
     model = GPModel(kernel=random_spec(rng, "shek"), noise_variance=0.1, mean_policy="zero")
     calls = count_grams(monkeypatch)
     for dense in (repeated, sparse):
-        assert _detect_grid(_prepare(model, dense).points, graph.n_vertices) is None
+        assert _prepare(model, dense).gaps is None
         log_marginal_likelihood(model, dense)
     assert calls == [17, 7]
     # with M = N = 8 the lattice path is taken
@@ -572,11 +573,12 @@ def test_kept_factorization_gives_the_gradient_of_a_fresh_one(kind, seed, mask, 
 
 
 def failing_correction(how: str):
-    def patched(basis, inv, grid):
+    def patched(basis, gain, gaps):
         if how == "raise":  # -A^-1 makes B_mm negative definite
-            return _missing_block(basis, -inv, grid)
-        chol_mm, gain = _missing_block(basis, inv, grid)
-        return chol_mm, np.full_like(gain, np.nan)
+            return _missing_block(basis, -gain, gaps)
+        chol_mm = _missing_block(basis, gain, gaps)
+        gain[...] = np.nan  # the lattice's own gain
+        return chol_mm
 
     return patched
 
@@ -620,7 +622,7 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
     else:
         data = drop_cells(data, drop)
     model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
-    assert (_prepare(model, data).grid is None) == isinstance(drop, str)
+    assert (_prepare(model, data).gaps is None) == isinstance(drop, str)
     name = "temporal_kernel" if kind == "matern-rbf" else f"_{kind}_eig"
     scalar = getattr(graphspde.kernels, name)
     calls = []
@@ -647,9 +649,9 @@ def test_factorization_copies_no_covariances(kind, path):
                                           timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.01)
     prep = _prepare(model, data)
-    assert prep.grid is not None and prep.grid.n_missing == 0
+    assert prep.gaps is not None and prep.n_missing == 0
     if path == "dense":
-        prep, unit, bound = replace(prep, grid=None), 8 * 1050**2, 2.5
+        prep, unit, bound = replace(prep, gaps=None), 8 * 1050**2, 2.5
     else:
         unit, bound = 8 * 21 * 50 * 50, 3.0
     expected = _factorize(model.kernel, model.noise_variance, prep).lml  # warms the spectrum cache
@@ -667,7 +669,7 @@ def value_and_gradient_peak(model: GPModel, data: SpatioTemporalDataset, names: 
     """The ``tracemalloc`` peak of one lattice value plus its gradient in ``names``, in (n, T, T)
     stacks, after a first one that warms the spectrum cache and gives the expected bits."""
     prep = _prepare(model, data)
-    unit = 8 * data.graph.n_vertices * prep.grid.times.shape[0] ** 2
+    unit = 8 * data.graph.n_vertices * prep.times.shape[0] ** 2
     expected = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()
     tracemalloc.start()
     try:
@@ -702,7 +704,7 @@ def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
         (STPoint(v, t), float(rng.standard_normal())) for k, (v, t) in enumerate(cells) if k % 10
     ))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.05)
-    assert _prepare(model, data).grid.n_missing == 55
+    assert _prepare(model, data).n_missing == 55
     peak = value_and_gradient_peak(model, data, _optimizable_names(model.kernel, False) + ["noise"])
     assert peak < bound, peak
 
@@ -719,7 +721,7 @@ def test_separable_value_and_gradient_hold_no_mode_stack(kind, complete, bound):
         (STPoint(v, t), float(rng.standard_normal())) for k, (v, t) in enumerate(cells) if complete or k % 10
     ))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.05)
-    assert _prepare(model, data).grid.n_missing == (0 if complete else 105)
+    assert _prepare(model, data).n_missing == (0 if complete else 105)
     peak = value_and_gradient_peak(model, data, _optimizable_names(model.kernel, False) + ["noise"])
     assert peak < bound, peak
 
@@ -735,7 +737,7 @@ def test_half_missing_lattice_holds_no_cell_by_cell_block_per_mode():
         (STPoint(v, t), float(rng.standard_normal())) for v, t in cells if round(t / 0.2 + v) % 2
     ))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), "shek"), noise_variance=0.05)
-    assert _prepare(model, data).grid.n_missing == 525
+    assert _prepare(model, data).n_missing == 525
     peak = value_and_gradient_peak(model, data, ["c", "sigma", "noise"])
     assert peak * 50 / 525 < 6.0, peak * 50 / 525
 
@@ -826,7 +828,7 @@ def lattice_answers(model: GPModel, data: SpatioTemporalDataset, query: list) ->
     """The lattice LML, its gradient in every name a fit varies and the noise, and the posterior
     mean and covariance at ``query``."""
     prep = _prepare(model, data)
-    assert prep.grid is not None
+    assert prep.gaps is not None
     point = _Lattice(model.kernel, model.noise_variance, prep, _optimizable_names(model.kernel, True) + ["noise"])
     pred = predict(model, data, query, full_cov=True)
     return point.lml, point.gradient(), pred.mean, pred.covariance
@@ -882,7 +884,7 @@ def test_separable_lattice_edge_cases_match_a_per_mode_cholesky(monkeypatch, edg
         graph = build_graph(["a", "b", "c", "d", "e"], [("a", "b", 1.0), ("b", "c", 0.5), ("c", "d", 2.0)])
     data = gappy_dataset(rng, graph, 7, mask)
     spec = edge_spec(edge)
-    times = _prepare(GPModel(kernel=spec), data).grid.times
+    times = _prepare(GPModel(kernel=spec), data).times
     _, rho, temporal, _ = _factors(spec, graph, times)
     if edge in ("null-modes", "isolated-vertex"):
         assert np.count_nonzero(rho == 0.0) == (2 if edge == "isolated-vertex" else 1)
@@ -938,10 +940,10 @@ def test_posterior_matches_the_joint_gram(seed, kind, mask):
         kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)), mean_policy="zero"
     )
     prep = _prepare(model, data)
-    assert (prep.grid is None) == (mask in DENSE_MASKS)
+    assert (prep.gaps is None) == (mask in DENSE_MASKS)
     query = query_points(rng, data)
     shifted = [STPoint(p.vertex, p.time + prep.shift) for p in query]
-    mean, cov = reference_posterior(model, graph, prep.points, prep.y, shifted)
+    mean, cov = reference_posterior(model, graph, prepared_points(prep), prep.y, shifted)
     pred = predict(model, data, query, full_cov=True)
     assert_close_to_largest(pred.mean, mean)
     assert_close_to_largest(pred.covariance, cov)
@@ -993,7 +995,7 @@ def test_lattice_ignores_row_order(kind, mask):
         data = gappy_dataset(rng, graph, int(rng.integers(3, 7)), mask)
         backward = replace(data, observations=data.observations[::-1])
         model = GPModel(kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)))
-        assert _prepare(model, data).grid is not None
+        assert _prepare(model, data).gaps is not None
         names = _optimizable_names(model.kernel, True) + ["noise"]
         forward_point, backward_point = (_evaluator(model, d, names)(theta_of(model, names)) for d in (data, backward))
         assert forward_point.lml == backward_point.lml
@@ -1016,6 +1018,46 @@ def test_lattice_posterior_ignores_row_order_on_a_wide_graph(kind):
     forward, backward = (predict(model, d, query, full_cov=True) for d in (data, shuffled))
     np.testing.assert_array_equal(forward.mean, backward.mean)
     np.testing.assert_array_equal(forward.covariance, backward.covariance)
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+@pytest.mark.parametrize("mask", DENSE_MASKS)
+def test_dense_path_ignores_row_order(kind, mask):
+    # the points are prepared once, sorted by (time index, vertex, residual), so the dense Gram
+    # and its factor see one order of the rows, whatever the order the data come in
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, 6)
+        data = gappy_dataset(rng, graph, int(rng.integers(3, 7)), mask)
+        order = rng.permutation(len(data.observations))
+        shuffled = replace(data, observations=tuple(data.observations[k] for k in order))
+        model = GPModel(kernel=random_spec(rng, kind), noise_variance=float(rng.uniform(0.05, 0.5)))
+        if _prepare(model, data).gaps is not None:  # a sparse mask on two vertices leaves a lattice
+            continue
+        names = _optimizable_names(model.kernel, True) + ["noise"]
+        forward_point, shuffled_point = (
+            _evaluator(model, d, names)(theta_of(model, names)) for d in (data, shuffled))
+        assert forward_point.lml == shuffled_point.lml
+        np.testing.assert_array_equal(forward_point.gradient(), shuffled_point.gradient())
+        query = query_points(rng, data)
+        forward_pred, shuffled_pred = (predict(model, d, query, full_cov=True) for d in (data, shuffled))
+        np.testing.assert_array_equal(forward_pred.mean, shuffled_pred.mean)
+        np.testing.assert_array_equal(forward_pred.covariance, shuffled_pred.covariance)
+
+
+@pytest.mark.parametrize("kind", ["shek", "matern-rbf"])
+@pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
+def test_lattice_fit_and_predict_build_no_training_point(monkeypatch, kind, drop):
+    # the data are prepared as arrays of time indices and vertices: predict shifts the q query
+    # points, and nothing else makes an STPoint
+    rng = np.random.default_rng(15)
+    data = drop_cells(grid_dataset(rng, line_graph(5), 6), drop)
+    model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1)
+    query = [STPoint(v, 9.0) for v in range(5)] + [STPoint(1, 3.5)]
+    built, check = [], STPoint.__post_init__
+    monkeypatch.setattr(STPoint, "__post_init__", lambda point: built.append(point) or check(point))
+    predict(fit(model, data, FitOptions(max_iters=5, restarts=1)).model, data, query)
+    assert len(built) == len(query)
 
 
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
