@@ -22,13 +22,13 @@ index, vertex and residual, so there too no bit depends on the rows' order.
 once per theta; the LML, its exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen &
 Williams 2006, eq. 5.9), per eigenmode or over the N x N Gram, and the posterior of
 :func:`predict` and conditioned :func:`sample` (eqs. 2.25-2.26) all read those factors.
-``fit`` logs the path at DEBUG on the ``graphspde`` logger, takes each gradient from the
-factorization of its line search's accepted trial, ends a start once an accepted step
-no longer raises the LML by more than round-off, and runs no further start once one
-ends at the best LML so far, to the same round-off.  The ascent is in-house rather than
-``scipy.optimize``, whose import alone adds about 0.19 s and 18.5 MB of resident memory
-to every process that fits a model (after ``import graphspde.cli``, scipy 1.17 on a
-2-vCPU Xeon VM; the time varies with the host).
+``fit`` logs the path, and how each start ended, at DEBUG on the ``graphspde`` logger,
+takes each gradient from the factorization of its line search's accepted trial, ends a
+start once an accepted step's gain, or a trial's predicted gain, falls to round-off, and
+runs no further start once one ends at the best LML so far, to the same round-off.  The
+ascent is in-house rather than ``scipy.optimize``, whose import alone adds about 0.19 s
+and 18.5 MB of resident memory to every process that fits a model (after ``import
+graphspde.cli``, scipy 1.17 on a 2-vCPU Xeon VM; the time varies with the host).
 
 Two conventions applied uniformly before any Gram assembly:
 
@@ -547,12 +547,17 @@ def _maximize(
     and 18.5 MB to every process that fits a model (module docstring).
 
     A start ends when the gradient is below ``grad_tol`` (or zero, which
-    a point returns where no gradient is finite), when the line
-    search finds no ascent, or when an accepted step raises the LML by no
-    more than ``_STALL_RTOL`` relative to it.  The last rule is what stops
-    a converged start: once the step's predicted gain falls below half an
-    ulp of the LML, the Armijo test reduces to ``f_new >= f`` and accepts
-    steps that gain exactly nothing.
+    a point returns where no gradient is finite), when an accepted step
+    raises the LML by no more than ``_STALL_RTOL`` relative to it, or when
+    the line search finds no ascent before alpha falls below 1e-12 or its
+    predicted gain ``alpha * slope`` below ``_STALL_RTOL`` relative to the
+    LML.  The stall rule is what stops a converged start: once the step's
+    predicted gain falls below half an ulp of the LML, the Armijo test
+    reduces to ``f_new >= f`` and accepts steps that gain exactly nothing.
+    A trial below the gain rule could only be rejected, or accepted on a
+    gain that stalls; near the noise floor the LML is accurate to about
+    1e-6 relative, and such trials followed its round-off.  Each start logs
+    its iterates, final LML and end rule at DEBUG.
 
     No trial moves a log-hyperparameter by more than ``_MAX_LOG_STEP`` (a
     factor of 10^3): alpha is halved from 1 until the step fits, before
@@ -569,34 +574,38 @@ def _maximize(
     dim = theta.shape[0]
     h_inv = np.eye(dim)
     grad = None
+    ended = "max_iters reached"
     while len(trace) < max_iters:
         if grad is None:
             grad = point.gradient()
-        if np.max(np.abs(grad)) < grad_tol:
-            break
         direction = h_inv @ grad
         slope = float(direction @ grad)
         if slope <= 0:
             h_inv = np.eye(dim)
             direction = grad.copy()
             slope = float(grad @ grad)
-            if slope == 0.0:
-                break
+        if np.max(np.abs(grad)) < grad_tol or slope == 0.0:
+            ended = "the gradient fell below grad_tol"
+            break
         f_old = trace[-1]
         alpha = 1.0
         while alpha * np.max(np.abs(direction)) > _MAX_LOG_STEP:
             alpha *= 0.5
-        while alpha >= 1e-12:
+        while alpha >= 1e-12 and alpha * slope > _STALL_RTOL * max(abs(f_old), 1.0):
             point = None  # the last point's factors go before the next are made
             point = evaluate(theta + alpha * direction)
             if point is not None and point.lml >= f_old + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
+            ended = ("the line search ran out at alpha < 1e-12" if alpha < 1e-12
+                     else "the line search fell below the LML's resolution")
             break
         theta_new = theta + alpha * direction
         trace.append(point.lml)
         stalled = point.lml - f_old <= _STALL_RTOL * max(abs(point.lml), abs(f_old), 1.0)
+        if stalled:
+            ended = "the step stalled"
         if stalled or len(trace) >= max_iters:
             theta = theta_new
             break
@@ -611,6 +620,7 @@ def _maximize(
                 eye - rho * np.outer(grad_change, step_vec)
             ) + rho * np.outer(step_vec, step_vec)
         theta, grad = theta_new, grad_new
+    _LOG.debug("fit: a start ended after %d iterates at LML %.12g: %s", len(trace), trace[-1], ended)
     return theta, trace
 
 

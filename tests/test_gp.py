@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphspde import (
+    BacktestPlan,
     DataError,
     FitOptions,
     GPModel,
@@ -17,10 +19,12 @@ from graphspde import (
     assemble_gram,
     build_graph,
     fit,
+    gen_heat_line,
     gen_wave_line,
     line_graph,
     log_marginal_likelihood,
     predict,
+    run_backtest,
     sample,
     sampling_moments,
 )
@@ -146,16 +150,24 @@ def points(value, gradient):
 
 
 class TestMaximizeStopRule:
-    def test_stops_at_the_optimum_of_a_concave_quadratic(self):
+    @staticmethod
+    def quadratic(roundoff=0.0, calls=None):
+        """A concave quadratic at level 1000 and its peak.  The gradient carries a 1e-9 error, as a
+        computed one does, so it never vanishes exactly at the optimum; grad_tol = 0 then leaves the
+        stop rules as the only way to end before max_iters.  ``roundoff`` scales a deterministic
+        "round-off" term on the value alone; ``calls`` collects each evaluated theta."""
         peak = np.array([0.3, -1.2, 2.0])
         curvature = np.array([[3.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
-        # the gradient carries a 1e-9 error, as a computed one does, so it
-        # never vanishes exactly at the optimum; grad_tol = 0 then leaves the
-        # stop rule as the only way to end before max_iters
-        evaluate = points(
-            value=lambda th: 1000.0 - 0.5 * (th - peak) @ curvature @ (th - peak),
-            gradient=lambda th: -curvature @ (th - peak) + 1e-9 * np.sin(1e4 * th),
-        )
+
+        def value(th):
+            if calls is not None:
+                calls.append(th)
+            return 1000.0 - 0.5 * (th - peak) @ curvature @ (th - peak) + roundoff * np.sin(1e9 * th).sum()
+
+        return peak, points(value, lambda th: -curvature @ (th - peak) + 1e-9 * np.sin(1e4 * th))
+
+    def test_stops_at_the_optimum_of_a_concave_quadratic(self):
+        peak, evaluate = self.quadratic()
         theta, trace = _maximize(evaluate, np.zeros(3), max_iters=200, grad_tol=0.0)
         assert len(trace) <= 20
         np.testing.assert_allclose(theta, peak, atol=1e-4)
@@ -176,6 +188,50 @@ class TestMaximizeStopRule:
         _, trace = _maximize(points(value, gradient), np.array([3.0, -2.0]), max_iters=200, grad_tol=0.0)
         flat = trace.index(5.0)
         assert len(trace) - 1 <= flat + 2
+
+    def test_no_trial_below_the_lml_resolution(self, caplog):
+        # 1e-6 per coordinate, about 1e-9 of the LML, as an LML near the noise floor carries; halving alpha
+        # towards 1e-12 made 69 evaluations here, most of them trials whose predicted gain
+        # alpha * slope lay below _STALL_RTOL, where no LML could resolve it
+        calls = []
+        peak, evaluate = self.quadratic(1e-6, calls)
+        with caplog.at_level(logging.DEBUG, logger="graphspde"):
+            theta, trace = _maximize(evaluate, np.zeros(3), max_iters=200, grad_tol=0.0)
+        assert len(calls) <= 15
+        np.testing.assert_allclose(theta, peak, atol=1e-4)
+        assert caplog.messages[-1] == (f"fit: a start ended after {len(trace)} iterates at LML {trace[-1]:.12g}: "
+                                       "the line search fell below the LML's resolution")
+
+    def test_a_start_cut_by_max_iters_says_so(self, caplog):
+        _, evaluate = self.quadratic(1e-6)
+        with caplog.at_level(logging.DEBUG, logger="graphspde"):
+            _, trace = _maximize(evaluate, np.zeros(3), max_iters=3, grad_tol=0.0)
+        assert len(trace) == 3
+        assert caplog.messages[-1].startswith("fit: a start ended after 3 iterates")
+        assert caplog.messages[-1].endswith(": max_iters reached")
+
+    def test_a_heat_window_fit_skips_the_round_off_plateau(self, monkeypatch):
+        # sep-matern-rbf on the first 21 x 51 heat acceptance window: its two real
+        # starts end with the noise near the floor, where the LML is accurate to
+        # about 1e-6 relative; trials on that plateau took 316 values
+        _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
+                                              timestamps=tuple(0.2 * k for k in range(1, 71)), seed=0))
+        kernel = KernelSpec(kind="separable_product", hyper={"variance": 1.0, "time_lengthscale": 5.0},
+                            temporal_kind="rbf", spatial=KernelSpec(kind="matern_spatial",
+                                                                    hyper={"nu": 0.5, "kappa": 1.0}))
+        values, evaluator = [], graphspde.gp._evaluator
+
+        def counting_evaluator(*args):
+            evaluate = evaluator(*args)
+            return lambda theta: values.append(theta) or evaluate(theta)
+
+        monkeypatch.setattr(graphspde.gp, "_evaluator", counting_evaluator)
+        plan = BacktestPlan(n_train=50, n_test=10, stride=1, rounds=1)
+        report = run_backtest(data, {"sep-matern-rbf": kernel}, plan, baseline="sep-matern-rbf",
+                              tasks=("extrapolation",), fit_opts=FitOptions(max_iters=60, restarts=2, grad_tol=1e-5),
+                              mean_policy="zero")
+        assert not report.failures
+        assert 0 < len(values) <= 200
 
 
 class TestMaximizeStepCap:
