@@ -136,9 +136,9 @@ def load_graph_csv(path: str | Path, directed: bool = False) -> Graph:
             src, dst = row[0].strip(), row[1].strip()
             if not src or not dst:
                 raise DataError(f"{path}:{line_no}: empty endpoint")
-            weight = 1.0
-            if len(row) == 3 and row[2].strip():
-                weight = _parse_float(row[2], path, line_no)
+            weight = _parse_float(row[2], path, line_no) if len(row) == 3 and row[2].strip() else 1.0
+            if weight <= 0:
+                raise DataError(f"{path}:{line_no}: edge ({src!r}, {dst!r}) has non-positive weight {weight}")
             labels.update((src, dst))
             edges.append((src, dst, weight))
     if not labels:
@@ -180,6 +180,8 @@ def load_series_csv(path: str | Path, graph: Graph) -> SpatioTemporalDataset:
             if vertex is None:
                 raise DataError(f"{path}:{line_no}: unknown node {node!r}")
             t = _parse_float(row[1], path, line_no)
+            if t < 0:
+                raise DataError(f"{path}:{line_no}: time must be >= 0, got {t}")
             y = _parse_float(row[2], path, line_no)
             key = (vertex, t)
             if key in seen:

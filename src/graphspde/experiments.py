@@ -21,7 +21,7 @@ from .backtest import (
 )
 from .exceptions import DataError, NumericError
 from .gp import MEAN_POLICIES, FitOptions, GPModel, SpatioTemporalDataset, _prepare, fit, predict
-from .kernels import KernelSpec, _scale, mode_covariances
+from .kernels import KernelSpec, _mode_variances, _scale
 
 TASKS = ("interpolation", "extrapolation")
 
@@ -68,10 +68,10 @@ def _data_scaled_spec(
     The optimizer works in log-space, so a starting point many orders of
     magnitude off (e.g. the Laplacian kernel's raw scale vs. small targets)
     wastes the iteration budget or strands the fit in a degenerate basin.
-    A point's prior variance is ``sum_i Q[v, i]^2 k_i(t, t)``, read from the
-    diagonals of the per-mode covariances without assembling the Gram.  Both
-    means are correctly rounded sums (``math.fsum``), so the order of the rows
-    does not enter.
+    A point's prior variance is ``sum_i Q[v, i]^2 k_i(t, t)``, from each mode's
+    closed-form variance (``kernels._mode_variances``), with no Gram and no
+    (n, T, T) stack.  Both means are correctly rounded sums (``math.fsum``), so
+    the order of the rows does not enter.
     """
     probe = GPModel(kernel=spec, mean_policy=mean_policy)
     prep = _prepare(probe, train)
@@ -80,8 +80,8 @@ def _data_scaled_spec(
     target_var = max(math.fsum((prep.y - y_mean) ** 2) / count, 1e-12)
     scale_name, power = _scale(spec.kind)
     unit = spec.with_hyper(**{scale_name: 1.0})
-    basis, covs = mode_covariances(unit, train.graph, prep.times)
-    prior_var = (basis**2 @ np.diagonal(covs, axis1=1, axis2=2)).T  # (T, n)
+    basis, variances = _mode_variances(unit, train.graph, prep.times)
+    prior_var = (basis**2 @ variances).T  # (T, n)
     diag_mean = math.fsum(prior_var[prep.cells]) / count
     if diag_mean <= 0 or not np.isfinite(diag_mean):
         return spec, target_var

@@ -8,9 +8,9 @@ Each data set is prepared once (:class:`_Prepared`) in the index form of its ver
 time lattice: the T distinct shifted times, each point's time index and vertex, and the
 M cells missing.  With no repeated (vertex, time) pair and up to M = N readings, the
 likelihood of every kernel kind splits into one T x T problem per eigenmode of the
-kernel's operator (:func:`kernels.mode_covariances`): SHEK/SWEK's by one batched Cholesky
-over the (n, T, T) stack (:class:`_Roots`), the other kinds' ``rho_i K_t + s2 I`` in the
-eigenbasis of K_t, with no (n, T, T) array on a complete grid (:class:`_Eigenbasis`;
+kernel's operator: SHEK/SWEK's by one batched Cholesky over the (n, T, T) stack of
+``kernels._process_covariances`` (:class:`_Roots`), the other kinds' ``rho_i K_t + s2 I``
+in the eigenbasis of K_t, with no (n, T, T) array on a complete grid (:class:`_Eigenbasis`;
 Saatci 2012, ch. 5).  Missing cells get the same noise, and a Schur complement on the
 inverse over the missing cells corrects the likelihood (incomplete grids in structured
 GP inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the modes

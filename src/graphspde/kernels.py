@@ -9,11 +9,12 @@ wave equation (SWEK) driven by the shifted fractional Laplacian.
 Every kernel has one representation (Nikitin et al., arXiv:2111.08524):
 per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
-:func:`mode_covariances` maps a :class:`KernelSpec` to that eigenbasis and
-those covariances, on a spectrum computed once per (graph, variant, operator).
-The spatial-only and separable kinds are ``rho_i K_t(t, s)``, stated once by
-``_factors``; ``_scale`` names each kind's scale.  Grams and blocks K(rows,
-columns) gather from the same evaluations (:func:`assemble_gram`).
+SHEK/SWEK evaluate those covariances in one place (``_process_covariances``),
+on a spectrum computed once per (graph, variant, operator); the spatial-only
+and separable kinds are ``rho_i K_t(t, s)``, stated once by ``_factors``;
+``_mode_variances`` reads the diagonal ``k_i(t, t)`` of either in closed form;
+``_scale`` names each kind's scale.  Grams and blocks K(rows, columns) gather
+from the same evaluations (:func:`assemble_gram`).
 The matrix-level functions (``laplacian_kernel``, ``shek_cov``, ...) stay
 as the references the tests hold the gather to.
 
@@ -648,30 +649,26 @@ def _factors(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple:
     return basis, rho, temporal, lambda: temporal_kernel_dlog_lengthscale(temporal, *args)
 
 
-def mode_covariances(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis Q and per-mode temporal covariances (n, T, T).
-
-    Every kernel kind is a function of one symmetric operator, so
-    ``Cov[u_x(t_a), u_y(t_b)] = sum_i Q[x, i] covs[i, a, b] Q[y, i]``: SHEK/SWEK per mode
-    of ``L`` (:func:`_process_covariances`, which also maps names to their derivatives), the
-    other kinds ``rho_i K_t`` (:func:`_factors`, whose K_t the lattice diagonalizes once
-    without forming this stack).  The stack is a new array that the caller owns and may
-    overwrite.
-    """
-    times = np.asarray(times, dtype=float)
+def _mode_variances(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis Q and each mode's prior variance ``k_i(t, t)`` (n, T) at ``times``, in closed form: the
+    diagonal of :func:`_process_covariances`'s stack for SHEK/SWEK, ``rho_i K_t(t, t)`` (:func:`_factors`)
+    for the other kinds, bit for bit, without forming the (n, T, T) stack."""
     if spec.kind in ("shek", "swek"):
-        return _process_covariances(spec, graph, times)[:2]
+        c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
+        frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
+        scalar = _shek_eig if spec.kind == "shek" else _swek_eig
+        return frac.basis, scalar(frac.shifted_eigs.reshape(-1, 1), c, sigma, times[None], times[None])
     basis, rho, temporal, _ = _factors(spec, graph, times)
-    return basis, rho[:, None, None] * temporal
+    return basis, rho[:, None] * np.diagonal(temporal)
 
 
 def _process_covariances(
     spec: KernelSpec, graph: Graph, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
-    """:func:`mode_covariances` of SHEK/SWEK, and the map from ``c``, ``nu`` and ``kappa`` (not the scale,
-    :func:`_scale`) to the covariances' derivatives in their logs, one at a time, with the evaluated upper
-    triangle as their value ``k``.  The entries cost exponentials or trigonometric functions and are
-    symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
+    """SHEK/SWEK's eigenbasis Q and per-mode covariances (n, T, T) at ``times``, a new stack the caller owns,
+    and the map from ``c``, ``nu`` and ``kappa`` (not the scale, :func:`_scale`) to their derivatives in their
+    logs, one at a time, with the evaluated upper triangle as their value ``k``.  The entries cost exponentials
+    or trigonometric functions and are symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
     n_times = times.shape[0]
     pairs = np.triu_indices(n_times)
     t, s = times[pairs[0]][None], times[pairs[1]][None]
@@ -707,8 +704,8 @@ def _process_covariances(
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:
     """N x N Gram matrix of the kernel over the given (vertex, time) points.
 
-    A gather from the per-mode covariances (:func:`mode_covariances`) at the
-    points' T distinct times; the same gathers also form a rectangular block
+    A gather from the per-mode covariances (``_process_covariances``, ``_factors``) at
+    the points' T distinct times; the same gathers also form a rectangular block
     K(rows, columns).  SHEK/SWEK gather one distinct row time at a time, in
     O(n T^2 + n N + N^2) memory: the (n, T, T) stack, one n x N slice of it
     and the Gram.  The other kinds are ``covs[i] = rho_i K_t`` (:func:`_factors`;

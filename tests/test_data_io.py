@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,13 @@ class TestGraphCsv:
         graph = load_graph_csv(path)
         assert graph.edges[0][2] == 1.0
 
+    @pytest.mark.parametrize("weight", ["0", "-2.5"])
+    def test_non_positive_weight_reports_line(self, tmp_path, weight):
+        path = tmp_path / "g.csv"
+        path.write_text(f"src,dst,weight\na,b,1\nb,c,{weight}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: edge \\('b', 'c'\\) has non-positive weight"):
+            load_graph_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("from,to\na,b\n")
@@ -147,9 +155,10 @@ class TestSeriesCsv:
         graph, _ = gen_heat_line(heat_spec(n_nodes=3))
         label = graph.labels[0]
         path = tmp_path / "series.csv"
-        path.write_text(f"node_id,t,y\n{label},1.0,not-a-number\n")
-        with pytest.raises(DataError, match=":2"):
-            load_series_csv(path, graph)
+        for values in ("1.0,not-a-number", "-1,0.5"):
+            path.write_text(f"node_id,t,y\n{label},1.0,0.5\n{label},{values}\n")
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "):
+                load_series_csv(path, graph)
 
     def test_non_finite_rejected(self, tmp_path):
         graph, _ = gen_heat_line(heat_spec(n_nodes=3))

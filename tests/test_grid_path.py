@@ -44,7 +44,7 @@ from graphspde.gp import (
     _Dense, _Lattice, _Roots, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
 )
 from graphspde.graphs import build_graph
-from graphspde.kernels import _factors, _scale, mode_covariances
+from graphspde.kernels import _SWEK_SERIES, _factors, _mode_variances, _process_covariances, _scale
 
 from conftest import prepared_points, random_graph
 
@@ -131,6 +131,15 @@ def check_lattice_gradient_matches_dense(model: GPModel, data: SpatioTemporalDat
     assert np.max(np.abs(lattice - dense)) <= 1e-10 * np.max(np.abs(dense)), (names, lattice, dense)
 
 
+def mode_stack(spec: KernelSpec, graph, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis Q and the per-mode temporal covariances (n, T, T) of any kind: SHEK/SWEK's from
+    :func:`_process_covariances`, the other kinds' ``rho_i K_t`` from :func:`_factors`."""
+    if spec.kind in ("shek", "swek"):
+        return _process_covariances(spec, graph, times)[:2]
+    basis, rho, temporal, _ = _factors(spec, graph, times)
+    return basis, rho[:, None, None] * temporal
+
+
 def lattice_weight(lattice: _Lattice, covs: np.ndarray) -> np.ndarray:
     """The per-mode weights ``a_i a_i^T - W_i`` (n, T, T) of ``lattice``'s ``a``, with W_i from a dense
     inverse of each mode's ``A_i = covs[i] + s2 I``: ``W_i = A_i^-1 - G_i B^-1 G_i^T``, where E_i (T, M)
@@ -158,7 +167,7 @@ def check_scale_entry_is_the_array_formula(model: GPModel, data: SpatioTemporalD
     scale, power = _scale(spec.kind)
     names = _optimizable_names(spec, True) + ["noise"]
     lattice = _Lattice(spec, model.noise_variance, prep, names)
-    covs = mode_covariances(spec, prep.graph, prep.times)[1]
+    covs = mode_stack(spec, prep.graph, prep.times)[1]
     dense = _Dense(spec, model.noise_variance, replace(prep, gaps=None), names)
     gram = assemble_gram(spec, prep.graph, prepared_points(prep)).matrix
     dense_weight = np.outer(dense.alpha, dense.alpha) - np.linalg.inv(gram + dense.noise_variance * np.eye(len(gram)))
@@ -283,7 +292,8 @@ def test_noise_gradient_is_zero_below_the_noise_floor():
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(GRID_KINDS), complete=st.booleans())
 def test_scale_probe_reads_the_gram_diagonal(seed, kind, complete):
     # the data-scaled start makes the mean prior variance over the training
-    # points, read from the per-mode covariances, equal the data variance
+    # points, read from each mode's closed-form variance k_i(t, t), equal the
+    # data variance
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, 6)
     data = grid_dataset(rng, graph, int(rng.integers(2, 7)))
@@ -293,6 +303,74 @@ def test_scale_probe_reads_the_gram_diagonal(seed, kind, complete):
     points = prepared_points(_prepare(GPModel(kernel=scaled, mean_policy="zero"), data))
     diag_mean = np.mean(np.diag(assemble_gram(scaled, graph, points).matrix))
     np.testing.assert_allclose(diag_mean, target_var, rtol=1e-12)
+
+
+def test_mode_variances_are_the_stack_diagonal_and_form_no_stack():
+    # k_i(t, t) in closed form is, bit for bit, the diagonal of the (n, T, T) stack, SHEK/SWEK's
+    # mirrored evaluation or rho_i K_t, at the edges too: t = 0, where both processes are exactly 0,
+    # SWEK's small-theta series, SHEK's near-zero modes, zero-rho null modes and K_t = 1
+    times = np.array([0.0, 0.2, 1.0, 3.5, 8.0])
+    line = line_graph(6)
+    isolated = build_graph(["a", "b", "c", "d", "e"], [("a", "b", 1.0), ("b", "c", 0.5), ("c", "d", 2.0)])
+    laplacian = KernelSpec(kind="laplacian_spatial", hyper={"variance": 1.3})
+    matern = KernelSpec(kind="matern_spatial", hyper={"nu": 1.5, "kappa": 2.0})
+
+    def separable(temporal_kind, spatial=matern, **hyper):
+        return KernelSpec(kind="separable_product", hyper={"variance": 0.7, **hyper},
+                          temporal_kind=temporal_kind, spatial=spatial)
+
+    def process(kind, c, nu, kappa, variant="unnormalized"):
+        return KernelSpec(kind=kind, hyper={"c": c, "sigma": 1.2, "nu": nu, "kappa": kappa},
+                          laplacian_variant=variant)
+
+    # c = 1e-3: theta t < _SWEK_SERIES before t = 8, and at t = 8 on either side of it
+    theta_max = 1e-3 * np.sqrt(fractional_from_graph(line, "unnormalized", 2.0, 1.0).shifted_eigs) * 8.0
+    assert np.min(theta_max) < _SWEK_SERIES <= np.max(theta_max)
+    assert np.min(fractional_from_graph(line, "unnormalized", 2.0, 5e3).shifted_eigs) < 1e-6
+    assert np.count_nonzero(_factors(laplacian, isolated, times)[1] == 0.0) == 2
+    cases = [
+        (process("swek", 1e-3, 2.0, 1.0), line),
+        (process("swek", 0.7, 2.5, 1.0), line),
+        (process("shek", 30.0, 2.0, 5e3), line),
+        (process("shek", 0.4, 1.0, 2.0, "sym_normalized"), line),
+        (laplacian, isolated),
+        (replace(matern, hyper={"nu": 1.5, "kappa": 2.0, "variance": 0.8}), line),
+        (separable("brownian"), line),
+        (separable("exponential", time_lengthscale=2.0), line),
+        (separable("cosine", omega=0.6), line),
+        (separable("rbf", KernelSpec(kind="laplacian_spatial", hyper={}), time_lengthscale=3.0), isolated),
+    ]
+    for spec, graph in cases:
+        basis, variances = _mode_variances(spec, graph, times)
+        stack_basis, stack = mode_stack(spec, graph, times)
+        diagonal = np.diagonal(stack, axis1=1, axis2=2)
+        assert variances.shape == diagonal.shape == (graph.n_vertices, times.shape[0]), spec
+        assert variances.tobytes() == diagonal.tobytes(), spec
+        assert basis.tobytes() == stack_basis.tobytes(), spec
+        if spec.kind in ("shek", "swek"):
+            np.testing.assert_array_equal(variances[:, 0], 0.0)
+            assert np.all(variances[:, 1:] > 0), spec
+
+    # the data-scaled start of each heat acceptance kernel on the first 21 x 51 window peaks at
+    # 0.21 to 0.22 (n, T, T) stacks; building the stack to read its diagonal took 1.4 to 1.75
+    _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
+                                          timestamps=tuple(0.2 * np.arange(1, 71)), noise_sd=0.0, seed=0))
+    train = data.restrict_to_times(data.times()[:51])
+    stack_bytes = 8 * 21 * 51 * 51
+    for spec in (
+        KernelSpec(kind="shek", hyper={"c": 1.0, "sigma": 1.0, "nu": 2.0, "kappa": 5.0}),
+        separable("rbf", KernelSpec(kind="laplacian_spatial", hyper={}), time_lengthscale=5.0),
+        separable("rbf", KernelSpec(kind="matern_spatial", hyper={"nu": 0.5, "kappa": 1.0}), time_lengthscale=5.0),
+    ):
+        expected = _data_scaled_spec(spec, train, "zero")  # warms the spectrum cache
+        tracemalloc.start()
+        try:
+            start = _data_scaled_spec(spec, train, "zero")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert start == expected
+        assert peak < stack_bytes, (spec.kind, peak / stack_bytes)
 
 
 @pytest.mark.parametrize(
@@ -810,17 +888,18 @@ SEPARABLE_GRID_KINDS = [kind for kind in GRID_KINDS if kind not in ("shek", "swe
 
 
 class CholeskyRoots(_Roots):
-    """The SHEK/SWEK operator of the lattice by the plainest route, for any kind: the
-    ``mode_covariances`` stack plus the noise, each mode's plain Cholesky factor L_i and its inverse as
-    ``R_i``, ``log|A|`` from the factors' diagonals, and ``rho_i dK_t`` as the derivatives."""
+    """The SHEK/SWEK operator of the lattice by the plainest route, for a spatial-only or separable
+    kind: its ``rho_i K_t`` stack (:func:`_factors`) plus the noise, each mode's plain Cholesky factor
+    L_i and its inverse as ``R_i``, ``log|A|`` from the factors' diagonals, and ``rho_i dK_t`` as the
+    derivatives."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, graph, times: np.ndarray):
-        self.spatial, covs = mode_covariances(spec, graph, times)
+        self.spatial, rho, temporal, d_temporal = _factors(spec, graph, times)
+        covs = rho[:, None, None] * temporal
         eye = np.eye(times.shape[0])
         factors = [scipy.linalg.cholesky(cov + noise_variance * eye, lower=True) for cov in covs]
         self.roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
         self.log_det = sum(np.sum(np.log(np.diag(factor))) for factor in factors)
-        _, rho, _, d_temporal = _factors(spec, graph, times)
         self.derivatives = lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
 
 
