@@ -120,9 +120,11 @@ def write_graph_csv(graph: Graph, path: str | Path) -> None:
 
 
 def load_graph_csv(path: str | Path, directed: bool = False) -> Graph:
-    """Read an edge list; the weight column is optional and defaults to 1."""
+    """Read an edge list; the weight column is optional and defaults to 1.  A self-loop, a repeated edge
+    (either way round, unless ``directed``) or a non-positive weight is reported with its line number."""
     edges: list[tuple[str, str, float]] = []
     labels: set[str] = set()
+    seen: set[tuple[str, str]] = set()
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -139,6 +141,12 @@ def load_graph_csv(path: str | Path, directed: bool = False) -> Graph:
             weight = _parse_float(row[2], path, line_no) if len(row) == 3 and row[2].strip() else 1.0
             if weight <= 0:
                 raise DataError(f"{path}:{line_no}: edge ({src!r}, {dst!r}) has non-positive weight {weight}")
+            if src == dst:
+                raise DataError(f"{path}:{line_no}: self-loop at vertex {src!r} is not allowed")
+            key = (src, dst) if directed else (min(src, dst), max(src, dst))
+            if key in seen:
+                raise DataError(f"{path}:{line_no}: duplicate edge between {src!r} and {dst!r}")
+            seen.add(key)
             labels.update((src, dst))
             edges.append((src, dst, weight))
     if not labels:

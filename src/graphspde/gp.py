@@ -8,10 +8,12 @@ Each data set is prepared once (:class:`_Prepared`) in the index form of its ver
 time lattice: the T distinct shifted times, each point's time index and vertex, and the
 M cells missing.  With no repeated (vertex, time) pair and up to M = N readings, the
 likelihood of every kernel kind splits into one T x T problem per eigenmode of the
-kernel's operator: SHEK/SWEK's by one batched Cholesky over the (n, T, T) stack of
-``kernels._process_covariances`` (:class:`_Roots`), the other kinds' ``rho_i K_t + s2 I``
-in the eigenbasis of K_t, with no (n, T, T) array on a complete grid (:class:`_Eigenbasis`;
-Saatci 2012, ch. 5).  Missing cells get the same noise, and a Schur complement on the
+kernel's operator: SHEK's as the Ornstein-Uhlenbeck chain each mode is, one tridiagonal
+over all modes and times (:class:`_Markov`; Rue & Held 2005, ch. 2), SWEK's by one
+batched Cholesky over the (n, T, T) stack of ``kernels._process_covariances``
+(:class:`_Roots`), the other kinds' ``rho_i K_t + s2 I`` in the eigenbasis of K_t
+(:class:`_Eigenbasis`; Saatci 2012, ch. 5); only SWEK's forms an (n, T, T) array on a
+complete grid.  Missing cells get the same noise, and a Schur complement on the
 inverse over the missing cells corrects the likelihood (incomplete grids in structured
 GP inference: Wilson, Gilboa, Nehorai & Cunningham 2014).  One solve in the modes
 applies ``(K + s2 I)^-1`` with that correction, for the likelihood and the posterior
@@ -60,8 +62,8 @@ import scipy.linalg
 from .exceptions import DataError, FactorizationError, NumericError
 from .graphs import Graph, fractional_from_graph
 from .kernels import (
-    KernelSpec, STPoint, _coordinates, _factors, _gram_and_derivatives, _process_covariances,
-    _reads_time_lengthscale, _scale, assemble_gram, shek_mean, swek_mean,
+    KernelSpec, STPoint, _coordinates, _factors, _gram_and_derivatives, _log_mu_by, _process_covariances,
+    _reads_time_lengthscale, _scale, _shek_chain, assemble_gram, shek_mean, swek_mean,
 )
 from .spectral import cholesky_jittered, eigendecompose_symmetric, invert_lower_triangular
 
@@ -76,6 +78,11 @@ _STALL_RTOL = 1e-10
 _MAX_LOG_STEP = math.log(1e3)
 # Restarts draw each log-hyperparameter uniformly from log(0.1) to log(10).
 _RESTART_LOG_RANGE = (math.log(0.1), math.log(10.0))
+# SHEK's missing-cell columns (_Markov) decay by up to s2 / q per step away from their time, so most of
+# their entries may be below this, and their products subnormal, which x86 computes in microcode (the
+# gradient at the wave-gappy window's fitted point took 2.5x as long).  They are set to zero: at any scale
+# the likelihood reaches, no sum they enter moves beyond round-off.
+_NEGLIGIBLE = 1e-150
 # What a failed likelihood or gradient evaluation raises.
 _EVAL_FAILURES = (NumericError, DataError, OverflowError, ValueError, np.linalg.LinAlgError)
 MEAN_POLICIES = ("zero", "per_node_training_mean")
@@ -336,7 +343,8 @@ class _Dense(_Factorization):
 
 class _Lattice(_Factorization):
     """On the points' vertex x time lattice: eigenbasis Q, the operator ``modes`` of every mode's ``A_i = K_i + s2
-    I`` over all T times (:class:`_Roots` for SHEK/SWEK, :class:`_Eigenbasis` for the other kinds), and ``alpha``,
+    I`` over all T times (:class:`_Markov` for SHEK, :class:`_Roots` for SWEK, :class:`_Eigenbasis` for the other
+    kinds), and ``alpha``,
     ``a = A_oo^-1 y`` in the modes; :meth:`_solve_modes` is the one place where a right-hand side meets
     ``A_oo^-1``.  Missing cells m get the same noise, so ``modes`` applies.  They lie at U distinct times, picked
     by S (T x U), and ``E_i = S P_i`` moves them into mode i, where ``P_i`` (U x M) puts cell c at its time with
@@ -348,8 +356,8 @@ class _Lattice(_Factorization):
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
-        self.modes = (_Roots if spec.kind in ("shek", "swek") else _Eigenbasis)(
-            spec, self.noise_variance, prep.graph, prep.times)
+        operator = {"shek": _Markov, "swek": _Roots}.get(spec.kind, _Eigenbasis)
+        self.modes = operator(spec, self.noise_variance, prep.graph, prep.times)
         self.basis, log_det = self.modes.spatial, self.modes.log_det
         if prep.n_missing:
             self.gain = self.modes.columns(prep.gaps[0])
@@ -386,7 +394,7 @@ class _Lattice(_Factorization):
 
 
 class _Roots:
-    """SHEK/SWEK's modes as inverse roots ``R_i = L_i^-1`` (n, T, T) from one batched Cholesky of their
+    """SWEK's modes as inverse roots ``R_i = L_i^-1`` (n, T, T) from one batched Cholesky of their
     ``A_i = K_i + s2 I``; ``terms`` forms the weight ``[a_i H_i] [a_i H_i]^T - A_i^-1`` in one array."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray):
@@ -413,6 +421,91 @@ class _Roots:
         weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
         weight -= np.swapaxes(self.roots, 1, 2) @ self.roots
         return [np.vdot(weight, d) for d in self.derivatives(names)], np.trace(weight, axis1=-2, axis2=-1).sum()
+
+
+class _Markov:
+    """SHEK's modes as the chains they are (:func:`kernels._shek_chain`): ``K_i = L^-1 D L^-T`` with L unit lower
+    bidiagonal, ``-phi_k`` below its diagonal, and ``D = diag(q)`` (Lindgren, Rue & Lindstrom 2011), so ``A_i^-1 =
+    L^T N^-1 L`` with the tridiagonal ``N = D + s2 L L^T`` and ``log|A_i| = log|N|``.  N is ``D^1/2 M D^1/2`` for
+    ``M = I + s2 B B^T``, with ``B = D^-1/2 L`` the root of the precision; it stays positive definite where q = 0
+    at t = 0, which leaves such a cell noise only, and tends to D as s2 falls, where ``B^T B + I / s2`` through
+    Woodbury would cancel.  The n modes stack into one tridiagonal of length n T with no coupling between them,
+    factorized ``L_N diag(d) L_N^T`` by one ``dpttrf``; each solve is one ``dpttrs`` or ``dtbtrs`` over the stack.
+
+    ``terms`` works in each mode's log rate.  A column ``w = A^-1 r`` of ``[a_i H_i]`` has ``w^T dK w = sum dq
+    x^2 + 2 sum dphi_k x_k (K w)_k-1`` with ``x = L^-T w = N^-1 L r``: for ``a`` from two bidiagonal solves, for
+    ``H = G P L_mm^-T`` from the ``N^-1 L S`` that :meth:`columns` solved for, with ``r = S P L_mm^-T`` and ``K w
+    = r - s2 w``.  ``tr(A^-1 dK) = tr(N^-1 dN)`` and ``tr(A^-1) = tr(N^-1 L L^T)`` read only the band of ``N^-1``
+    (Rue & Held 2005, ch. 2)."""
+
+    def __init__(self, spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray):
+        c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
+        frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
+        self.spatial, self.noise_variance = frac.basis, noise_variance
+        self.log_mu_by = _log_mu_by(frac.shifted_eigs, nu, kappa)
+        self.phi, self.q, self.d_phi, self.d_q = _shek_chain(frac.shifted_eigs, c, sigma, times)
+        # N's diagonal and, flattened, its sub-diagonal, zero between modes as phi is at each first time
+        diag = self.q + noise_variance * (1.0 + self.phi**2)
+        self.d, self.e, info = scipy.linalg.lapack.dpttrf(diag.ravel(), -noise_variance * self.phi.ravel()[1:])
+        if info:
+            raise FactorizationError(f"the SHEK chains' tridiagonal is not positive definite (dpttrf info {info})")
+        self.log_det = 0.5 * np.sum(np.log(self.d))
+
+    def _times_chain(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``L x``, or ``L^T x``, for an (n, T, k) ``x``, in one new array."""
+        near, far, kept = (slice(None, -1), slice(1, None), -1) if transpose else (slice(1, None), slice(None, -1), 0)
+        out = np.empty_like(x)
+        np.multiply(self.phi[:, 1:, None], x[:, far], out=out[:, near])
+        np.subtract(x[:, near], out[:, near], out=out[:, near])
+        out[:, kept] = x[:, kept]
+        return out
+
+    def _solve_tridiagonal(self, rhs: np.ndarray) -> np.ndarray:
+        """``N^-1 rhs`` for an (n, T, k) ``rhs``, which it may overwrite."""
+        x, info = scipy.linalg.lapack.dpttrs(self.d, self.e, rhs.reshape(-1, rhs.shape[-1]), overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpttrs failed with info {info}")
+        return np.ascontiguousarray(x.reshape(rhs.shape))  # dpttrs gives (n T, k) column by column
+
+    def solve(self, modes: np.ndarray) -> np.ndarray:
+        return self._times_chain(self._solve_tridiagonal(self._times_chain(modes)), transpose=True)
+
+    def columns(self, times: np.ndarray) -> np.ndarray:
+        chained = np.zeros(self.q.shape + times.shape)  # L S, entry by entry
+        picked, inner = np.arange(times.shape[0]), times < self.q.shape[1] - 1
+        chained[:, times, picked] = 1.0
+        chained[:, times[inner] + 1, picked[inner]] = -self.phi[:, times[inner] + 1]
+        self.picks = self._solve_tridiagonal(chained)  # N^-1 L S, which terms reads
+        self.picks[np.abs(self.picks) < _NEGLIGIBLE] = 0.0
+        return self._times_chain(self.picks, transpose=True)
+
+    def terms(self, names: Sequence[str], lattice: _Lattice) -> tuple[list, float]:
+        s2, alpha, chain = self.noise_variance, lattice.alpha, -self.phi.ravel()[1:]
+        x = _unit_lower_solve(chain, alpha, "T")
+        # per mode and time, sum_p x_kp^2 and sum_p x_k+1,p (K w)_kp over the columns w
+        squares = np.einsum("itp,itp->it", x, x)
+        steps = np.einsum("itp,itp->it", x[:, 1:], _unit_lower_solve(chain, self.q[:, :, None] * x, "N")[:, :-1])
+        cols_squared = np.vdot(alpha, alpha)
+        if lattice.prep.n_missing:
+            times, gram = lattice.prep.gaps[0], lattice.spread()
+            gram = gram @ gram.swapaxes(1, 2)  # P B_mm^-1 P^T, (n, U, U): x = picks P L_mm^-T, H = G P L_mm^-T
+            gram[np.abs(gram) < _NEGLIGIBLE] = 0.0
+            x = self.picks @ gram
+            squares += np.einsum("itu,itu->it", x, self.picks)
+            steps -= s2 * np.einsum("itu,itu->it", x[:, 1:], lattice.gain[:, :-1])  # K H = S P L_mm^-T - s2 H
+            inner = times < self.q.shape[1] - 1
+            steps[:, times[inner]] += x[:, times[inner] + 1, np.flatnonzero(inner)]
+            cols_squared += np.vdot(self._times_chain(x, transpose=True), lattice.gain)  # tr(H^T H)
+        # N^-1's band from L_N diag(d) L_N^T: S_kk - e_k^2 S_k+1,k+1 = 1/d_k and S_k,k+1 = -e_k S_k+1,k+1
+        s_diag = _unit_lower_solve(-self.e**2, 1.0 / self.d.reshape(self.q.shape), "T")
+        s_off = np.zeros_like(s_diag)  # S_k-1,k at k
+        s_off.ravel()[1:] = -self.e * s_diag.ravel()[1:]
+        per_mode = np.einsum("it,it->i", self.d_q, squares - s_diag)
+        per_mode += 2.0 * np.einsum("it,it->i", self.d_phi[:, 1:], steps)
+        per_mode -= 2.0 * s2 * np.einsum("it,it->i", self.d_phi, self.phi * s_diag - s_off)
+        inverse_trace = np.vdot(s_diag, 1.0 + self.phi**2) - 2.0 * np.vdot(s_off, self.phi)
+        return ([per_mode.sum() if name == "c" else per_mode @ self.log_mu_by[name] for name in names],
+                cols_squared - inverse_trace)
 
 
 class _Eigenbasis:
@@ -452,11 +545,24 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     eigenbasis on the full lattice, the likelihood factorizes into one
     small temporal problem per eigenmode, and a Schur complement corrects
     for the missing cells; otherwise the dense N x N path is used.  The dense
-    path and the SHEK/SWEK lattice factor through the jittered Cholesky
-    (:class:`_Roots`), the other kinds' lattice through one eigendecomposition
-    of K_t (:class:`_Eigenbasis`), and ``fit`` maximizes this same function.
+    path and the SWEK lattice factor through the jittered Cholesky
+    (:class:`_Roots`), the SHEK lattice through one tridiagonal factorization
+    of its modes' chains (:class:`_Markov`), which needs no jitter, the other
+    kinds' lattice through one eigendecomposition of K_t (:class:`_Eigenbasis`),
+    and ``fit`` maximizes this same function.
     """
     return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
+
+
+def _unit_lower_solve(below: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """``L^-1 rhs``, or ``L^-T rhs`` with ``trans="T"``, for the unit lower bidiagonal L with ``below`` under
+    its diagonal, over ``rhs`` with its leading axes flattened: one LAPACK ``dtbtrs``."""
+    band = np.ones((2, below.shape[0] + 1))  # L as a lower band; its unit diagonal is not read
+    band[1, :-1] = below
+    out, info = scipy.linalg.lapack.dtbtrs(band, rhs.reshape(band.shape[1], -1), uplo="L", trans=trans, diag="U")
+    if info:
+        raise np.linalg.LinAlgError(f"dtbtrs failed with info {info}")
+    return out.reshape(rhs.shape)
 
 
 def _missing_block(basis: np.ndarray, gain: np.ndarray, gaps: tuple) -> np.ndarray:
@@ -627,7 +733,7 @@ def _maximize(
 def _keep_freed_heap() -> None:
     """Let glibc keep freed blocks of up to 32 MB on its heap for reuse.
 
-    Each likelihood evaluation allocates and frees the same few (n, T, T) arrays.  Under
+    Each SWEK lattice evaluation allocates and frees the same few (n, T, T) arrays.  Under
     glibc's adaptive thresholds the heap is trimmed after an evaluation and the next one faults
     its pages back in, unless the process once freed a larger block: on the 10 % gappy 11 x 50
     wave lattice, 60,000 to 80,000 page faults per backtest round and up to twice its time.

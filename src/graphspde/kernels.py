@@ -10,7 +10,8 @@ Every kernel has one representation (Nikitin et al., arXiv:2111.08524):
 per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
 SHEK/SWEK evaluate those covariances in one place (``_process_covariances``),
-on a spectrum computed once per (graph, variant, operator); the spatial-only
+on a spectrum computed once per (graph, variant, operator), and SHEK's lattice
+reads each mode as the Markov chain it is (``_shek_chain``); the spatial-only
 and separable kinds are ``rho_i K_t(t, s)``, stated once by ``_factors``;
 ``_mode_variances`` reads the diagonal ``k_i(t, t)`` of either in closed form;
 ``_scale`` names each kind's scale.  Grams and blocks K(rows, columns) gather
@@ -266,6 +267,24 @@ def _shek_eig_dlog_rate(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, t
     m = np.minimum(t, s)
     rate = c * mu
     return -k * (1.0 + rate * gap) + sigma**2 * m * np.exp(-rate * (gap + 2.0 * m))
+
+
+def _shek_chain(mu: np.ndarray, c: float, sigma: float, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """SHEK per eigenvalue as the Ornstein-Uhlenbeck chain it is at ascending ``times``, (n, T) each.
+
+    From the zero state at t = 0, ``u(t_k) = phi_k u(t_{k-1}) + N(0, q_k)`` with ``h_k = t_k - t_{k-1}``,
+    ``t_0 = 0`` and rate ``a = c mu``: ``phi_k = exp(-a h_k)`` and ``q_k = sigma^2/(2a) (1 - exp(-2 a h_k))``,
+    with ``expm1`` as in :func:`_shek_eig`, so q = 0 at t = 0 (Rue & Held 2005, ch. 2).  The first
+    transition acts on the zero state and is returned as 0.  Also returned are both derivatives in log a
+    (or log mu, as in :func:`_shek_eig_dlog_rate`): ``-a h phi`` and ``sigma^2 h phi^2 - q``.
+    """
+    mu = mu.reshape(-1, 1)
+    rate, steps = c * mu, np.diff(times, prepend=0.0)[None]
+    phi = np.exp(-rate * steps)
+    q = sigma**2 / (2.0 * c) * (-np.expm1(-2.0 * rate * steps)) / mu
+    d_q = sigma**2 * steps * phi**2 - q
+    phi[:, 0] = 0.0
+    return phi, q, -rate * steps * phi, d_q
 
 
 def shek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: float) -> np.ndarray:
@@ -692,13 +711,18 @@ def _process_covariances(
     def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
         d_log_c = d_scalar(packed, mu, c, sigma, t, s)
         d_log_mu = mu_power * d_log_c
-        # mu_i = (shift + lam_i)^(nu / 2) with shift = 2 nu / kappa^2
-        shift = 2.0 * nu / kappa**2
-        shifted = mu ** (2.0 / nu)
-        log_mu_by = {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
+        log_mu_by = _log_mu_by(mu, nu, kappa)
         return (mirrored(d_log_c if name == "c" else d_log_mu * log_mu_by[name]) for name in wrt)
 
     return frac.basis, mirrored(packed), derivatives
+
+
+def _log_mu_by(mu: np.ndarray, nu: float, kappa: float) -> dict[str, np.ndarray]:
+    """The derivatives of each ``log mu_i`` in log nu and log kappa, for ``mu_i = (shift + lam_i)^(nu / 2)``
+    with ``shift = 2 nu / kappa^2``, the shifted eigenvalues of :func:`graphs.fractional_from_graph`."""
+    shift = 2.0 * nu / kappa**2
+    shifted = mu ** (2.0 / nu)
+    return {"nu": 0.5 * nu * (np.log(shifted) + shift / shifted), "kappa": -nu * shift / shifted}
 
 
 def assemble_gram(spec: KernelSpec, graph: Graph, points: Sequence[STPoint]) -> GramMatrix:

@@ -121,6 +121,25 @@ class TestGraphCsv:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: edge \\('b', 'c'\\) has non-positive weight"):
             load_graph_csv(path)
 
+    def test_self_loop_reports_line(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("src,dst,weight\na,b,1\nb,c,1\nc,c,1\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: self-loop at vertex 'c' is not allowed$"):
+            load_graph_csv(path)
+
+    @pytest.mark.parametrize("directed, repeat", [(False, "b,a"), (True, "a,b")])
+    def test_duplicate_edge_reports_line(self, tmp_path, directed, repeat):
+        # an undirected graph reads b,a as a,b again; a directed one reads it as a second edge
+        path = tmp_path / "g.csv"
+        if directed:
+            path.write_text("src,dst,weight\na,b,1\nb,c,1\nb,a,2\n")
+            assert len(load_graph_csv(path, directed=True).edges) == 3
+        path.write_text(f"src,dst,weight\na,b,1\nb,c,1\n{repeat},2\n")
+        src, dst = repeat.split(",")
+        message = f"^{re.escape(str(path))}:4: duplicate edge between '{src}' and '{dst}'$"
+        with pytest.raises(DataError, match=message):
+            load_graph_csv(path, directed=directed)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("from,to\na,b\n")

@@ -689,7 +689,8 @@ def theta_of(model: GPModel, names: list[str]) -> np.ndarray:
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}, "repeated", "sparse"])
 def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, kind, drop):
     # so do the dense path's: a repeated (vertex, time) pair, and M = 18 > N = 12; a separable
-    # kind's lengthscale derivative takes the K_t its value made
+    # kind's lengthscale derivative takes the K_t its value made; SHEK's lattice reads its chain
+    # (kernels._shek_chain) and evaluates no covariance at all
     rng = np.random.default_rng(10)
     graph = line_graph(5)
     data = grid_dataset(rng, graph, 6)
@@ -713,16 +714,17 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
     names = _optimizable_names(model.kernel, True) + ["noise"]
     grad = _evaluator(model, data, names)(theta_of(model, names)).gradient()
     assert np.all(np.isfinite(grad)) and np.all(grad[:-1] != 0.0)
-    assert len(calls) == 1
+    assert len(calls) == (0 if kind == "shek" and not isinstance(drop, str) else 1)
 
 
 @pytest.mark.parametrize("kind", ["shek", "matern-rbf"])
 @pytest.mark.parametrize("path", ["lattice", "dense"])
 def test_factorization_copies_no_covariances(kind, path):
     # one value on the 21 x 50 heat grid: the noise goes onto the covariances in place and no
-    # factorization keeps them, so the peak is the covariances and their factor (dense 2.0 Grams;
-    # shek 2.7 stacks with its evaluation's temporaries, matern-rbf 0.2, which forms no stack);
-    # one more copy of the covariances beside them would take at least 3.0 Grams or 3.1 stacks
+    # factorization keeps them, so the peak is the covariances and their factor (dense 2.0 Grams);
+    # on the lattice neither shek (0.25 stacks), which factorizes its chains' tridiagonal, nor
+    # matern-rbf (0.2) forms a stack; one more copy of the covariances beside them would take at
+    # least 3.0 Grams or 3.1 stacks
     _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
                                           timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.01)
@@ -760,12 +762,12 @@ def value_and_gradient_peak(model: GPModel, data: SpatioTemporalDataset, names: 
 
 
 def test_lattice_gradient_holds_one_derivative_at_a_time():
-    # 21 x 50 SHEK grid, every shaped name: the derivative maps yield one mirrored derivative at a
+    # 21 x 50 SWEK grid, every shaped name: the derivative maps yield one mirrored derivative at a
     # time and the weight drops the inverse it read, so the peak is 6.2 stacks; all four
-    # derivatives at once took 8.2
+    # derivatives at once took 8.2 (SHEK's lattice reads no derivative map)
     _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
                                           timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
-    model = GPModel(kernel=random_spec(np.random.default_rng(2), "shek"), noise_variance=0.01)
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), "swek"), noise_variance=0.01)
     peak = value_and_gradient_peak(model, data, ["c", "sigma", "nu", "kappa", "noise"])
     assert peak < 7.0, peak
 
@@ -773,9 +775,10 @@ def test_lattice_gradient_holds_one_derivative_at_a_time():
 @pytest.mark.parametrize("kind, bound", [("shek", 7.0), ("swek", 7.5), ("matern-rbf", 6.3)])
 def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
     # an 11 x 50 line, every tenth cell missing (M = 55): the weight takes H = G P L_mm^-T from the
-    # gain and is one product in one array, so the peaks are 5.9 (shek) and 6.9 (swek) stacks, and
-    # matern-rbf, which forms no weight, 3.8; scattering L_mm^-T back into the modes and applying
-    # A^-1 again, beside a second copy of the weight, took 8.2, 8.2 and 7.5
+    # gain and is one product in one array, so the peak is 6.9 stacks for swek, and matern-rbf, which
+    # forms no weight, 3.8; shek takes H's terms through the (n, U, U) Gram of P L_mm^-T and peaks at
+    # 6.1, holding the gain and its chains' N^-1 L S, (n, T, U) each; scattering L_mm^-T back into the
+    # modes and applying A^-1 again, beside a second copy of the weight, took 8.2, 8.2 and 7.5
     rng = np.random.default_rng(3)
     cells = [(v, 0.2 * a) for a in range(1, 51) for v in range(11)]
     data = SpatioTemporalDataset(graph=line_graph(11), observations=tuple(
@@ -806,7 +809,7 @@ def test_separable_value_and_gradient_hold_no_mode_stack(kind, complete, bound):
 
 def test_half_missing_lattice_holds_no_cell_by_cell_block_per_mode():
     # a 21 x 50 line with half its cells missing (M = 525 >> T): B_mm and the weight's H read
-    # the gain at the missing cells' times, so the peak of a value plus its gradient is 3.3
+    # the gain at the missing cells' times, so the peak of a value plus its gradient is 3.2
     # (n, T, M) arrays, against 4.2 for a rotation of the whole lattice; one (n, M, M) gather of
     # the gain would alone take 10.5
     rng = np.random.default_rng(4)
@@ -863,17 +866,20 @@ def test_fit_logs_the_likelihood_path(caplog):
 
 def test_jittered_cholesky_is_logged_with_its_path(caplog):
     # sigma 1e6 over the 1e-10 noise floor: eight times within round-off of each other make
-    # the SHEK modes singular to round-off, and a second reading of one cell does the same to
-    # the dense Gram
+    # the SWEK modes singular to round-off, and a second reading of one cell does the same to
+    # the dense Gram; SHEK's lattice factorizes its chains' tridiagonal, which stays positive
+    # definite at any step, so it makes no Cholesky, adds no jitter and logs nothing
     graph = line_graph(3)
     times = [1.0 + k * np.spacing(1.0) for k in range(8)]
     observations = tuple((STPoint(v, t), float(v + k)) for k, t in enumerate(times) for v in range(3))
     lattice = SpatioTemporalDataset(graph=graph, observations=observations)
     dense = replace(lattice, observations=observations + observations[:1])
-    spec = KernelSpec(kind="shek", hyper={"c": 1.0, "sigma": 1e6, "nu": 1.0, "kappa": 1.0})
+    spec = KernelSpec(kind="swek", hyper={"c": 1.0, "sigma": 1e6, "nu": 1.0, "kappa": 1.0})
     model = GPModel(kernel=spec, noise_variance=1e-10, mean_policy="zero")
+    shek = replace(model, kernel=replace(spec, kind="shek"))
     with caplog.at_level(logging.DEBUG, logger="graphspde"):
         log_marginal_likelihood(replace(model, noise_variance=0.1), lattice)
+        assert math.isfinite(log_marginal_likelihood(shek, lattice))
         assert caplog.records == []  # no jitter, no message
         assert math.isfinite(log_marginal_likelihood(model, lattice))
         assert math.isfinite(log_marginal_likelihood(model, dense))
@@ -888,19 +894,22 @@ SEPARABLE_GRID_KINDS = [kind for kind in GRID_KINDS if kind not in ("shek", "swe
 
 
 class CholeskyRoots(_Roots):
-    """The SHEK/SWEK operator of the lattice by the plainest route, for a spatial-only or separable
-    kind: its ``rho_i K_t`` stack (:func:`_factors`) plus the noise, each mode's plain Cholesky factor
-    L_i and its inverse as ``R_i``, ``log|A|`` from the factors' diagonals, and ``rho_i dK_t`` as the
+    """A lattice operator by the plainest route: each mode's covariances plus the noise (SHEK/SWEK's stack
+    from :func:`_process_covariances`, the other kinds' ``rho_i K_t`` from :func:`_factors`), each mode's plain
+    Cholesky factor L_i and its inverse as ``R_i``, ``log|A|`` from the factors' diagonals, and the stack's
     derivatives."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, graph, times: np.ndarray):
-        self.spatial, rho, temporal, d_temporal = _factors(spec, graph, times)
-        covs = rho[:, None, None] * temporal
+        if spec.kind in ("shek", "swek"):
+            self.spatial, covs, self.derivatives = _process_covariances(spec, graph, times)
+        else:
+            self.spatial, rho, temporal, d_temporal = _factors(spec, graph, times)
+            covs = rho[:, None, None] * temporal
+            self.derivatives = lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
         eye = np.eye(times.shape[0])
         factors = [scipy.linalg.cholesky(cov + noise_variance * eye, lower=True) for cov in covs]
         self.roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
         self.log_det = sum(np.sum(np.log(np.diag(factor))) for factor in factors)
-        self.derivatives = lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
 
 
 def lattice_answers(model: GPModel, data: SpatioTemporalDataset, query: list) -> tuple:
@@ -978,6 +987,140 @@ def test_separable_lattice_edge_cases_match_a_per_mode_cholesky(monkeypatch, edg
     assert math.isfinite(log_marginal_likelihood(model, data))
     check_matches_per_mode_cholesky(model, data, query_points(rng, data))
     assert calls == []
+
+
+def dense_answers(model: GPModel, data: SpatioTemporalDataset, query: list) -> tuple:
+    """:func:`lattice_answers` on the dense N x N path."""
+    prep = replace(_prepare(model, data), gaps=None)
+    point = _Dense(model.kernel, model.noise_variance, prep, _optimizable_names(model.kernel, True) + ["noise"])
+    shifted = [STPoint(p.vertex, p.time + prep.shift) for p in query]
+    correction, cov = graphspde.gp._condition(model, prep, shifted)
+    return point.lml, point.gradient(), prep.node_offsets[[p.vertex for p in query]] + correction, cov
+
+
+def check_shek_matches_cholesky_and_dense(model: GPModel, data: SpatioTemporalDataset, query: list) -> None:
+    """SHEK's lattice operator (``gp._Markov``, no covariance stack) gives the answers of a plain Cholesky of each
+    mode's covariances (:class:`CholeskyRoots` in its place) and of the dense path: the LML to 1e-12 relative,
+    the gradient in c, sigma, nu, kappa and the noise, and the posterior mean and covariance, each to 1e-12 of
+    its largest entry.  The stand-in must have run, for the likelihood and the posterior alike."""
+    answers = lattice_answers(model, data, query)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphspde.gp, "_Markov", lambda *args: calls.append(args[0].kind) or CholeskyRoots(*args))
+        cholesky = lattice_answers(model, data, query)
+    assert calls == ["shek"] * 2, calls
+    assert math.isfinite(answers[0]) and np.all(answers[1][:-1] != 0.0), answers[:2]
+    for reference in (cholesky, dense_answers(model, data, query)):
+        np.testing.assert_allclose(answers[0], reference[0], rtol=1e-12, atol=0.0)
+        for actual, expected in zip(answers[1:], reference[1:]):
+            assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)), (actual, expected)
+
+
+def drop_a_share(rng: np.random.Generator, data: SpatioTemporalDataset, share: str) -> SpatioTemporalDataset:
+    """``data`` complete, with a tenth of its cells missing at random (at least one), or with every other one."""
+    n, n_times = data.graph.n_vertices, len(data.times())
+    cells = [(v, a) for v in range(n) for a in range(n_times)]
+    if share == "complete":
+        return data
+    if share == "tenth":
+        return drop_cells(data, {cells[k] for k in rng.choice(len(cells), max(1, len(cells) // 10), replace=False)})
+    return drop_cells(data, {(v, a) for v, a in cells if (v + a) % 2})
+
+
+SHARES = ("complete", "tenth", "half")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), share=st.sampled_from(SHARES), floor=st.booleans())
+def test_shek_lattice_matches_a_per_mode_cholesky_and_the_dense_path(seed, share, floor):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, 6)
+    data = drop_a_share(rng, grid_dataset(rng, graph, int(rng.integers(2, 8))), share)
+    noise = 1e-10 if floor else float(rng.uniform(0.01, 0.5))
+    model = GPModel(kernel=random_spec(rng, "shek"), noise_variance=noise, mean_policy="zero")
+    check_shek_matches_cholesky_and_dense(model, data, query_points(rng, data))
+
+
+def shek_edge_case(edge: str) -> tuple[GPModel, SpatioTemporalDataset]:
+    """A SHEK model and a complete 5 x 7 lattice for one numerical edge case of the chain."""
+    rng = np.random.default_rng(15)
+    graph = line_graph(5)
+    times = [0.25, 0.5, 1.0, 1.5, 2.75, 3.0, 4.5]
+    hyper = {"c": 0.8, "sigma": 1.3, "nu": 1.5, "kappa": 2.0}
+    offset, noise = 1.0, 0.05
+    if edge == "time-zero":
+        offset = 0.0  # the earliest time moves to t = 0, where q = 0: those cells carry noise only
+    elif edge == "near-zero-modes":
+        hyper.update(nu=2.0, kappa=5e3)
+    elif edge == "fast-modes":
+        hyper["c"] = 1e3  # exp(-c mu h) underflows to 0 for the larger modes
+    elif edge == "irregular-steps":
+        times = [0.1, 0.1 + 1e-6, 0.7, 0.70001, 2.5, 9.0, 9.0 + 1e-9]
+    elif edge == "isolated-vertex":
+        graph = build_graph(["a", "b", "c", "d", "e"], [("a", "b", 1.0), ("b", "c", 0.5), ("c", "d", 2.0)])
+    elif edge == "noise-floor":
+        noise = 1e-10
+    points = [STPoint(v, t) for t in times for v in range(graph.n_vertices)]
+    data = SpatioTemporalDataset(graph=graph, observations=tuple(
+        (p, float(y)) for p, y in zip(points, rng.standard_normal(len(points)))))
+    model = GPModel(kernel=KernelSpec(kind="shek", hyper=hyper), noise_variance=noise, mean_policy="zero",
+                    time_offset=offset)
+    return model, data
+
+
+SHEK_EDGES = ["time-zero", "near-zero-modes", "fast-modes", "irregular-steps", "isolated-vertex", "noise-floor"]
+
+
+@pytest.mark.parametrize("edge", SHEK_EDGES)
+@pytest.mark.parametrize("share", SHARES)
+def test_shek_lattice_edge_cases_match_a_per_mode_cholesky_and_the_dense_path(monkeypatch, edge, share):
+    model, data = shek_edge_case(edge)
+    rng = np.random.default_rng(16)
+    data = drop_a_share(rng, data, share)
+    prep = _prepare(model, data)
+    frac = fractional_from_graph(data.graph, "unnormalized", model.kernel.hyper["nu"], model.kernel.hyper["kappa"])
+    if edge == "time-zero":
+        assert prep.times[0] == 0.0
+    if edge == "near-zero-modes":
+        assert frac.shifted_eigs.min() < 1e-6
+    if edge == "fast-modes":
+        assert np.any(np.exp(-model.kernel.hyper["c"] * frac.shifted_eigs * 0.25) == 0.0)
+    if edge == "isolated-vertex":
+        assert np.count_nonzero(frac.base_decomposition.eigenvalues < 1e-12) == 2
+    calls = []
+    monkeypatch.setattr(graphspde.gp, "cholesky_jittered", lambda a: calls.append(a.shape))
+    assert math.isfinite(_factorize(model.kernel, model.noise_variance, prep).lml)
+    assert calls == []  # the chain's tridiagonal needs no Cholesky and no jitter
+    monkeypatch.undo()
+    check_shek_matches_cholesky_and_dense(model, data, query_points(rng, data))
+
+
+@pytest.mark.parametrize("n_missing, bound", [(0, 30.0), (20, 8.0)])
+def test_shek_value_and_gradient_grow_linearly_in_the_times(n_missing, bound):
+    # one SHEK value plus gradient on a 21 x 1,000 line, complete or with 20 cells missing: the chain
+    # operator holds (n, T) arrays and, for U missing times, (n, T, U) columns, so the peak is a few
+    # n T (1 + U) floats, where one (n, T, T) stack would take 168 MB
+    rng = np.random.default_rng(5)
+    n, n_times = 21, 1000
+    cells = [(v, 0.2 * a) for a in range(1, n_times + 1) for v in range(n)]
+    missing = set(rng.choice(len(cells), n_missing, replace=False).tolist())
+    data = SpatioTemporalDataset(graph=line_graph(n), observations=tuple(
+        (STPoint(v, t), float(rng.standard_normal())) for k, (v, t) in enumerate(cells) if k not in missing))
+    model = GPModel(kernel=random_spec(np.random.default_rng(2), "shek"), noise_variance=0.05)
+    prep = _prepare(model, data)
+    assert prep.n_missing == n_missing
+    names = _optimizable_names(model.kernel, True) + ["noise"]
+    expected = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()  # warms the spectrum cache
+    tracemalloc.start()
+    try:
+        grad = _Lattice(model.kernel, model.noise_variance, prep, names).gradient()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(grad, expected)
+    assert np.all(np.isfinite(grad)) and np.all(grad[:-1] != 0.0)
+    floats = n * n_times * (1 + (prep.gaps[0].shape[0] if n_missing else 0))
+    assert peak < bound * 8 * floats, peak / (8 * floats)
 
 
 def query_points(rng: np.random.Generator, data: SpatioTemporalDataset) -> list:
