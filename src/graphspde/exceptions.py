@@ -16,8 +16,8 @@ class NumericError(RuntimeError):
 
 
 class FactorizationError(NumericError):
-    """A Cholesky factorization failed: after maximum jitter, or, for the
-    lattice likelihood's missing-cell block, which is never jittered, at once."""
+    """A Cholesky factorization failed: for sampling, after maximum jitter;
+    for a likelihood, which is never jittered, at once."""
 
 
 class StabilityError(NumericError):

@@ -9,8 +9,8 @@ time lattice: the T distinct shifted times, each point's time index and vertex, 
 M cells missing.  With no repeated (vertex, time) pair and up to M = N readings, the
 likelihood of every kernel kind splits into one T x T problem per eigenmode of the
 kernel's operator: SHEK's as the Ornstein-Uhlenbeck chain each mode is, one tridiagonal
-over all modes and times (:class:`_Markov`; Rue & Held 2005, ch. 2), SWEK's by one
-batched Cholesky over the (n, T, T) stack of ``kernels._process_covariances``
+over all modes and times (:class:`_Markov`; Rue & Held 2005, ch. 2), SWEK's through the
+inverses of the (n, T, T) stack of ``kernels._process_covariances`` plus the noise
 (:class:`_Roots`), the other kinds' ``rho_i K_t + s2 I`` in the eigenbasis of K_t
 (:class:`_Eigenbasis`; Saatci 2012, ch. 5); only SWEK's forms an (n, T, T) array on a
 complete grid.  Missing cells get the same noise, and a Schur complement on the
@@ -21,9 +21,10 @@ alike; both, and the gradient, are sums over the modes, so the order of the rows
 enters.  Other point sets take the dense N x N path, over the points sorted by time
 index, vertex and residual, so there too no bit depends on the rows' order.
 :func:`_factorize` makes that choice from the points alone and factorizes ``K + s2 I``
-once per theta; the LML, its exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen &
-Williams 2006, eq. 5.9), per eigenmode or over the N x N Gram, and the posterior of
-:func:`predict` and conditioned :func:`sample` (eqs. 2.25-2.26) all read those factors.
+once per theta, every Cholesky in place through :func:`_cholesky`, with no jitter; the
+LML, its exact gradient ``1/2 tr((a a^T - W) dK)`` (Rasmussen & Williams 2006, eq. 5.9),
+per eigenmode or over the N x N Gram, and the posterior of :func:`predict` and
+conditioned :func:`sample` (eqs. 2.25-2.26) all read those factors.
 ``fit`` logs the path, and how each start ended, at DEBUG on the ``graphspde`` logger,
 takes each gradient from the factorization of its line search's accepted trial, ends a
 start once an accepted step's gain, or a trial's predicted gain, falls to round-off, and
@@ -65,7 +66,7 @@ from .kernels import (
     KernelSpec, STPoint, _coordinates, _factors, _gram_and_derivatives, _log_mu_by, _process_covariances,
     _reads_time_lengthscale, _scale, _shek_chain, assemble_gram, shek_mean, swek_mean,
 )
-from .spectral import cholesky_jittered, eigendecompose_symmetric, invert_lower_triangular
+from .spectral import cholesky_jittered, eigendecompose_symmetric
 
 _LOG = logging.getLogger("graphspde")
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -307,34 +308,26 @@ class _Factorization:
 
 
 class _Dense(_Factorization):
-    """Over the N x N Gram K: the jittered factor L of ``K + s2 I``, with the noise added in place
-    on the Gram, ``a = (K + s2 I)^-1 y`` and K's ``derivatives``."""
+    """Over the N x N Gram K: the factor L of ``K + s2 I`` (:func:`_cholesky`), made in place of the Gram with
+    the noise added on it, ``a = (K + s2 I)^-1 y`` and K's ``derivatives``."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, prep: _Prepared, wrt: Sequence[str]):
         super().__init__(spec, noise_variance, prep, wrt)
         y = prep.y
-        noisy, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.coordinates)
-        noisy[np.diag_indices(y.shape[0])] += self.noise_variance
-        self.factor, jitter = cholesky_jittered(noisy)
-        if jitter:
-            _LOG.debug("dense likelihood over %d points: Cholesky jitter %.3g", y.shape[0], jitter)
+        self.factor, self.derivatives = _gram_and_derivatives(spec, prep.graph, prep.coordinates)
+        self.factor[np.diag_indices(y.shape[0])] += self.noise_variance
+        half_log_det = _cholesky(self.factor)
         self.alpha = self.solve(y)
         self.quad = float(y @ self.alpha)
-        self.lml = float(-0.5 * self.quad - np.sum(np.log(np.diag(self.factor))) - 0.5 * y.shape[0] * _LOG_2PI)
+        self.lml = float(-0.5 * self.quad - half_log_det - 0.5 * y.shape[0] * _LOG_2PI)
 
     def _terms(self, names: Sequence[str]) -> tuple[list, float]:
-        inv, info = scipy.linalg.lapack.dpotri(self.factor, lower=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
-        # dpotri overwrites L with W = (K + s2 I)^-1's lower triangle and zeros above: W = inv + inv^T - diag(inv)
-        weight = np.multiply.outer(self.alpha, self.alpha)
-        weight -= inv
-        weight -= inv.T
-        weight[np.diag_indices(self.alpha.shape[0])] += np.diag(inv)
-        return [np.vdot(weight, d) for d in self.derivatives(names)], np.trace(weight)
+        inverse, alpha = _invert(self.factor.copy()), self.alpha  # the weight a a^T - A^-1, term by term
+        terms = [alpha @ d @ alpha - np.vdot(inverse, d) for d in self.derivatives(names)]
+        return terms, alpha @ alpha - np.trace(inverse)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.factor, True), rhs, check_finite=False)
+        return scipy.linalg.cho_solve((self.factor.T, True), rhs, check_finite=False)
 
     def condition(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weights = self.solve(np.column_stack([self.prep.y, cross]))
@@ -361,8 +354,8 @@ class _Lattice(_Factorization):
         self.basis, log_det = self.modes.spatial, self.modes.log_det
         if prep.n_missing:
             self.gain = self.modes.columns(prep.gaps[0])
-            self.chol_mm = _missing_block(self.basis, self.gain, prep.gaps)
-            log_det += np.sum(np.log(np.diag(self.chol_mm)))
+            self.chol_mm, half_log_det = _missing_block(self.basis, self.gain, prep.gaps)
+            log_det += half_log_det
         y_modes = _to_modes(self.basis, prep.y[:, None], prep.cells, prep.times.shape[0])
         self.alpha = self._solve_modes(y_modes)  # (n, T, 1)
         self.quad = float(np.vdot(y_modes, self.alpha))
@@ -375,7 +368,7 @@ class _Lattice(_Factorization):
         if self.prep.n_missing:
             times, cells = self.prep.gaps
             b_m = _at_cells(self.basis, z[:, times], cells)  # E^T (A^-1 rhs)
-            b_m = scipy.linalg.cho_solve((self.chol_mm, True), b_m, check_finite=False)
+            b_m = scipy.linalg.cho_solve((self.chol_mm.T, True), b_m, check_finite=False)
             z -= self.gain @ _to_modes(self.basis, b_m, cells, len(times))
         return z
 
@@ -390,36 +383,34 @@ class _Lattice(_Factorization):
     def spread(self) -> np.ndarray:
         """The ``P L_mm^-T`` of ``H_i = G_i P_i L_mm^-T``, (n, U, M); made per call, so no frame holds it."""
         times, cells = self.prep.gaps
-        return _to_modes(self.basis, invert_lower_triangular(self.chol_mm[None])[0].T, cells, len(times))
+        inverse = scipy.linalg.lapack.dtrtri(self.chol_mm.T, lower=1)[0]  # L_mm^-1: L_mm's diagonal is positive
+        return _to_modes(self.basis, inverse.T, cells, len(times))
 
 
 class _Roots:
-    """SWEK's modes as inverse roots ``R_i = L_i^-1`` (n, T, T) from one batched Cholesky of their
-    ``A_i = K_i + s2 I``; ``terms`` forms the weight ``[a_i H_i] [a_i H_i]^T - A_i^-1`` in one array."""
+    """SWEK's modes through their inverses ``W_i = A_i^-1`` (n, T, T), made in place of the covariances plus the
+    noise, ``A_i = K_i + s2 I``, by :func:`_cholesky` and :func:`_invert`; ``terms`` forms the weight ``[a_i H_i]
+    [a_i H_i]^T - W_i`` in one array."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, graph: Graph, times: np.ndarray):
-        self.spatial, noisy, self.derivatives = _process_covariances(spec, graph, times)
+        self.spatial, self.inverse, self.derivatives = _process_covariances(spec, graph, times)
         diag = np.arange(times.shape[0])
-        noisy[:, diag, diag] += noise_variance
-        factor, jitter = cholesky_jittered(noisy)
-        del noisy  # nothing reads it again: it goes before the inverses are made
-        if jitter:
-            _LOG.debug("lattice likelihood over %d modes: Cholesky jitter %.3g", self.spatial.shape[1], jitter)
-        self.log_det = np.sum(np.log(np.diagonal(factor, axis1=1, axis2=2)))
-        self.roots = invert_lower_triangular(factor)
+        self.inverse[:, diag, diag] += noise_variance
+        self.log_det = _cholesky(self.inverse)
+        _invert(self.inverse)
 
     def solve(self, modes: np.ndarray) -> np.ndarray:
-        return np.swapaxes(self.roots, 1, 2) @ (self.roots @ modes)
+        return self.inverse @ modes
 
     def columns(self, times: np.ndarray) -> np.ndarray:
-        return np.swapaxes(self.roots, 1, 2) @ self.roots[:, :, times]
+        return self.inverse[:, :, times]
 
     def terms(self, names: Sequence[str], lattice: _Lattice) -> tuple[list, float]:
         weight = lattice.alpha
         if lattice.prep.n_missing:
             weight = np.concatenate([weight, lattice.gain @ lattice.spread()], axis=2)
-        weight = weight @ weight.swapaxes(1, 2)  # the product replaces [a H] before A^-1 is formed
-        weight -= np.swapaxes(self.roots, 1, 2) @ self.roots
+        weight = weight @ weight.swapaxes(1, 2)
+        weight -= self.inverse
         return [np.vdot(weight, d) for d in self.derivatives(names)], np.trace(weight, axis1=-2, axis2=-1).sum()
 
 
@@ -545,11 +536,12 @@ def log_marginal_likelihood(model: GPModel, data: SpatioTemporalDataset) -> floa
     eigenbasis on the full lattice, the likelihood factorizes into one
     small temporal problem per eigenmode, and a Schur complement corrects
     for the missing cells; otherwise the dense N x N path is used.  The dense
-    path and the SWEK lattice factor through the jittered Cholesky
-    (:class:`_Roots`), the SHEK lattice through one tridiagonal factorization
-    of its modes' chains (:class:`_Markov`), which needs no jitter, the other
-    kinds' lattice through one eigendecomposition of K_t (:class:`_Eigenbasis`),
-    and ``fit`` maximizes this same function.
+    path, the SWEK lattice (:class:`_Roots`) and the missing-cell correction
+    factor through one Cholesky with no jitter (:func:`_cholesky`), the SHEK
+    lattice through one tridiagonal factorization of its modes' chains
+    (:class:`_Markov`), the other kinds' lattice through one eigendecomposition
+    of K_t (:class:`_Eigenbasis`); where a factorization fails, this raises
+    :class:`FactorizationError`.  ``fit`` maximizes this same function.
     """
     return _factorize(model.kernel, model.noise_variance, _prepare(model, data)).lml
 
@@ -565,17 +557,44 @@ def _unit_lower_solve(below: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndar
     return out.reshape(rhs.shape)
 
 
-def _missing_block(basis: np.ndarray, gain: np.ndarray, gaps: tuple) -> np.ndarray:
+def _missing_block(basis: np.ndarray, gain: np.ndarray, gaps: tuple) -> tuple[np.ndarray, float]:
     """Cholesky factor of ``B_mm = E^T A^-1 E = sum_i P_i^T (S^T G_i) P_i`` over the M missing cells
-    ``gaps``, from the gain ``G = A^-1 S``: A^-1's columns at their U times, (n, T, U).  An
-    indefinite B_mm raises :class:`FactorizationError`; it is never jittered."""
+    ``gaps``, from the gain ``G = A^-1 S``: A^-1's columns at their U times, (n, T, U); and half its
+    log-determinant (:func:`_cholesky`)."""
     times, (at, vertices) = gaps
     spread = gain[:, times][:, :, at]  # (S^T G) P, (n, U, M)
     spread *= basis[vertices].T[:, None, :]
-    try:
-        return scipy.linalg.cholesky(_at_cells(basis, spread, (at, vertices)), lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"missing-cell block B_mm is not positive definite: {exc}") from exc
+    block = _at_cells(basis, spread, (at, vertices))
+    return block, _cholesky(block)
+
+
+def _cholesky(a: np.ndarray) -> float:
+    """``A = L L^T`` in place, by LAPACK ``dpotrf`` and with no jitter: every likelihood Cholesky goes through here.
+    ``a`` is one symmetric matrix or a (k, m, m) stack of them, C-ordered; afterwards each matrix's transpose, which is
+    Fortran-ordered and so is what LAPACK reads without a copy, holds L, with zeros above it.  Returns half the
+    log-determinant, summed over the stack.  A matrix that is not positive definite, or not finite, raises
+    :class:`FactorizationError`, which ``fit`` takes as an undefined point."""
+    if not (a.flags.c_contiguous and a.dtype == np.float64):  # else LAPACK would factorize a copy
+        raise TypeError(f"an in-place Cholesky needs a C-ordered float64 array, got a {a.dtype} one")
+    for k in np.ndindex(a.shape[:-2]):
+        info = scipy.linalg.lapack.dpotrf(a[k].T, lower=1, overwrite_a=1)[1]
+        if info:
+            raise FactorizationError(f"a likelihood matrix is not positive definite (dpotrf info {info})")
+    half_log_det = float(np.sum(np.log(np.diagonal(a, axis1=-2, axis2=-1))))
+    if not math.isfinite(half_log_det):
+        raise FactorizationError("a likelihood matrix is not finite")
+    return half_log_det
+
+
+def _invert(factor: np.ndarray) -> np.ndarray:
+    """``A^-1`` in place of each factor that :func:`_cholesky` left in ``factor``, by LAPACK ``dpotri``, both
+    triangles filled; returns ``factor``."""
+    for k in np.ndindex(factor.shape[:-2]):
+        scipy.linalg.lapack.dpotri(factor[k].T, lower=1, overwrite_c=1)  # L's diagonal is positive: no failure
+    factor += np.swapaxes(factor, -1, -2)  # one triangle onto the zeros across the diagonal
+    diag = np.arange(factor.shape[-1])
+    factor[..., diag, diag] *= 0.5
+    return factor
 
 
 def _to_modes(basis: np.ndarray, rhs: np.ndarray, cells: tuple[np.ndarray, np.ndarray], n_times: int) -> np.ndarray:
@@ -733,11 +752,13 @@ def _maximize(
 def _keep_freed_heap() -> None:
     """Let glibc keep freed blocks of up to 32 MB on its heap for reuse.
 
-    Each SWEK lattice evaluation allocates and frees the same few (n, T, T) arrays.  Under
-    glibc's adaptive thresholds the heap is trimmed after an evaluation and the next one faults
-    its pages back in, unless the process once freed a larger block: on the 10 % gappy 11 x 50
-    wave lattice, 60,000 to 80,000 page faults per backtest round and up to twice its time.
-    Other C libraries keep their own policy."""
+    Each SWEK lattice evaluation allocates and frees the same few (n, T, T) arrays: its
+    covariances, which become their inverses in place, their derivatives and the gradient's
+    weight.  Under glibc's adaptive thresholds the heap is trimmed after an evaluation and the
+    next one faults its pages back in, unless the process once freed a larger block: on the 10 %
+    gappy 11 x 50 wave lattice, 60,000 to 80,000 page faults per backtest round and up to twice
+    its time; the ``wave-gappy`` benchmark's window took 28 % longer without this call (8 of 8
+    pairs, 2-vCPU Xeon VM).  Other C libraries keep their own policy."""
     with contextlib.suppress(OSError, AttributeError, TypeError):
         libc = ctypes.CDLL(None)
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: smaller blocks come from the heap
@@ -824,8 +845,13 @@ def predict(
     query_points: Sequence[STPoint],
     full_cov: bool = False,
 ) -> PosteriorPrediction:
-    """Standard GP posterior at the query points given the training data."""
+    """Standard GP posterior at the query points given the training data, whose time shift they take (module
+    docstring): none may come before the first training time less ``model.time_offset`` (:class:`DataError`)."""
     prep = _prepare(model, train_data)
+    early = [p.time for p in query_points if p.time + prep.shift < 0.0]
+    if early:
+        raise DataError(f"query time {min(early)} is before {-prep.shift}, the earliest a query may take: the "
+                        f"first training time less the model's time_offset {model.time_offset}")
     correction, cov = _condition(model, prep, [STPoint(p.vertex, p.time + prep.shift) for p in query_points])
     mean = prep.node_offsets[[p.vertex for p in query_points]] + correction
     variance = np.clip(np.diag(cov).copy(), 0.0, None)
@@ -854,7 +880,8 @@ def sampling_moments(
     Without conditioning data this is the zero-mean prior at the raw
     (untransformed) times, and ``graph`` must be given.  For the SHEK/SWEK
     kernels, conditioning rows at t = 0 specify the deterministic initial
-    state u(0) (entering through the process mean); all rows are then
+    state u(0) (entering through the process mean), at most one row per
+    vertex (else :class:`DataError`); all rows are then
     conditioned on in the usual GP way around that mean.  Other kernels
     condition through :func:`predict`.
     """
@@ -872,9 +899,13 @@ def sampling_moments(
         frac = fractional_from_graph(
             graph, model.kernel.laplacian_variant, model.kernel.hyper["nu"], model.kernel.hyper["kappa"]
         )
-        u0 = np.zeros(graph.n_vertices)
+        u0, initial = np.zeros(graph.n_vertices), set()
         for point, y in condition_on.observations:
             if point.time == 0.0:
+                if point.vertex in initial:
+                    raise DataError(f"vertex {graph.labels[point.vertex]!r} has more than one conditioning row at "
+                                    "t = 0, where its value is the initial state u(0)")
+                initial.add(point.vertex)
                 u0[point.vertex] = y
         c = model.kernel.hyper["c"]
 

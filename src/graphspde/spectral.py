@@ -3,7 +3,7 @@
 Every covariance in this package is a function of one symmetric operator
 evaluated on its spectrum, so a single eigendecomposition feeds all of the
 matrix functions (exp, fractional powers, sqrt, cos/sin, inverses).  The
-jittered Cholesky used for sampling and GP solves lives here as well.
+jittered Cholesky that sampling uses lives here as well.
 """
 
 from __future__ import annotations
@@ -109,46 +109,12 @@ def cholesky_jittered(a: np.ndarray) -> tuple[np.ndarray, float]:
     Tries jitter 0 first, then escalates by decades from
     ``1e-10 * mean(diag(a))`` through eight decades.  Returns the factor and
     the jitter actually used; raises :class:`FactorizationError` if the
-    matrix is still indefinite at the maximum jitter.
-
-    A stack ``(..., n, n)`` is factorized in one batched call at jitter 0;
-    only if that fails does each matrix go through the ladder on its own.
-    The returned jitter is then the largest one any matrix used.
+    matrix is still indefinite at the maximum jitter.  Sampling uses it,
+    where a singular covariance is expected; no likelihood is jittered.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise FactorizationError("matrix contains non-finite entries")
-    if a.ndim == 2:
-        return _cholesky_ladder(a)
-    try:
-        return np.linalg.cholesky(a), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    factor = np.empty_like(a)
-    largest = 0.0
-    for index in np.ndindex(a.shape[:-2]):
-        factor[index], jitter = _cholesky_ladder(a[index])
-        largest = max(largest, jitter)
-    return factor, largest
-
-
-def invert_lower_triangular(factors: np.ndarray) -> np.ndarray:
-    """Inverses of a (k, n, n) stack of lower-triangular factors, each by
-    LAPACK's triangular inverse rather than a general LU; raises
-    ``LinAlgError`` where a factor is singular."""
-    inverse = np.empty_like(factors)
-    for k, factor in enumerate(factors):
-        # the transpose is the Fortran-ordered upper factor, which LAPACK takes without a copy
-        upper_inv, info = scipy.linalg.lapack.dtrtri(factor.T, lower=0)
-        inverse[k] = upper_inv.T
-        if info:
-            raise np.linalg.LinAlgError(f"dtrtri failed with info {info}")
-    return inverse
-
-
-def _cholesky_ladder(a: np.ndarray) -> tuple[np.ndarray, float]:
-    # One matrix at a time stays on scipy: at n = 504 it factorizes in
-    # 0.8 ms, against 1.5 ms for np.linalg.cholesky.
     n = a.shape[0]
     mean_diag = float(np.mean(np.diag(a))) if n else 0.0
     base = 1e-10 * mean_diag if mean_diag > 0 else 1e-10

@@ -9,6 +9,7 @@ import pytest
 from graphspde import (
     BacktestPlan,
     DataError,
+    FactorizationError,
     FitOptions,
     GPModel,
     KernelSpec,
@@ -234,6 +235,18 @@ class TestMaximizeStopRule:
         assert 0 < len(values) <= 200
 
 
+GAPPY_WAVE_MODEL = GPModel(kernel=KernelSpec(kind="swek", hyper={"c": 1.0, "sigma": 1.0, "nu": 2.5, "kappa": 1.0}),
+                           noise_variance=1e-2, mean_policy="zero")
+
+
+def gappy_wave_line() -> SpatioTemporalDataset:
+    """The 11 x 50 wave line with one reading per time missing."""
+    data = gen_wave_line(SyntheticSpec(kind="wave_line", n_nodes=11, coefficient=1.0,
+                                       timestamps=tuple(float(t) for t in range(1, 51)), noise_sd=0.02, seed=0))[1]
+    return replace(data, observations=tuple(
+        ob for ob in data.observations if ob[0].vertex != (int(ob[0].time) * 3) % 11))
+
+
 class TestMaximizeStepCap:
     """No line-search trial moves a log-hyperparameter further than ``_MAX_LOG_STEP`` from its iterate."""
 
@@ -250,13 +263,8 @@ class TestMaximizeStepCap:
         assert trials[1] <= graphspde.gp._MAX_LOG_STEP < 2.0 * trials[1]
 
     def test_no_trial_leaves_the_cap_on_a_gappy_wave_fit(self, monkeypatch):
-        # the 11 x 50 wave line with one reading per time missing; the uncapped
-        # unit step tries c = 1e-237 and sigma = 7e236 from the first start
-        data = gen_wave_line(SyntheticSpec(kind="wave_line", n_nodes=11, coefficient=1.0,
-                                           timestamps=tuple(float(t) for t in range(1, 51)),
-                                           noise_sd=0.02, seed=0))[1]
-        data = replace(data, observations=tuple(
-            ob for ob in data.observations if ob[0].vertex != (int(ob[0].time) * 3) % 11))
+        # the uncapped unit step tries c = 1e-237 and sigma = 7e236 from the first start
+        data = gappy_wave_line()
         iterate, distances = [None], []
         evaluator, maximize = graphspde.gp._evaluator, graphspde.gp._maximize
 
@@ -287,11 +295,27 @@ class TestMaximizeStepCap:
 
         monkeypatch.setattr(graphspde.gp, "_evaluator", recording_evaluator)
         monkeypatch.setattr(graphspde.gp, "_maximize", starting_maximize)
-        kernel = KernelSpec(kind="swek", hyper={"c": 1.0, "sigma": 1.0, "nu": 2.5, "kappa": 1.0})
-        model = GPModel(kernel=kernel, noise_variance=1e-2, mean_policy="zero")
-        result = fit(model, data, FitOptions(max_iters=60, restarts=0, grad_tol=1e-5))
+        result = fit(GAPPY_WAVE_MODEL, data, FitOptions(max_iters=60, restarts=0, grad_tol=1e-5))
         assert len(result.trace) > 10 and len(distances) >= len(result.trace)
         assert max(distances) <= graphspde.gp._MAX_LOG_STEP
+
+    def test_no_evaluation_of_a_gappy_wave_fit_fails_its_factorization(self, monkeypatch):
+        # under the benchmark's options: no likelihood is jittered, so a trial whose modes are
+        # singular to round-off would fail (FactorizationError) and count as an undefined point
+        evaluations, failures = [], []
+        factorize = graphspde.gp._factorize
+
+        def counting(*args):
+            evaluations.append(args[0].hyper)
+            try:
+                return factorize(*args)
+            except FactorizationError as exc:
+                failures.append((args[0].hyper, exc))
+                raise
+
+        monkeypatch.setattr(graphspde.gp, "_factorize", counting)
+        fit(GAPPY_WAVE_MODEL, gappy_wave_line(), FitOptions(max_iters=60, restarts=2, grad_tol=1e-5))
+        assert len(evaluations) > 20 and failures == []
 
 
 class TestStartRule:
@@ -452,6 +476,17 @@ class TestPredict:
         )
         assert np.all(pred.variance <= prior + 1e-8)
 
+    def test_a_query_before_the_earliest_shifted_time_is_a_data_error(self):
+        # training times 5 to 10 at time_offset 1 are shifted by -4, so a query may start at t = 4
+        graph = line_graph(3)
+        data = SpatioTemporalDataset(graph=graph, observations=tuple(
+            (STPoint(v, float(t)), float(v + t)) for t in range(5, 11) for v in range(3)))
+        model = GPModel(kernel=shek_spec(), noise_variance=0.01)
+        with pytest.raises(DataError, match=r"^query time 2\.0 is before 4\.0, the earliest a query may take"):
+            predict(model, data, [STPoint(0, 6.0), STPoint(1, 2.0)])
+        pred = predict(model, data, [STPoint(1, 4.0), STPoint(1, 6.0)])  # at the shifted t = 0
+        assert np.all(np.isfinite(pred.mean)) and pred.variance[0] == 0.0 < pred.variance[1]
+
     def test_fit_and_predict_ignore_row_order(self):
         # per-node means are correctly rounded sums, and the lattice sums over its modes
         rng = np.random.default_rng(4)
@@ -504,6 +539,15 @@ class TestSample:
         mean, _ = sampling_moments(model, points, condition, graph=graph)
         draws = sample(model, points, 50, seed=3, condition_on=condition, graph=graph)
         assert np.max(np.abs(draws - mean)) <= 1e-4
+
+    @pytest.mark.parametrize("values", [(1.0, 5.0), (5.0, 1.0)])
+    def test_two_initial_states_at_one_vertex_are_a_data_error(self, values):
+        # u(0) at v00 would be whichever row came last
+        graph = line_graph(3)
+        condition = SpatioTemporalDataset(graph=graph, observations=tuple((STPoint(0, 0.0), y) for y in values))
+        model = GPModel(kernel=shek_spec(), noise_variance=1e-8)
+        with pytest.raises(DataError, match="^vertex 'v00' has more than one conditioning row at t = 0"):
+            sampling_moments(model, [STPoint(0, 0.0), STPoint(0, 0.5)], condition)
 
     def test_heat_start_condition_shapes(self):
         # conditioned on u(0) = (0, 0, 10) on a 3-node path with a weakly

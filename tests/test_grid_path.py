@@ -41,7 +41,7 @@ from graphspde import (
 )
 from graphspde.experiments import _data_scaled_spec
 from graphspde.gp import (
-    _Dense, _Lattice, _Roots, _evaluator, _factorize, _missing_block, _optimizable_names, _prepare
+    _Dense, _Lattice, _Roots, _cholesky, _evaluator, _factorize, _invert, _missing_block, _optimizable_names, _prepare
 )
 from graphspde.graphs import build_graph
 from graphspde.kernels import _SWEK_SERIES, _factors, _mode_variances, _process_covariances, _scale
@@ -595,6 +595,65 @@ def test_gappy_fit_assembles_no_gram(monkeypatch):
     )
 
 
+def test_the_likelihood_cholesky_works_in_place_and_never_jitters():
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((3, 6, 6))
+    stack = base @ base.swapaxes(1, 2) + 6.0 * np.eye(6)
+    for a in (stack, stack[1]):
+        work = a.copy()
+        half_log_det = _cholesky(work)
+        factor = np.swapaxes(work, -1, -2)  # each matrix's transpose holds its L
+        np.testing.assert_array_equal(factor, np.tril(factor))
+        np.testing.assert_allclose(factor @ work, a, rtol=1e-13)
+        np.testing.assert_allclose(half_log_det, 0.5 * np.sum(np.linalg.slogdet(a)[1]), rtol=1e-13)
+        assert _invert(work) is work
+        np.testing.assert_array_equal(work, np.swapaxes(work, -1, -2))
+        np.testing.assert_allclose(work, np.linalg.inv(a), rtol=1e-10, atol=1e-14)
+    for copied in (np.asfortranarray(stack[1]), stack[:, ::2, ::2], stack[1].astype(np.float32)):
+        with pytest.raises(TypeError):  # LAPACK would factorize a copy, not the array
+            _cholesky(copied)
+    singular = np.ones((2, 2))  # positive semi-definite: a jitter would have factorized it
+    for bad in (singular, np.diag([1.0, -5.0]), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([np.inf, 1.0])):
+        with pytest.raises(FactorizationError):
+            _cholesky(bad.copy())
+        with pytest.raises(FactorizationError):
+            _cholesky(np.stack([np.eye(2), bad]))
+
+
+def test_the_likelihood_cholesky_factorizes_a_stack_as_each_matrix_alone():
+    # the stack is factorized matrix by matrix: each member's factor is the one it gets on its own,
+    # bit for bit, and the stack's half log-determinant is the sum of the members'
+    rng = np.random.default_rng(13)
+    base = rng.standard_normal((4, 5, 5))
+    stack = base @ base.swapaxes(1, 2) + np.linspace(0.1, 10.0, 4)[:, None, None] * np.eye(5)
+    work = stack.copy()
+    half_log_det = _cholesky(work)
+    alone = [stack[k].copy() for k in range(4)]
+    halves = [_cholesky(member) for member in alone]
+    for k in range(4):
+        np.testing.assert_array_equal(work[k], alone[k])
+    np.testing.assert_allclose(half_log_det, sum(halves), rtol=1e-14)
+    np.testing.assert_array_equal(_invert(work), np.stack([_invert(member) for member in alone]))
+
+
+def test_the_missing_cell_block_is_the_lattice_inverse_at_those_cells():
+    # B_mm = E^T A^-1 E with A^-1 = sum_i (u_i u_i^T) (x) A_i^-1 over (vertex, time), factorized in place
+    rng = np.random.default_rng(15)
+    n, n_times = 4, 6
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    base = rng.standard_normal((n, n_times, n_times))
+    inverse = np.linalg.inv(base @ base.swapaxes(1, 2) + n_times * np.eye(n_times))
+    times = np.array([1, 3, 4])  # the U times with a missing cell
+    at, vertices = np.array([0, 1, 1, 2, 2]), np.array([2, 0, 3, 1, 2])  # M = 5 cells (U index, vertex)
+    block, half_log_det = _missing_block(basis, inverse[:, :, times].copy(), (times, (at, vertices)))
+    t = times[at]
+    expected = np.einsum("ai,bi,iab->ab", basis[vertices], basis[vertices], inverse[:, t][:, :, t])
+    factor = block.T
+    np.testing.assert_array_equal(factor, np.tril(factor))
+    np.testing.assert_allclose(factor @ block, expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(half_log_det, 0.5 * np.linalg.slogdet(expected)[1], rtol=1e-12)
+
+
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
 def test_fit_factorizes_once_per_value_and_never_for_a_gradient(monkeypatch, drop):
     rng = np.random.default_rng(9)
@@ -602,7 +661,7 @@ def test_fit_factorizes_once_per_value_and_never_for_a_gradient(monkeypatch, dro
     data = drop_cells(grid_dataset(rng, graph, 6), drop)
     model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
     events = []
-    cholesky, factorize = graphspde.gp.cholesky_jittered, graphspde.gp._factorize
+    cholesky, factorize = graphspde.gp._cholesky, graphspde.gp._factorize
     gradient = graphspde.gp._Factorization.gradient
 
     def logged(event, fun):
@@ -612,15 +671,17 @@ def test_fit_factorizes_once_per_value_and_never_for_a_gradient(monkeypatch, dro
 
         return wrapped
 
-    monkeypatch.setattr(graphspde.gp, "cholesky_jittered", logged("cholesky", cholesky))
+    monkeypatch.setattr(graphspde.gp, "_cholesky", logged("cholesky", cholesky))
     monkeypatch.setattr(graphspde.gp, "_factorize", logged("value", factorize))
     monkeypatch.setattr(graphspde.gp._Factorization, "gradient", logged("gradient", gradient))
     calls = count_grams(monkeypatch)
     fit(model, data, FitOptions(max_iters=20, restarts=1))
     assert calls == [] and events.count("gradient") > 0
-    # each value evaluation makes one Cholesky, and nothing else makes any
-    assert events.count("cholesky") == events.count("value")
-    assert all(events[k + 1] == "cholesky" for k, event in enumerate(events) if event == "value")
+    # each value evaluation makes one Cholesky of the modes' stack, and with missing cells one of
+    # B_mm, and nothing else makes any
+    per_value = ["cholesky"] * (2 if drop else 1)
+    assert events.count("cholesky") == len(per_value) * events.count("value")
+    assert all(events[k + 1:k + 1 + len(per_value)] == per_value for k, event in enumerate(events) if event == "value")
 
 
 @pytest.mark.parametrize("kind", GRID_KINDS)
@@ -720,18 +781,18 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
 @pytest.mark.parametrize("kind", ["shek", "matern-rbf"])
 @pytest.mark.parametrize("path", ["lattice", "dense"])
 def test_factorization_copies_no_covariances(kind, path):
-    # one value on the 21 x 50 heat grid: the noise goes onto the covariances in place and no
-    # factorization keeps them, so the peak is the covariances and their factor (dense 2.0 Grams);
-    # on the lattice neither shek (0.25 stacks), which factorizes its chains' tridiagonal, nor
-    # matern-rbf (0.2) forms a stack; one more copy of the covariances beside them would take at
-    # least 3.0 Grams or 3.1 stacks
+    # one value on the 21 x 50 heat grid: the noise goes onto the Gram in place and the Cholesky
+    # factorizes it in place, so the dense peak is the Gram and its gather's temporaries (1.33 Grams
+    # for shek, 1.25 for matern-rbf; a factor beside the Gram took 2.0); on the lattice neither shek
+    # (0.25 stacks), which factorizes its chains' tridiagonal, nor matern-rbf (0.2) forms a stack;
+    # one more copy of the covariances beside them would take at least 2.25 Grams or 3.1 stacks
     _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
                                           timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
     model = GPModel(kernel=random_spec(np.random.default_rng(2), kind), noise_variance=0.01)
     prep = _prepare(model, data)
     assert prep.gaps is not None and prep.n_missing == 0
     if path == "dense":
-        prep, unit, bound = replace(prep, gaps=None), 8 * 1050**2, 2.5
+        prep, unit, bound = replace(prep, gaps=None), 8 * 1050**2, 1.8
     else:
         unit, bound = 8 * 21 * 50 * 50, 3.0
     expected = _factorize(model.kernel, model.noise_variance, prep).lml  # warms the spectrum cache
@@ -864,11 +925,11 @@ def test_fit_logs_the_likelihood_path(caplog):
     assert "fit: dense likelihood over 11 points" in messages
 
 
-def test_jittered_cholesky_is_logged_with_its_path(caplog):
+def test_near_coincident_times_fail_the_cholesky_unjittered_and_log_nothing(caplog):
     # sigma 1e6 over the 1e-10 noise floor: eight times within round-off of each other make
     # the SWEK modes singular to round-off, and a second reading of one cell does the same to
-    # the dense Gram; SHEK's lattice factorizes its chains' tridiagonal, which stays positive
-    # definite at any step, so it makes no Cholesky, adds no jitter and logs nothing
+    # the dense Gram; no likelihood adds jitter, so both fail as undefined points; SHEK's lattice
+    # factorizes its chains' tridiagonal, which stays positive definite at any step
     graph = line_graph(3)
     times = [1.0 + k * np.spacing(1.0) for k in range(8)]
     observations = tuple((STPoint(v, t), float(v + k)) for k, t in enumerate(times) for v in range(3))
@@ -878,16 +939,12 @@ def test_jittered_cholesky_is_logged_with_its_path(caplog):
     model = GPModel(kernel=spec, noise_variance=1e-10, mean_policy="zero")
     shek = replace(model, kernel=replace(spec, kind="shek"))
     with caplog.at_level(logging.DEBUG, logger="graphspde"):
-        log_marginal_likelihood(replace(model, noise_variance=0.1), lattice)
+        assert math.isfinite(log_marginal_likelihood(replace(model, noise_variance=0.1), lattice))
         assert math.isfinite(log_marginal_likelihood(shek, lattice))
-        assert caplog.records == []  # no jitter, no message
-        assert math.isfinite(log_marginal_likelihood(model, lattice))
-        assert math.isfinite(log_marginal_likelihood(model, dense))
-    messages = [r.getMessage() for r in caplog.records if r.name == "graphspde"]
-    assert len(messages) == 2, messages
-    assert messages[0].startswith("lattice likelihood over 3 modes: Cholesky jitter ")
-    assert messages[1].startswith("dense likelihood over 25 points: Cholesky jitter ")
-    assert all(float(message.rsplit(" ", 1)[1]) > 0 for message in messages)
+        for data in (lattice, dense):
+            with pytest.raises(FactorizationError):
+                log_marginal_likelihood(model, data)
+    assert caplog.records == []
 
 
 SEPARABLE_GRID_KINDS = [kind for kind in GRID_KINDS if kind not in ("shek", "swek")]
@@ -896,7 +953,7 @@ SEPARABLE_GRID_KINDS = [kind for kind in GRID_KINDS if kind not in ("shek", "swe
 class CholeskyRoots(_Roots):
     """A lattice operator by the plainest route: each mode's covariances plus the noise (SHEK/SWEK's stack
     from :func:`_process_covariances`, the other kinds' ``rho_i K_t`` from :func:`_factors`), each mode's plain
-    Cholesky factor L_i and its inverse as ``R_i``, ``log|A|`` from the factors' diagonals, and the stack's
+    Cholesky factor L_i and ``A_i^-1 = L_i^-T L_i^-1``, ``log|A|`` from the factors' diagonals, and the stack's
     derivatives."""
 
     def __init__(self, spec: KernelSpec, noise_variance: float, graph, times: np.ndarray):
@@ -908,7 +965,8 @@ class CholeskyRoots(_Roots):
             self.derivatives = lambda wrt: (rho[:, None, None] * d_temporal() for _ in wrt)
         eye = np.eye(times.shape[0])
         factors = [scipy.linalg.cholesky(cov + noise_variance * eye, lower=True) for cov in covs]
-        self.roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
+        roots = np.array([scipy.linalg.solve_triangular(factor, eye, lower=True) for factor in factors])
+        self.inverse = np.swapaxes(roots, 1, 2) @ roots
         self.log_det = sum(np.sum(np.log(np.diag(factor))) for factor in factors)
 
 
@@ -965,7 +1023,7 @@ def edge_spec(edge: str) -> KernelSpec:
 def test_separable_lattice_edge_cases_match_a_per_mode_cholesky(monkeypatch, edge, mask):
     # the Laplacian kernel's zero-rho null modes (two with an isolated vertex), the spatial-only
     # K_t = 1 1^T, and an RBF lengthscale so long that K_t is singular to round-off: the one
-    # eigendecomposition of K_t needs no Cholesky and no jitter for any of them
+    # eigendecomposition of K_t needs no Cholesky for any of them; only the missing cells' B_mm takes one
     rng = np.random.default_rng(14)
     graph = line_graph(5)
     if edge == "isolated-vertex":
@@ -982,11 +1040,11 @@ def test_separable_lattice_edge_cases_match_a_per_mode_cholesky(monkeypatch, edg
         eigenvalues = np.linalg.eigvalsh(temporal)  # K_t = v (1 - D / 2 l^2 + O(l^-4)), D of rank 3
         assert np.max(np.abs(eigenvalues[:3])) <= 1e-14 * eigenvalues[-1], eigenvalues
     model = GPModel(kernel=spec, noise_variance=0.07, mean_policy="zero")
-    calls = []
-    monkeypatch.setattr(graphspde.gp, "cholesky_jittered", lambda a: calls.append(a.shape))
+    calls, cholesky, n_missing = [], graphspde.gp._cholesky, _prepare(model, data).n_missing
+    monkeypatch.setattr(graphspde.gp, "_cholesky", lambda a: calls.append(a.shape) or cholesky(a))
     assert math.isfinite(log_marginal_likelihood(model, data))
     check_matches_per_mode_cholesky(model, data, query_points(rng, data))
-    assert calls == []
+    assert set(calls) <= {(n_missing, n_missing)}, calls
 
 
 def dense_answers(model: GPModel, data: SpatioTemporalDataset, query: list) -> tuple:
@@ -1087,10 +1145,10 @@ def test_shek_lattice_edge_cases_match_a_per_mode_cholesky_and_the_dense_path(mo
         assert np.any(np.exp(-model.kernel.hyper["c"] * frac.shifted_eigs * 0.25) == 0.0)
     if edge == "isolated-vertex":
         assert np.count_nonzero(frac.base_decomposition.eigenvalues < 1e-12) == 2
-    calls = []
-    monkeypatch.setattr(graphspde.gp, "cholesky_jittered", lambda a: calls.append(a.shape))
+    calls, cholesky = [], graphspde.gp._cholesky
+    monkeypatch.setattr(graphspde.gp, "_cholesky", lambda a: calls.append(a.shape) or cholesky(a))
     assert math.isfinite(_factorize(model.kernel, model.noise_variance, prep).lml)
-    assert calls == []  # the chain's tridiagonal needs no Cholesky and no jitter
+    assert set(calls) <= {(prep.n_missing, prep.n_missing)}, calls  # the chains' tridiagonal needs no Cholesky
     monkeypatch.undo()
     check_shek_matches_cholesky_and_dense(model, data, query_points(rng, data))
 
@@ -1187,6 +1245,15 @@ def test_conditioned_process_moments_match_the_joint_gram(seed, kind, mask):
     data = replace(data, observations=tuple((STPoint(p.vertex, p.time - start), y) for p, y in data.observations))
     spec = random_spec(rng, kind)
     model = GPModel(kernel=spec, noise_variance=float(rng.uniform(0.05, 0.5)))
+    first = {}  # a second reading at t = 0 would give its vertex a second initial state
+    for k, (p, _) in enumerate(data.observations):
+        if p.time == 0.0:
+            first.setdefault(p.vertex, k)
+    kept = tuple(ob for k, ob in enumerate(data.observations) if ob[0].time != 0.0 or first[ob[0].vertex] == k)
+    if len(kept) < len(data.observations):
+        with pytest.raises(DataError, match="more than one conditioning row at t = 0"):
+            sampling_moments(model, [STPoint(0, 1.0)], condition_on=data)
+        data = replace(data, observations=kept)
     frac = fractional_from_graph(graph, spec.laplacian_variant, spec.hyper["nu"], spec.hyper["kappa"])
     u0 = np.zeros(graph.n_vertices)
     for p, y in data.observations:

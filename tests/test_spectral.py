@@ -13,7 +13,6 @@ from graphspde import (
     matrix_function,
     pseudoinverse,
 )
-from graphspde.spectral import invert_lower_triangular
 
 
 def _random_symmetric(rng, n):
@@ -159,57 +158,8 @@ class TestCholeskyJittered:
         np.array([[4.0, 2.0], [2.0, 2.0]]),  # jitter 0
         np.array([[1.0, 1.0], [1.0, 1.0]]),  # climbs the ladder
         np.asfortranarray([[4.0, 2.0], [2.0, 2.0]]),
-        np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]),  # stack, then per-matrix ladder
     ])
     def test_input_is_not_mutated(self, a):
         before = a.copy()
         cholesky_jittered(a)
         np.testing.assert_array_equal(a, before)
-
-
-class TestStackedCholeskyJittered:
-    def _spd_stack(self, rng, shape, n):
-        base = rng.standard_normal(shape + (n, n))
-        return base @ np.swapaxes(base, -1, -2) + n * np.eye(n)
-
-    def test_stack_matches_per_matrix_calls(self):
-        rng = np.random.default_rng(0)
-        stack = self._spd_stack(rng, (2, 3), 5)
-        factor, jitter = cholesky_jittered(stack)
-        assert factor.shape == stack.shape
-        assert jitter == 0.0
-        for index in np.ndindex(2, 3):
-            single, single_jitter = cholesky_jittered(stack[index])
-            assert single_jitter == 0.0
-            np.testing.assert_allclose(factor[index], single, rtol=1e-12, atol=1e-14)
-
-    def test_returns_largest_jitter_and_leaves_other_matrices_unshifted(self):
-        rng = np.random.default_rng(1)
-        stack = self._spd_stack(rng, (4,), 2)
-        stack[2] = [[1.0, 1.0], [1.0, 1.0]]  # singular: needs jitter on its own
-        factor, jitter = cholesky_jittered(stack)
-        _, needed = cholesky_jittered(stack[2])
-        assert jitter == needed > 0.0
-        for k in (0, 1, 3):
-            np.testing.assert_allclose(factor[k], cholesky_jittered(stack[k])[0], rtol=1e-12)
-        np.testing.assert_allclose(factor[2] @ factor[2].T, stack[2] + needed * np.eye(2), rtol=1e-12)
-
-    def test_indefinite_member_raises(self):
-        stack = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, -5.0]])])
-        with pytest.raises(FactorizationError):
-            cholesky_jittered(stack)
-
-
-class TestInvertLowerTriangular:
-    def test_matches_general_inverse(self):
-        rng = np.random.default_rng(2)
-        base = rng.standard_normal((3, 6, 6))
-        factors = np.linalg.cholesky(base @ np.swapaxes(base, 1, 2) + 6 * np.eye(6))
-        inverse = invert_lower_triangular(factors)
-        np.testing.assert_allclose(inverse, np.linalg.inv(factors), rtol=1e-12, atol=1e-14)
-        assert np.all(np.triu(inverse, 1) == 0.0)
-
-    def test_singular_factor_raises(self):
-        factors = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])])
-        with pytest.raises(np.linalg.LinAlgError):
-            invert_lower_triangular(factors)
