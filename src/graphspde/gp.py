@@ -64,7 +64,7 @@ from .exceptions import DataError, FactorizationError, NumericError
 from .graphs import Graph, fractional_from_graph
 from .kernels import (
     KernelSpec, STPoint, _coordinates, _factors, _gram_and_derivatives, _log_mu_by, _process_covariances,
-    _reads_time_lengthscale, _scale, _shek_chain, assemble_gram, shek_mean, swek_mean,
+    _reads_time_lengthscale, _scale, _shek_chain, _symmetrize, assemble_gram, shek_mean, swek_mean,
 )
 from .spectral import cholesky_jittered, eigendecompose_symmetric
 
@@ -560,11 +560,13 @@ def _unit_lower_solve(below: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndar
 def _missing_block(basis: np.ndarray, gain: np.ndarray, gaps: tuple) -> tuple[np.ndarray, float]:
     """Cholesky factor of ``B_mm = E^T A^-1 E = sum_i P_i^T (S^T G_i) P_i`` over the M missing cells
     ``gaps``, from the gain ``G = A^-1 S``: A^-1's columns at their U times, (n, T, U); and half its
-    log-determinant (:func:`_cholesky`)."""
+    log-determinant (:func:`_cholesky`).  The product's two triangles differ at round-off, so it is
+    averaged with its transpose: the factor then reads the same bits from either triangle."""
     times, (at, vertices) = gaps
     spread = gain[:, times][:, :, at]  # (S^T G) P, (n, U, M)
     spread *= basis[vertices].T[:, None, :]
     block = _at_cells(basis, spread, (at, vertices))
+    _symmetrize(block)
     return block, _cholesky(block)
 
 
@@ -757,8 +759,9 @@ def _keep_freed_heap() -> None:
     weight.  Under glibc's adaptive thresholds the heap is trimmed after an evaluation and the
     next one faults its pages back in, unless the process once freed a larger block: on the 10 %
     gappy 11 x 50 wave lattice, 60,000 to 80,000 page faults per backtest round and up to twice
-    its time; the ``wave-gappy`` benchmark's window took 28 % longer without this call (8 of 8
-    pairs, 2-vCPU Xeon VM).  Other C libraries keep their own policy."""
+    its time.  With SWEK's covariances built from their rank-2 generators, the ``wave-gappy``
+    benchmark's window still took 29 % longer without this call (median of 8 pairs,
+    slower in 7 of them, 2-vCPU Xeon VM).  Other C libraries keep their own policy."""
     with contextlib.suppress(OSError, AttributeError, TypeError):
         libc = ctypes.CDLL(None)
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: smaller blocks come from the heap

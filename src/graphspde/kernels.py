@@ -10,8 +10,9 @@ Every kernel has one representation (Nikitin et al., arXiv:2111.08524):
 per eigenmode i of one symmetric operator, a temporal covariance
 ``k_i(t, s)``, and ``Cov[u_x(t), u_y(s)] = sum_i q_i(x) k_i(t, s) q_i(y)``.
 SHEK/SWEK evaluate those covariances in one place (``_process_covariances``),
-on a spectrum computed once per (graph, variant, operator), and SHEK's lattice
-reads each mode as the Markov chain it is (``_shek_chain``); the spatial-only
+on a spectrum computed once per (graph, variant, operator), SWEK's as outer
+products of the wave's rank-2 generators (``_swek_generators``), and SHEK's
+lattice reads each mode as the Markov chain it is (``_shek_chain``); the spatial-only
 and separable kinds are ``rho_i K_t(t, s)``, stated once by ``_factors``;
 ``_mode_variances`` reads the diagonal ``k_i(t, t)`` of either in closed form;
 ``_scale`` names each kind's scale.  Grams and blocks K(rows, columns) gather
@@ -445,33 +446,68 @@ def wave_solution(
     return q @ y
 
 
-# theta * max(t, s) below which the SWEK covariance comes from its series
-_SWEK_SERIES = 2e-2
+# theta * t below which the SWEK generators read h(theta t) and its derivative from their series
+_SWEK_SERIES = 1.0
+# h(x) = (cos x - sin x / x) / x^2 = sum_j H_j x^2j, H_j = (-1)^(j+1) (2j+2) / (2j+3)!; through x^16
+# the series is exact to round-off below the switch
+_SWEK_H = np.array([(-1.0) ** (j + 1) * (2 * j + 2) / math.factorial(2 * j + 3) for j in range(9)])
 
 
-def _swek_series_terms(m, big, gap):
-    """theta^4 and theta^6 coefficients of ``m cos(theta gap) - cos(theta big) sin(theta m) / theta``."""
-    correction = m * gap**4 / 24.0 - m**5 / 120.0 - big**2 * m**3 / 12.0 - big**4 * m / 24.0
-    correction2 = (
-        m**7 / 5040.0 + big**2 * m**5 / 240.0 + big**4 * m**3 / 144.0 + big**6 * m / 720.0 - m * gap**6 / 720.0
-    )
-    return correction, correction2
+def _swek_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h(x)`` and ``x h'(x)`` from their series, by Horner's rule in x^2."""
+    z = np.square(x)
+    h, dh = np.zeros_like(z), np.zeros_like(z)
+    for j in range(_SWEK_H.shape[0] - 1, -1, -1):
+        h *= z
+        h += _SWEK_H[j]
+        dh *= z
+        dh += 2 * j * _SWEK_H[j]
+    return h, dh
 
 
-def _at_small(small: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """Each of ``arrays`` broadcast to ``small``'s shape and read where ``small`` holds, so the
-    series is evaluated only where it is used; a scalar stays a scalar."""
-    return [np.broadcast_to(a, small.shape)[small] if np.ndim(a) else a for a in arrays]
+def _swek_generators(theta: np.ndarray, sigma: float, times) -> tuple[tuple[np.ndarray, ...], ...]:
+    """SWEK per eigenvalue as the wave's rank-2 generators at ``times``, broadcast against ``theta = c sqrt(mu)``.
+
+    For t >= s the covariance of :func:`_swek_eig` is ``k(t, s) = sum_k rows[k](t) cols[k](s)``, with rows ``(cos
+    theta t, sin theta t / theta)`` and columns ``(a, b) = sigma^2/2 (s^3 h(theta s), s sin theta s / theta)``, where
+    ``h(x) = (cos x - sin x / x) / x^2``.  ``theta d/dtheta`` takes ``sin theta t / theta`` to ``theta^2 t^3 h(theta
+    t)`` and ``h`` to ``x h'(x) = -3 h(x) - sin x / x``, so the log-theta derivative is ``sum_k d_rows[k](t)
+    d_cols[k](s)`` over four pairs: ``d_rows = (-theta t sin theta t, theta^2 t^3 h) + rows`` and ``d_cols = cols +
+    (sigma^2/2 s^3 x h'(x), theta^2 s a)``.  Every cancellation sits in h and x h', whose direct forms lose about
+    eps / x^2 and eps / x^4; below ``x =`` :data:`_SWEK_SERIES` both come from their series (:func:`_swek_series`),
+    evaluated only there.  Nothing divides by theta^2, so the theta -> 0 limit, the integrated-Brownian ``sigma^2
+    (t s^2 / 2 - s^3 / 6)``, stays finite.  Returns ``rows, cols, d_rows, d_cols``.
+    """
+    x = np.asarray(theta * times, dtype=float)
+    cos, sin = np.cos(x), np.sin(x)
+    small = x < _SWEK_SERIES
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 is in the series
+        sinc = sin / x
+        h = cos - sinc
+        h /= np.square(x)
+        d_h = -3.0 * h - sinc
+    h[small], d_h[small] = _swek_series(x[small])
+    scale, cubes = sigma**2 / 2.0, np.power(times, 3)
+    over = sin / theta
+    a, b = scale * cubes * h, scale * times * over
+    rows, cols = (cos, over), (a, b)
+    d_rows = (-x * sin, np.square(theta) * cubes * h) + rows
+    return rows, cols, d_rows, cols + (scale * cubes * d_h, np.square(theta) * times * a)
 
 
-def _at_distinct(fn, theta: np.ndarray, x, out: np.ndarray) -> np.ndarray:
-    """``fn(theta * x)`` into ``out``, evaluated once per mode and distinct ``x``, so each entry is the
-    float of the direct form.  theta varies over the modes (leading axes) and x over the times."""
-    values, inverse = np.unique(x, return_inverse=True)
-    table = np.multiply(np.reshape(theta, (-1, 1)), values)
-    fn(table, out=table)
-    # mode="raise" would buffer out, one more array of its size
-    np.take(table, inverse.ravel(), axis=1, out=out.reshape(table.shape[0], -1), mode="clip")
+def _rank_sum(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_k rows[k] cols[k]`` entry by entry, in order: the generators' value at equal arguments."""
+    return sum(r * c for r, c in zip(rows, cols))
+
+
+def _swek_stack(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], times: np.ndarray) -> np.ndarray:
+    """The (n, T, T) stack ``sum_k rows[k](t) cols[k](s)`` of (n, T) generators at ``times``: one product per mode
+    where t >= s, mirrored where t < s, so it is exactly symmetric, and its diagonal is :func:`_rank_sum`, so
+    :func:`_mode_variances` reads it bit for bit."""
+    out = np.stack(rows, axis=-1) @ np.stack(cols, axis=1)
+    np.copyto(out, out.swapaxes(1, 2), where=times[:, None] < times)
+    diag = np.arange(times.shape[0])
+    out[:, diag, diag] = _rank_sum(rows, cols)
     return out
 
 
@@ -480,78 +516,12 @@ def _swek_eig(mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
 
     For theta = c sqrt(mu):
     ``sigma^2/(2 theta^2) (min(t,s) cos(theta (t-s)) - cos(theta max) sin(theta min) / theta)``,
-    the Ito integral ``(sigma/theta)^2 int_0^min sin(theta(t-x)) sin(theta(s-x)) dx``.
-    The theta -> 0 limit is the integrated-Brownian covariance
-    ``sigma^2 (t s m - (t+s) m^2/2 + m^3/3)``.  The direct form loses about
-    eps / (theta max(t,s))^2 to cancellation, so below theta*max(t,s) =
-    :data:`_SWEK_SERIES` a series through theta^4 takes over; at the switch
-    both are accurate to about 1e-12 (its derivative, 1e-9).
+    the Ito integral ``(sigma/theta)^2 int_0^min sin(theta(t-x)) sin(theta(s-x)) dx``, evaluated as the
+    generators (:func:`_swek_generators`) of max(t, s) against those of min(t, s).
     """
     theta = c * np.sqrt(mu)
-    m = np.minimum(t, s)
-    big = np.maximum(t, s)
-    gap = np.abs(t - s)
-    small = theta * big < _SWEK_SERIES
-    theta_safe = np.where(small, 1.0, theta)
-    with np.errstate(invalid="ignore"):
-        # the direct form, in place and in its written order, so the bits stay those of the formula; its
-        # cos and sin read theta, not 1, below the switch, where the series overwrites every entry
-        out = _at_distinct(np.cos, theta, gap, np.empty_like(theta_safe))
-        out *= m
-        term = _at_distinct(np.cos, theta, big, np.empty_like(out))
-        term *= _at_distinct(np.sin, theta, m, np.empty_like(out))
-        term /= theta_safe
-        out -= term
-        np.square(theta_safe, out=term)
-        term *= 2.0
-        out *= np.divide(sigma**2, term, out=term)
-    theta, m, big, gap = _at_small(small, theta, m, big, gap)
-    lead = m**3 / 6.0 + big**2 * m / 2.0 - m * gap**2 / 2.0
-    correction, correction2 = _swek_series_terms(m, big, gap)
-    out[small] = sigma**2 / 2.0 * (lead + theta**2 * (correction + theta**2 * correction2))
-    return out
-
-
-def _swek_eig_dlog_theta(k: np.ndarray, mu: np.ndarray, c: float, sigma: float, t, s) -> np.ndarray:
-    """Derivative of :func:`_swek_eig` (value ``k``) in log theta, theta = c sqrt(mu).
-
-    This is the derivative in log c, and twice the derivative in log mu.  The
-    small-theta branch differentiates the same series the value uses.
-    """
-    theta = c * np.sqrt(mu)
-    m = np.minimum(t, s)
-    big = np.maximum(t, s)
-    gap = np.abs(t - s)
-    small = theta * big < _SWEK_SERIES
-    th = np.where(small, 1.0, theta)
-    with np.errstate(invalid="ignore"):
-        # theta * dh/dtheta for h = m cos(theta gap) - cos(theta big) sin(theta m) / theta:
-        #   -m gap th sin(th gap) + big sin(th big) sin_m - m cos_big cos(th m) + cos_big sin_m / th,
-        # summed left to right in place, so the bits stay those of the formula
-        cos_big = _at_distinct(np.cos, theta, big, np.empty_like(th))
-        sin_m = _at_distinct(np.sin, theta, m, np.empty_like(th))
-        out = -m * gap * th
-        term = _at_distinct(np.sin, theta, gap, np.empty_like(th))
-        out *= term
-        _at_distinct(np.sin, theta, big, term)
-        term *= big
-        term *= sin_m
-        out += term
-        sin_m *= cos_big  # the last term, cos_big sin_m / th
-        sin_m /= th
-        cos_big *= m
-        cos_big *= _at_distinct(np.cos, theta, m, term)
-        out -= cos_big
-        out += sin_m
-        # sigma^2 / (2 th^2) theta_dh - 2 k
-        np.square(th, out=term)
-        term *= 2.0
-        out *= np.divide(sigma**2, term, out=term)
-        out -= np.multiply(k, 2.0, out=term)
-    theta, m, big, gap = _at_small(small, theta, m, big, gap)
-    correction, correction2 = _swek_series_terms(m, big, gap)
-    out[small] = sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2)
-    return out
+    rows = _swek_generators(theta, sigma, np.maximum(t, s))[0]
+    return _rank_sum(rows, _swek_generators(theta, sigma, np.minimum(t, s))[1])
 
 
 def swek_cov(frac: FractionalLaplacian, c: float, sigma: float, t: float, s: float) -> np.ndarray:
@@ -670,13 +640,15 @@ def _factors(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple:
 
 def _mode_variances(spec: KernelSpec, graph: Graph, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis Q and each mode's prior variance ``k_i(t, t)`` (n, T) at ``times``, in closed form: the
-    diagonal of :func:`_process_covariances`'s stack for SHEK/SWEK, ``rho_i K_t(t, t)`` (:func:`_factors`)
-    for the other kinds, bit for bit, without forming the (n, T, T) stack."""
+    diagonal of :func:`_process_covariances`'s stack for SHEK/SWEK (SWEK's from the same generators),
+    ``rho_i K_t(t, t)`` (:func:`_factors`) for the other kinds, bit for bit, without forming the (n, T, T) stack."""
     if spec.kind in ("shek", "swek"):
         c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
         frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
-        scalar = _shek_eig if spec.kind == "shek" else _swek_eig
-        return frac.basis, scalar(frac.shifted_eigs.reshape(-1, 1), c, sigma, times[None], times[None])
+        mu = frac.shifted_eigs.reshape(-1, 1)
+        if spec.kind == "shek":
+            return frac.basis, _shek_eig(mu, c, sigma, times[None], times[None])
+        return frac.basis, _rank_sum(*_swek_generators(c * np.sqrt(mu), sigma, times)[:2])
     basis, rho, temporal, _ = _factors(spec, graph, times)
     return basis, rho[:, None] * np.diagonal(temporal)
 
@@ -686,33 +658,39 @@ def _process_covariances(
 ) -> tuple[np.ndarray, np.ndarray, Callable[[Sequence[str]], Iterator[np.ndarray]]]:
     """SHEK/SWEK's eigenbasis Q and per-mode covariances (n, T, T) at ``times``, a new stack the caller owns,
     and the map from ``c``, ``nu`` and ``kappa`` (not the scale, :func:`_scale`) to their derivatives in their
-    logs, one at a time, with the evaluated upper triangle as their value ``k``.  The entries cost exponentials
-    or trigonometric functions and are symmetric in (t, s), so each pair of times is evaluated once and mirrored."""
-    n_times = times.shape[0]
-    pairs = np.triu_indices(n_times)
-    t, s = times[pairs[0]][None], times[pairs[1]][None]
+    logs, one at a time.  SWEK's stack and derivatives are outer products of its (n, T) generators
+    (:func:`_swek_generators`, :func:`_swek_stack`), so its transcendentals are evaluated once per mode and time.
+    SHEK's entries are symmetric in (t, s), so each pair of times is evaluated once and mirrored, and its
+    derivatives take the evaluated upper triangle as their value ``k``."""
     c, sigma, nu, kappa = (spec.hyper[name] for name in ("c", "sigma", "nu", "kappa"))
     frac = fractional_from_graph(graph, spec.laplacian_variant, nu, kappa)
     mu = frac.shifted_eigs.reshape(-1, 1)  # one mode per row
     # SHEK depends on (c, mu) through c mu and SWEK through c sqrt(mu),
     # so the log-mu derivative is the log-c one times 1 or 1/2.
-    if spec.kind == "shek":
-        scalar, d_scalar, mu_power = _shek_eig, _shek_eig_dlog_rate, 1.0
-    else:
-        scalar, d_scalar, mu_power = _swek_eig, _swek_eig_dlog_theta, 0.5
+    if spec.kind == "swek":
+        rows, cols, d_rows, d_cols = _swek_generators(c * np.sqrt(mu), sigma, times)
+
+        def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
+            log_mu_by = _log_mu_by(mu, nu, kappa)
+            return (_swek_stack(d_rows if name == "c" else [r * (0.5 * log_mu_by[name]) for r in d_rows], d_cols,
+                                times) for name in wrt)
+
+        return frac.basis, _swek_stack(rows, cols, times), derivatives
+    n_times = times.shape[0]
+    pairs = np.triu_indices(n_times)
+    t, s = times[pairs[0]][None], times[pairs[1]][None]
 
     def mirrored(packed: np.ndarray) -> np.ndarray:
         full = np.empty((packed.shape[0], n_times, n_times))
         full[:, pairs[0], pairs[1]] = full[:, pairs[1], pairs[0]] = packed
         return full
 
-    packed = scalar(mu, c, sigma, t, s)
+    packed = _shek_eig(mu, c, sigma, t, s)
 
     def derivatives(wrt: Sequence[str]) -> Iterator[np.ndarray]:
-        d_log_c = d_scalar(packed, mu, c, sigma, t, s)
-        d_log_mu = mu_power * d_log_c
+        d_log_c = _shek_eig_dlog_rate(packed, mu, c, sigma, t, s)
         log_mu_by = _log_mu_by(mu, nu, kappa)
-        return (mirrored(d_log_c if name == "c" else d_log_mu * log_mu_by[name]) for name in wrt)
+        return (mirrored(d_log_c if name == "c" else d_log_c * log_mu_by[name]) for name in wrt)
 
     return frac.basis, mirrored(packed), derivatives
 

@@ -323,13 +323,15 @@ def test_mode_variances_are_the_stack_diagonal_and_form_no_stack():
         return KernelSpec(kind=kind, hyper={"c": c, "sigma": 1.2, "nu": nu, "kappa": kappa},
                           laplacian_variant=variant)
 
-    # c = 1e-3: theta t < _SWEK_SERIES before t = 8, and at t = 8 on either side of it
-    theta_max = 1e-3 * np.sqrt(fractional_from_graph(line, "unnormalized", 2.0, 1.0).shifted_eigs) * 8.0
+    # c = 0.05: theta t < _SWEK_SERIES before t = 8, and at t = 8 on either side of it; at c = 1e-3
+    # every mode lies wholly in the series
+    theta_max = 0.05 * np.sqrt(fractional_from_graph(line, "unnormalized", 2.0, 1.0).shifted_eigs) * 8.0
     assert np.min(theta_max) < _SWEK_SERIES <= np.max(theta_max)
     assert np.min(fractional_from_graph(line, "unnormalized", 2.0, 5e3).shifted_eigs) < 1e-6
     assert np.count_nonzero(_factors(laplacian, isolated, times)[1] == 0.0) == 2
     cases = [
         (process("swek", 1e-3, 2.0, 1.0), line),
+        (process("swek", 0.05, 2.0, 1.0), line),
         (process("swek", 0.7, 2.5, 1.0), line),
         (process("shek", 30.0, 2.0, 5e3), line),
         (process("shek", 0.4, 1.0, 2.0, "sym_normalized"), line),
@@ -654,6 +656,27 @@ def test_the_missing_cell_block_is_the_lattice_inverse_at_those_cells():
     np.testing.assert_allclose(half_log_det, 0.5 * np.linalg.slogdet(expected)[1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["shek", "swek", "matern-rbf"])
+def test_the_missing_cell_block_reaches_the_cholesky_exactly_symmetric(monkeypatch, kind):
+    # B_mm's product differs between its triangles at round-off; it is averaged with its transpose,
+    # so the factorization reads the same bits from either triangle and the data alone fix a gappy
+    # fit's bits
+    rng = np.random.default_rng(12)
+    data = drop_cells(grid_dataset(rng, line_graph(6), 7), {(0, 1), (2, 3), (5, 3), (4, 6), (1, 0)})
+    model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.05, mean_policy="zero")
+    cholesky, seen = graphspde.gp._cholesky, []
+
+    def recording(a):
+        if a.ndim == 2:  # B_mm; SWEK's modes are one (n, T, T) stack
+            seen.append(a.copy())
+        return cholesky(a)
+
+    monkeypatch.setattr(graphspde.gp, "_cholesky", recording)
+    assert math.isfinite(log_marginal_likelihood(model, data))
+    assert len(seen) == 1 and seen[0].shape == (5, 5)
+    assert seen[0].tobytes() == seen[0].T.copy().tobytes()
+
+
 @pytest.mark.parametrize("drop", [set(), {(0, 0), (3, 2), (4, 2), (1, 5)}])
 def test_fit_factorizes_once_per_value_and_never_for_a_gradient(monkeypatch, drop):
     rng = np.random.default_rng(9)
@@ -763,7 +786,7 @@ def test_lattice_value_and_gradient_evaluate_the_covariances_once(monkeypatch, k
         data = drop_cells(data, drop)
     model = GPModel(kernel=random_spec(rng, kind), noise_variance=0.1, mean_policy="zero")
     assert (_prepare(model, data).gaps is None) == isinstance(drop, str)
-    name = "temporal_kernel" if kind == "matern-rbf" else f"_{kind}_eig"
+    name = {"shek": "_shek_eig", "swek": "_swek_generators", "matern-rbf": "temporal_kernel"}[kind]
     scalar = getattr(graphspde.kernels, name)
     calls = []
 
@@ -824,7 +847,7 @@ def value_and_gradient_peak(model: GPModel, data: SpatioTemporalDataset, names: 
 
 def test_lattice_gradient_holds_one_derivative_at_a_time():
     # 21 x 50 SWEK grid, every shaped name: the derivative maps yield one mirrored derivative at a
-    # time and the weight drops the inverse it read, so the peak is 6.2 stacks; all four
+    # time and the weight drops the inverse it read, so the peak is 5.3 stacks; all four
     # derivatives at once took 8.2 (SHEK's lattice reads no derivative map)
     _, data = gen_heat_line(SyntheticSpec(kind="heat_line", n_nodes=21, coefficient=0.3,
                                           timestamps=tuple(0.2 * np.arange(1, 51)), noise_sd=0.01, seed=7))
@@ -836,7 +859,7 @@ def test_lattice_gradient_holds_one_derivative_at_a_time():
 @pytest.mark.parametrize("kind, bound", [("shek", 7.0), ("swek", 7.5), ("matern-rbf", 6.3)])
 def test_gappy_lattice_gradient_reads_the_inverse_through_the_gain(kind, bound):
     # an 11 x 50 line, every tenth cell missing (M = 55): the weight takes H = G P L_mm^-T from the
-    # gain and is one product in one array, so the peak is 6.9 stacks for swek, and matern-rbf, which
+    # gain and is one product in one array, so the peak is 5.3 stacks for swek, and matern-rbf, which
     # forms no weight, 3.8; shek takes H's terms through the (n, U, U) Gram of P L_mm^-T and peaks at
     # 6.1, holding the gain and its chains' N^-1 L S, (n, T, U) each; scattering L_mm^-T back into the
     # modes and applying A^-1 again, beside a second copy of the weight, took 8.2, 8.2 and 7.5
@@ -889,7 +912,13 @@ def test_non_finite_lattice_gradient_ends_the_start_without_a_gram(monkeypatch):
     graph = line_graph(4)
     data = drop_cells(grid_dataset(rng, graph, 5), {(1, 1), (2, 3)})
     model = GPModel(kernel=random_spec(rng, "swek"), noise_variance=0.1, mean_policy="zero")
-    monkeypatch.setattr(graphspde.kernels, "_swek_eig_dlog_theta", lambda k, *args: np.full_like(k, np.nan))
+    generators = graphspde.kernels._swek_generators
+
+    def non_finite_derivative(*args):
+        rows, cols, d_rows, d_cols = generators(*args)
+        return rows, cols, [np.full_like(r, np.nan) for r in d_rows], d_cols
+
+    monkeypatch.setattr(graphspde.kernels, "_swek_generators", non_finite_derivative)
     calls = count_grams(monkeypatch)
     names = ["c", "sigma", "noise"]
     point = _evaluator(model, data, names)(theta_of(model, names))

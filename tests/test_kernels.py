@@ -589,8 +589,8 @@ class TestAssembleGram:
         # each time gather apart, so beside the Gram only the (n, T, T)
         # covariance stack (21 Grams) and the temporaries of its evaluation
         # exist, where the (T n)^2 cross-covariance alone would take 441 Grams.
-        # SHEK peaks near 35 Grams; SWEK's direct form is evaluated in place,
-        # near 47 (68 with a temporary per operation)
+        # SHEK peaks near 35 Grams; SWEK, one product of its generators per mode
+        # and its mirror, near 43 (its pair-by-pair form took 50)
         rng = np.random.default_rng(4)
         g = line_graph(21)
         points = [
@@ -713,169 +713,187 @@ class TestSymmetricVariantRequired:
 
 
 def test_swek_series_derivative_is_twice_its_theta_part():
-    # below theta * max(t, s) = 1e-3 the value is the series
-    # sigma^2 / 2 (lead + theta^2 correction), whose log-theta derivative is
-    # twice its theta-dependent part, k(theta) - k(0)
-    from graphspde.kernels import _swek_eig, _swek_eig_dlog_theta
+    # below theta * max(t, s) = 1e-3 the value is sigma^2 (t s^2 / 2 - s^3 / 6) + theta^2 (...) + O(theta^4),
+    # whose log-theta derivative is twice its theta-dependent part, k(theta) - k(0), to O(theta^2)
+    from graphspde.kernels import _swek_generators, _swek_stack
 
-    mu = np.array([0.5, 2.0, 7.0])[:, None, None]
-    t = np.array([0.5, 1.0, 2.5, 4.0])[None, :, None]
-    s = np.swapaxes(t, 1, 2)
-    c, sigma = 2e-5, 3.0
-    assert np.all(c * np.sqrt(mu) * np.maximum(t, s) < 1e-3)
-    k = _swek_eig(mu, c, sigma, t, s)
-    limit = _swek_eig(mu, 1e-300, sigma, t, s)
-    np.testing.assert_allclose(
-        _swek_eig_dlog_theta(k, mu, c, sigma, t, s), 2.0 * (k - limit), rtol=1e-5
-    )
+    theta = 9e-5 * np.sqrt([0.5, 2.0, 7.0])[:, None]
+    times = np.array([0.0, 0.5, 1.0, 2.5, 4.0])
+    sigma = 3.0
+    assert np.all(theta * times < 1e-3)
+    rows, cols, d_rows, d_cols = _swek_generators(theta, sigma, times)
+    k = _swek_stack(rows, cols, times)
+    limit = _swek_stack(*_swek_generators(1e-300 * theta, sigma, times)[:2], times)
+    np.testing.assert_allclose(_swek_stack(d_rows, d_cols, times), 2.0 * (k - limit), rtol=1e-5)
 
 
 def test_swek_series_is_evaluated_only_where_it_is_used(monkeypatch):
-    # the series takes over below theta * max(t, s) = _SWEK_SERIES; the
-    # direct form covers every other entry, so only those below see it
+    # the series takes over below theta * t = _SWEK_SERIES, per mode and time; the direct form
+    # covers every other entry, so only those below see it, in one call for the value and the
+    # derivative: the modes wholly below the switch and the leading times of those partly below it
     from graphspde import kernels
 
-    series_terms = kernels._swek_series_terms
+    series = kernels._swek_series
     seen = []
 
-    def recording(m, big, gap):
-        seen.append((np.shape(m), np.shape(big), np.shape(gap)))
-        return series_terms(m, big, gap)
+    def recording(x):
+        seen.append(x.copy())
+        return series(x)
 
-    monkeypatch.setattr(kernels, "_swek_series_terms", recording)
-    mu = np.array([1e-8, 1e-6, 0.5, 2.0, 7.0])[:, None]
-    t, s = (a.ravel()[None] for a in np.meshgrid([0.5, 1.0, 2.5, 4.0], [0.5, 1.0, 2.5, 4.0]))
-    c, sigma = 1.0, 1.5
-    below = np.count_nonzero(c * np.sqrt(mu) * np.maximum(t, s) < kernels._SWEK_SERIES)
-    assert 0 < below < mu.shape[0] * t.shape[1]
-    k = kernels._swek_eig(mu, c, sigma, t, s)
-    kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s)
-    assert seen == [((below,),) * 3] * 2
+    monkeypatch.setattr(kernels, "_swek_series", recording)
+    theta = np.sqrt([1e-8, 1e-6, 0.05, 0.5, 2.0, 7.0])[:, None]
+    times = np.array([0.0, 0.5, 1.0, 2.5, 4.0])
+    below = theta * times < kernels._SWEK_SERIES
+    assert np.all(below[:3]) and not np.any(np.all(below[3:], axis=1)) and np.all(below[:, 0])
+    kernels._swek_generators(theta, 1.5, times)
+    assert len(seen) == 1 and seen[0].tobytes() == (theta * times)[below].tobytes()
 
 
-def test_swek_direct_form_keeps_the_bits_of_its_formula():
-    # the direct form is evaluated in place, operation by operation in the
-    # formula's order, so it must give the bits of the one-line expressions
-    from graphspde import kernels
+def test_swek_stack_is_the_generators_outer_product_mirrored():
+    # where t >= s each mode's stack is sum_k rows[k](t) cols[k](s), one product per mode; where
+    # t < s, that triangle mirrored, so the stack is exactly symmetric; its diagonal is the
+    # generators' entry-by-entry sum, bit for bit, which _mode_variances reads
+    from graphspde.kernels import _rank_sum, _swek_generators, _swek_stack
 
     rng = np.random.default_rng(11)
-    mu = np.exp(rng.uniform(-2.0, 3.0, 9))[:, None]
-    times = np.sort(rng.uniform(0.1, 6.0, 12))
-    rows, cols = np.triu_indices(12)
-    t, s = times[rows][None], times[cols][None]
-    c, sigma = 0.9, 1.3
-    th = c * np.sqrt(mu)
-    assert np.all(th * np.maximum(t, s) >= kernels._SWEK_SERIES)
+    theta = np.exp(rng.uniform(-4.0, 1.5, 9))[:, None]
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 6.0, 12))])
+    below = times[:, None] >= times
+    generators = _swek_generators(theta, 1.3, times)
+    for rows, cols in (generators[:2], generators[2:]):
+        stack = _swek_stack(rows, cols, times)
+        np.testing.assert_array_equal(stack, stack.swapaxes(1, 2))
+        assert np.diagonal(stack, axis1=1, axis2=2).tobytes() == _rank_sum(rows, cols).tobytes()
+        terms = np.einsum("kit,kis->kits", np.array(rows), np.array(cols))
+        bound = 4 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(stack - terms.sum(axis=0))[:, below] <= bound[:, below])
+
+
+@pytest.mark.parametrize("c", [0.02, 0.05, 0.9])
+def test_swek_scalar_form_matches_the_stack_in_every_layout(c):
+    # swek_cov's scalar form reads the generators of max(t, s) against those of min(t, s) entry by
+    # entry: in every layout it gives the stack's entries to round-off and its diagonal bit for bit,
+    # and both sides of the series switch are read at every c
+    from graphspde import kernels
+
+    rng = np.random.default_rng(5)
+    mu, sigma, sides = np.exp(rng.uniform(-9.0, 3.0, 11))[:, None], 1.3, set()
+    layouts = [np.arange(1.0, 51.0), 0.2 * np.arange(1, 71), np.sort(rng.uniform(0.0, 30.0, 40)),
+               np.array([0.0, 3.0]), np.array([2.25, 7.5])]
+    for times in layouts:
+        stack = kernels._swek_stack(*kernels._swek_generators(c * np.sqrt(mu), sigma, times)[:2], times)
+        scalar = kernels._swek_eig(mu[:, :, None], c, sigma, times[:, None], times[None])
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(stack), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(scalar - stack) <= bound)
+        diagonal = np.diagonal(stack, axis1=1, axis2=2)
+        assert kernels._swek_eig(mu, c, sigma, times[None], times[None]).tobytes() == diagonal.tobytes()
+        pair = kernels._swek_eig(mu[:, 0], c, sigma, times[-1], times[0])  # one scalar pair, reversed
+        assert np.all(np.abs(pair - stack[:, 0, -1]) <= bound[:, 0, 0])
+        sides.update(np.unique(c * np.sqrt(mu) * times < kernels._SWEK_SERIES).tolist())
+    assert sides == {False, True}
+
+
+def _pair_form_swek(theta, sigma, t, s):
+    """The SWEK covariance pair by pair in its direct form, with a series through theta^4 below
+    theta * max(t, s) = 0.02: the form the covariances took before the generators, the baseline
+    of the accuracy oracle."""
     m, big, gap = np.minimum(t, s), np.maximum(t, s), np.abs(t - s)
-    value = sigma**2 / (2.0 * th**2) * (m * np.cos(th * gap) - np.cos(th * big) * np.sin(th * m) / th)
-    cos_big, sin_m = np.cos(th * big), np.sin(th * m)
-    theta_dh = (
-        -m * gap * th * np.sin(th * gap)
-        + big * np.sin(th * big) * sin_m
-        - m * cos_big * np.cos(th * m)
-        + cos_big * sin_m / th
-    )
-    k = kernels._swek_eig(mu, c, sigma, t, s)
-    assert k.tobytes() == np.broadcast_to(value, k.shape).tobytes()
-    derivative = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
-    assert kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s).tobytes() == derivative.tobytes()
-
-
-def _direct_swek(mu, c, sigma, t, s):
-    """:func:`kernels._swek_eig` with every trigonometric term evaluated entry by entry, as first written."""
-    from graphspde.kernels import _SWEK_SERIES, _at_small, _swek_series_terms
-
-    theta = c * np.sqrt(mu)
-    m = np.minimum(t, s)
-    big = np.maximum(t, s)
-    gap = np.abs(t - s)
-    small = theta * big < _SWEK_SERIES
-    theta_safe = np.where(small, 1.0, theta)
+    small = theta * big < 0.02
+    th = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
-        out = np.multiply(theta_safe, gap)
-        np.cos(out, out=out)
-        out *= m
-        term = np.multiply(theta_safe, big)
-        np.cos(term, out=term)
-        sin_m = np.multiply(theta_safe, m)
-        term *= np.sin(sin_m, out=sin_m)
-        term /= theta_safe
-        out -= term
-        np.square(theta_safe, out=term)
-        term *= 2.0
-        out *= np.divide(sigma**2, term, out=term)
-    theta, m, big, gap = _at_small(small, theta, m, big, gap)
+        out = sigma**2 / (2.0 * th**2) * (m * np.cos(th * gap) - np.cos(th * big) * np.sin(th * m) / th)
+    theta, m, big, gap = (np.broadcast_to(a, small.shape)[small] for a in (theta, m, big, gap))
     lead = m**3 / 6.0 + big**2 * m / 2.0 - m * gap**2 / 2.0
-    correction, correction2 = _swek_series_terms(m, big, gap)
+    correction, correction2 = _pair_form_series_terms(m, big, gap)
     out[small] = sigma**2 / 2.0 * (lead + theta**2 * (correction + theta**2 * correction2))
     return out
 
 
-def _direct_swek_dlog_theta(k, mu, c, sigma, t, s):
-    """:func:`kernels._swek_eig_dlog_theta` with every trigonometric term evaluated entry by entry."""
-    from graphspde.kernels import _SWEK_SERIES, _at_small, _swek_series_terms
-
-    theta = c * np.sqrt(mu)
-    m = np.minimum(t, s)
-    big = np.maximum(t, s)
-    gap = np.abs(t - s)
-    small = theta * big < _SWEK_SERIES
+def _pair_form_swek_dlog_theta(k, theta, sigma, t, s):
+    """The log-theta derivative of :func:`_pair_form_swek` (value ``k``), in the same form."""
+    m, big, gap = np.minimum(t, s), np.maximum(t, s), np.abs(t - s)
+    small = theta * big < 0.02
     th = np.where(small, 1.0, theta)
     with np.errstate(invalid="ignore"):
-        cos_big = np.multiply(th, big)
-        np.cos(cos_big, out=cos_big)
-        sin_m = np.multiply(th, m)
-        np.sin(sin_m, out=sin_m)
-        out = -m * gap * th
-        term = np.multiply(th, gap)
-        out *= np.sin(term, out=term)
-        np.multiply(th, big, out=term)
-        np.sin(term, out=term)
-        term *= big
-        term *= sin_m
-        out += term
-        sin_m *= cos_big
-        sin_m /= th
-        cos_big *= m
-        np.multiply(th, m, out=term)
-        cos_big *= np.cos(term, out=term)
-        out -= cos_big
-        out += sin_m
-        np.square(th, out=term)
-        term *= 2.0
-        out *= np.divide(sigma**2, term, out=term)
-        out -= np.multiply(k, 2.0, out=term)
-    theta, m, big, gap = _at_small(small, theta, m, big, gap)
-    correction, correction2 = _swek_series_terms(m, big, gap)
+        cos_big, sin_m = np.cos(th * big), np.sin(th * m)
+        theta_dh = (-m * gap * th * np.sin(th * gap) + big * np.sin(th * big) * sin_m
+                    - m * cos_big * np.cos(th * m) + cos_big * sin_m / th)
+        out = sigma**2 / (2.0 * th**2) * theta_dh - 2.0 * k
+    theta, m, big, gap = (np.broadcast_to(a, small.shape)[small] for a in (theta, m, big, gap))
+    correction, correction2 = _pair_form_series_terms(m, big, gap)
     out[small] = sigma**2 * theta**2 * (correction + 2.0 * theta**2 * correction2)
     return out
 
 
-def _swek_layouts():
-    rng = np.random.default_rng(5)
-    mu = np.exp(rng.uniform(-9.0, 3.0, 11))[:, None]
-    for times in (np.arange(1.0, 51.0), 0.2 * np.arange(1, 71), np.sort(rng.uniform(0.0, 30.0, 40))):
-        rows, cols = np.triu_indices(times.shape[0])
-        yield "triangle", mu, times[rows][None], times[cols][None]
-    yield "scalar", mu[:, 0], 7.5, 2.25
-    yield "scalar-zero", mu[:, 0], 0.0, 3.0
-    t = np.array([0.5, 1.0, 2.5, 4.0])[None, :, None]
-    yield "modes-by-pairs", np.array([0.5, 2.0, 7.0])[:, None, None], t, np.swapaxes(t, 1, 2)
+def _pair_form_series_terms(m, big, gap):
+    """theta^4 and theta^6 coefficients of ``m cos(theta gap) - cos(theta big) sin(theta m) / theta``."""
+    correction = m * gap**4 / 24.0 - m**5 / 120.0 - big**2 * m**3 / 12.0 - big**4 * m / 24.0
+    correction2 = (
+        m**7 / 5040.0 + big**2 * m**5 / 240.0 + big**4 * m**3 / 144.0 + big**6 * m / 720.0 - m * gap**6 / 720.0
+    )
+    return correction, correction2
 
 
-@pytest.mark.parametrize("c", [1e-3, 0.05, 0.9])
-def test_swek_per_distinct_argument_keeps_the_bits_of_the_direct_form(c):
-    # cos and sin are evaluated once per mode and distinct |t - s|, min or max,
-    # and gathered onto the entries; every entry must keep the direct form's bits
-    from graphspde import kernels
+def _mpmath_swek(theta, sigma, times):
+    """The SWEK covariance and its log-theta derivative per mode, (n, T, T) each, from mpmath at 40
+    digits, with theta and the times taken exactly as the floats they are."""
+    import mpmath
 
-    sigma, sides = 1.3, set()
-    for name, mu, t, s in _swek_layouts():
-        k = kernels._swek_eig(mu, c, sigma, t, s)
-        want = _direct_swek(mu, c, sigma, t, s)
-        assert k.shape == want.shape and k.tobytes() == want.tobytes(), name
-        derivative = kernels._swek_eig_dlog_theta(k, mu, c, sigma, t, s)
-        assert derivative.tobytes() == _direct_swek_dlog_theta(k, mu, c, sigma, t, s).tobytes(), name
-        small = c * np.sqrt(mu) * np.maximum(t, s) < kernels._SWEK_SERIES
-        sides.update(np.unique(small).tolist())
-    assert sides == {False, True}  # both branches are read at every c
+    mpmath.mp.dps = 40
+    n, size = theta.shape[0], times.shape[0]
+    value, derivative = np.zeros((n, size, size)), np.zeros((n, size, size))
+    for i, th in enumerate(map(mpmath.mpf, theta.ravel())):
+        scale = mpmath.mpf(sigma) ** 2 / (2 * th**2)
+        for a in range(size):
+            for b in range(a + 1):
+                big, m = mpmath.mpf(times[a]), mpmath.mpf(times[b])
+                cos_big, sin_m = mpmath.cos(th * big), mpmath.sin(th * m)
+                h = m * mpmath.cos(th * (big - m)) - cos_big * sin_m / th
+                theta_dh = (-m * (big - m) * th * mpmath.sin(th * (big - m)) + big * mpmath.sin(th * big) * sin_m
+                            - m * cos_big * mpmath.cos(th * m) + cos_big * sin_m / th)
+                value[i, a, b] = value[i, b, a] = scale * h
+                derivative[i, a, b] = derivative[i, b, a] = scale * (theta_dh - 2 * h)
+    return value, derivative
+
+
+def test_swek_generators_match_an_mpmath_reference():
+    # theta * t from 1e-6 to 2e5, the range line-search trials reach under the step cap; both sides
+    # of the series switch, and modes partly in the series; t = 0; and, through _process_covariances,
+    # the near-zero modes of a large kappa.  The error, per mode and relative to its largest entry,
+    # is no worse than the pair form's, apart from a loss at large theta t: the argument theta t
+    # rounds to within eps theta t, and the generator form meets that rounding at both times of a
+    # pair where the pair form meets it at their gap, so it may lose up to eps theta max(t) more
+    # (on this grid 4.1e-12 against 1.3e-12 for the value at theta max(t) = 6e4).  Near the switch
+    # it gains: just above its switch at 0.02 the pair form lost up to 3.6e-13 (value) and 7.6e-9
+    # (derivative), where the generators stay within 1e-15
+    from graphspde.kernels import _process_covariances, _swek_generators, _swek_stack
+
+    eps, sigma = np.finfo(float).eps, 1.3
+    times = np.array([0.0, 1e-3, 0.05, 0.3, 1.0, 2.0, 3.7, 5.0, 8.0, 13.0, 20.0])
+    reach = np.concatenate([np.geomspace(1e-6, 2e5, 23), np.linspace(0.5, 1.5, 9), [0.0199, 0.0201, 0.0222]])
+    theta = (reach / times[-1])[:, None]
+    spec = KernelSpec(kind="swek", hyper={"c": 0.7, "sigma": sigma, "nu": 2.5, "kappa": 1e4})
+    basis, large_kappa, d_large_kappa = _process_covariances(spec, line_graph(5), times)
+    mu = fractional_laplacian(laplacian(line_graph(5)), 2.5, 1e4).shifted_eigs
+    assert np.min(0.7 * np.sqrt(mu)) < 1e-4  # a near-zero mode
+    theta_kappa = 0.7 * np.sqrt(mu)[:, None]
+    generators = _swek_generators(theta, sigma, times)
+    value = np.concatenate([_swek_stack(*generators[:2], times), large_kappa])
+    derivative = np.concatenate([_swek_stack(*generators[2:], times), next(d_large_kappa(["c"]))])
+    theta = np.concatenate([theta, theta_kappa])
+    assert np.min(theta * times[-1]) < 1e-5 and np.max(theta * times[-1]) > 1e5
+
+    t, s = times[:, None][None], times[None, None]
+    pair_value = _pair_form_swek(theta[:, :, None], sigma, t, s)
+    pair_derivative = _pair_form_swek_dlog_theta(pair_value, theta[:, :, None], sigma, t, s)
+    want_value, want_derivative = _mpmath_swek(theta, sigma, times)
+    np.testing.assert_array_equal(value[:, 0], 0.0)  # t = 0: the process starts at rest
+    np.testing.assert_array_equal(derivative[:, 0], 0.0)
+    loss = eps * theta[:, 0] * times[-1]
+
+    def error(got, want):
+        return np.max(np.abs(got - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+
+    for got, pair, want in ((value, pair_value, want_value), (derivative, pair_derivative, want_derivative)):
+        assert np.all(error(got, want) <= np.maximum(error(pair, want), 8 * eps) + loss)
+        assert np.all(error(got, want)[theta[:, 0] * times[-1] < 10.0] <= 8 * eps)
